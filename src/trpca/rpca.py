@@ -15,14 +15,15 @@ well-scaled regardless of how ill-conditioned the underlying tensor is.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor_ops import as_tensor, fro_norm, inf_norm, matricize, multilinear_mul
-from .tucker import TuckerFactors, breve_factor, hosvd, reconstruct
+from .tensor_ops import as_tensor, fro_norm, inf_norm, multilinear_mul
+from .tucker import TuckerFactors, hosvd, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
 # numerically singular instead of being inverted.
@@ -46,11 +47,17 @@ class DivergenceError(RuntimeError):
 
 
 def soft_shrink(t: np.ndarray, zeta: float) -> np.ndarray:
-    """Entrywise soft shrinkage sgn(x) * max(|x| - zeta, 0)."""
+    """Entrywise soft shrinkage sgn(x) * max(|x| - zeta, 0).
+
+    Computed as ``t - clip(t, -zeta, zeta)`` in one new array; the values
+    are the same bits as the formula above except that shrunk entries are
+    always +0.0.
+    """
     if zeta < 0:
         raise ValueError(f"shrinkage threshold must be >= 0, got {zeta}")
     t = np.asarray(t)
-    return np.sign(t) * np.maximum(np.abs(t) - zeta, 0.0)
+    out = np.clip(t, -zeta, zeta)
+    return np.subtract(t, out, out=out)
 
 
 class Reference(NamedTuple):
@@ -308,8 +315,8 @@ def update_sparse(state: SolverState, y: np.ndarray, zeta_next: float) -> np.nda
     return soft_shrink(np.asarray(y) - reconstruct(state.factors), zeta_next)
 
 
-def _checked_gram(b: np.ndarray, mode: int, which: str) -> np.ndarray:
-    gram = b.T @ b
+def _checked_gram(gram: np.ndarray, mode: int, which: str) -> np.ndarray:
+    """Return the Gram matrix ``gram``, or raise if it is numerically singular."""
     w = np.linalg.eigvalsh(gram)
     if w[-1] <= 0.0 or w[0] <= 0.0 or w[-1] / w[0] > GRAM_CONDITION_LIMIT:
         cond = np.inf if w[0] <= 0.0 else w[-1] / w[0]
@@ -317,44 +324,84 @@ def _checked_gram(b: np.ndarray, mode: int, which: str) -> np.ndarray:
     return gram
 
 
+def _mode_dot(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` product of ``t`` with ``u.T`` (that mode shrinks to ``u.shape[1]``)."""
+    return np.moveaxis(np.tensordot(t, u, axes=(mode, 0)), -1, mode)
+
+
 def scaled_step(
     state: SolverState, y: np.ndarray, s_next: np.ndarray, cfg: SolverConfig
 ) -> TuckerFactors:
     """One preconditioned gradient step on the factors and core.
 
-    Every active mode gets
+    With ``D = s_next - y``, core ``G``, factor Grams ``M_j = U_j.T @ U_j``
+    and ``unfold(., k)`` the mode-k matricization, every active mode gets
 
-        U_k <- (1 - eta) * U_k - eta * matricize(s_next - y, k) @ B_k @ inv(B_k.T @ B_k)
+        U_k <- (1 - eta) * U_k - eta * R_k @ inv(C_k)
+        R_k  = unfold(D x_{j!=k} U_j.T, k) @ unfold(G, k).T
+        C_k  = unfold(G x_{j!=k} M_j, k) @ unfold(G, k).T
 
-    with ``B_k`` the mode-k co-factor of the *current* factors, and the core
-    gets the matching update through the factor-Gram preconditioners.  All
-    updates read the pre-step factors, so the order of modes is irrelevant.
+    and the core gets
+
+        G <- (1 - eta) * G - eta * (D x_all U_j.T) x_all inv(M_j).
+
+    ``R_k`` and ``C_k`` are ``matricize(D, k) @ B_k`` and ``B_k.T @ B_k`` for
+    the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
+    r-space without forming ``B_k``: ``D`` is read by two contractions only,
+    ``D x_0 U_0.T`` and (when mode 0 is active) ``D x_{N-1} U_{N-1}.T``, and
+    every ``R_k`` and the core gradient come from small partial contractions
+    built on those two.  All updates read the pre-step factors, so the order
+    of modes is irrelevant.
     """
     f = state.factors
     eta = cfg.eta
-    mask = cfg.modes_mask(f.order)
-    d = np.asarray(s_next) - np.asarray(y)
+    us, core, order = f.factors, f.core, f.order
+    mask = cfg.modes_mask(order)
+    d = np.subtract(s_next, y, order="C")
 
-    new_factors = []
-    for k, u in enumerate(f.factors):
-        if not mask[k]:
-            new_factors.append(u)
-            continue
-        b = breve_factor(f, k)
-        gram = _checked_gram(b, k, "co-factor")
-        rhs = matricize(d, k) @ b
-        new_factors.append((1.0 - eta) * u - eta * np.linalg.solve(gram, rhs.T).T)
+    def others(k):
+        return [j for j in range(order) if j != k]
 
-    pre = []
-    for k, u in enumerate(f.factors):
-        gram = _checked_gram(u, k, "factor")
-        pre.append(np.linalg.solve(gram, u.T))
-    new_core = (1.0 - eta) * f.core - eta * multilinear_mul(pre, d)
-    return TuckerFactors(tuple(new_factors), new_core)
+    grams = [u.T @ u for u in us]
+    cograms = {}
+    for k in range(order):
+        if mask[k]:
+            h = core
+            for j in others(k):
+                h = _mode_dot(h, grams[j], j)
+            gram = np.tensordot(h, core, axes=(others(k), others(k)))
+            cograms[k] = _checked_gram(gram, k, "co-factor")
+    inv_grams = [np.linalg.inv(_checked_gram(m, k, "factor")) for k, m in enumerate(grams)]
+
+    rhs = {}
+    if mask[0]:  # D x_{j!=0} U_j.T, contracted from the last mode down
+        part = np.tensordot(d, us[-1], axes=(order - 1, 0))
+        for j in range(1, order - 1):
+            part = _mode_dot(part, us[j], j)
+        rhs[0] = np.tensordot(part, core, axes=(others(0), others(0)))
+    # prefix is D x_{j<k} U_j.T; contracting its modes after k gives
+    # D x_{j!=k} U_j.T
+    prefix = np.tensordot(us[0], d, axes=(0, 0))
+    for k in range(1, order):
+        if mask[k]:
+            part = prefix
+            for j in range(k + 1, order):
+                part = _mode_dot(part, us[j], j)
+            rhs[k] = np.tensordot(part, core, axes=(others(k), others(k)))
+        prefix = _mode_dot(prefix, us[k], k)
+    # prefix is now D x_all U_j.T, the unpreconditioned core gradient
+
+    new_factors = tuple(
+        (1.0 - eta) * u - eta * np.linalg.solve(cograms[k], rhs[k].T).T if mask[k] else u
+        for k, u in enumerate(us)
+    )
+    new_core = (1.0 - eta) * core - eta * multilinear_mul(inv_grams, prefix)
+    return TuckerFactors(new_factors, new_core)
 
 
-def _loss(x: np.ndarray, s: np.ndarray, y: np.ndarray) -> float:
-    return 0.5 * fro_norm(x + s - y) ** 2
+def _ldexp(v, e: int):
+    """``v * 2**e`` as a float, passing None through."""
+    return None if v is None else float(np.ldexp(v, e))
 
 
 def _solve_impl(y: np.ndarray, cfg: SolverConfig, reference) -> SolveResult:
@@ -372,47 +419,81 @@ def _solve_impl(y: np.ndarray, cfg: SolverConfig, reference) -> SolveResult:
     x_star = ref.x_star if ref is not None else None
     if x_star is not None and x_star.shape != y.shape:
         raise ValueError(f"reference shape {x_star.shape} does not match {y.shape}")
-    x_star_fro = fro_norm(x_star) if x_star is not None else None
 
-    zeta0 = _resolve_zeta0(cfg, y, ref)
-    state = spectral_init(y, cfg, zeta0=zeta0)
-    x = reconstruct(state.factors)
+    # The iteration runs on y_n = y / 2**e with 2**e near ||y||_inf, so that
+    # Gram matrices and norms of tiny or huge inputs neither underflow nor
+    # overflow.  A power-of-two scale is exact.  Each iterate is expanded in
+    # the units of y, and every output is scaled back to them.
+    e = int(np.frexp(inf_norm(y))[1])
+    y_n = np.ldexp(y, -e)
+    x_star_fro = fro_norm(np.ldexp(x_star, -e)) if x_star is not None else None
+
+    zeta0 = _ldexp(_resolve_zeta0(cfg, y, ref), -e)
     zeta1 = cfg.zeta1
     if zeta1 is None and ref is not None:
         zeta1 = _oracle_zeta1(cfg, y, ref)
-    if zeta1 is None:
-        zeta1 = 2.0 * inf_norm(y - state.sparse - x)
-    sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
+    zeta1 = _ldexp(zeta1, -e)
+    init = spectral_init(y_n, cfg, zeta0=zeta0)
+    f, s = init.factors, init.sparse
+    del init
 
     trace = IterationTrace()
 
-    def record(t, zeta, x_t, s_t):
-        rel = err_inf = None
-        if x_star is not None:
-            diff = x_t - x_star
-            rel = fro_norm(diff) / x_star_fro if x_star_fro > 0 else fro_norm(diff)
-            err_inf = inf_norm(diff)
-        trace.rows.append(
-            TraceRow(t, zeta, rel, err_inf, _loss(x_t, s_t, y),
-                     time.perf_counter() - start)
-        )
+    def expand(f):
+        return reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
 
-    record(0, zeta0, x, state.sparse)
+    def errors(x_t):
+        if x_star is None:
+            return None, None
+        diff = x_t - x_star
+        err_inf = inf_norm(diff)
+        np.ldexp(diff, -e, out=diff)
+        rel = fro_norm(diff) / x_star_fro if x_star_fro > 0 else _ldexp(fro_norm(diff), e)
+        return rel, err_inf
+
+    def record(t, zeta, errs, loss):
+        trace.rows.append(TraceRow(t, _ldexp(zeta, e), *errs, _ldexp(loss, 2 * e),
+                                   time.perf_counter() - start))
+
+    x = expand(f)
+    errs = errors(x)
+    np.ldexp(x, -e, out=x)
+    x_fro = fro_norm(x)
+    # r is the scaled residual y_n - x of the current iterate, kept for the
+    # whole run; each new iterate's buffer becomes the next residual.
+    r = y_n - x
+    np.subtract(r, s, out=x)
+    if zeta1 is None:
+        zeta1 = 2.0 * inf_norm(x)
+    sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
+    record(0, zeta0, errs, 0.5 * fro_norm(x) ** 2)
+    del x
+
     for t in range(cfg.max_iters):
-        zeta_next = sched.value(t + 1)
-        s_next = soft_shrink(y - x, zeta_next)
-        f_next = scaled_step(state, y, s_next, cfg)
-        x_next = reconstruct(f_next)
-        if not np.all(np.isfinite(x_next)):
+        zeta = sched.value(t + 1)
+        del s  # the old sparse part goes before the new one is allocated
+        s = soft_shrink(r, zeta)
+        f = scaled_step(SolverState(f, s, zeta, t + 1), y_n, s, cfg)
+        x = expand(f)
+        errs = errors(x)
+        np.ldexp(x, -e, out=x)
+        x_next_fro = fro_norm(x)
+        # A finite norm proves every entry finite; look closer only otherwise.
+        if not math.isfinite(x_next_fro) and not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite iterate at iteration {t + 1}")
-        state = SolverState(f_next, s_next, zeta_next, t + 1)
-        record(t + 1, zeta_next, x_next, s_next)
-        delta = fro_norm(x_next - x)
-        denom = max(fro_norm(x), 1e-300)
-        x = x_next
+        np.subtract(y_n, x, out=x)
+        np.subtract(r, x, out=r)  # x_next - x
+        delta = fro_norm(r)
+        np.subtract(x, s, out=r)
+        record(t + 1, zeta, errs, 0.5 * fro_norm(r) ** 2)
+        r = x
+        del x
+        denom = max(x_fro, 1e-300)
+        x_fro = x_next_fro
         if cfg.stop_tol > 0 and delta / denom < cfg.stop_tol:
             break
-    return SolveResult(state.factors, state.sparse, trace)
+    core = np.ldexp(f.core, e)
+    return SolveResult(TuckerFactors(f.factors, core), np.ldexp(s, e, out=s), trace)
 
 
 def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:

@@ -105,7 +105,13 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
                 f"factor for mode {mode} has shape {b.shape}, "
                 f"needs {out.shape[mode]} columns"
             )
-        out = np.moveaxis(np.tensordot(b, out, axes=(1, mode)), 0, mode)
+        if mode == t.ndim - 1:
+            # With the tensor first, the new axis lands last, where it
+            # belongs: a full expansion such as a reconstruction comes out
+            # C-contiguous instead of as a transposed view.
+            out = np.tensordot(out, b, axes=(mode, 1))
+        else:
+            out = np.moveaxis(np.tensordot(b, out, axes=(1, mode)), 0, mode)
     return out
 
 

@@ -103,12 +103,15 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         w, vecs = np.linalg.eigh(m @ m.T)
         order = np.argsort(w)[::-1][:rank]
         u = vecs[:, order].copy()
-        s = np.sqrt(np.maximum(w[order], 0.0))
+        w = w[order]
+        s = np.sqrt(np.maximum(w, 0.0))
         v = np.zeros((cols, rank))
-        smax = s[0] if s.size else 0.0
+        # The Gram matrix holds the squared singular values, and its rounding
+        # floor (~eps * s_max**2) is a singular value of ~sqrt(eps) * s_max, so
+        # the relative cutoff applies to the eigenvalues, not to their roots.
         dead = []
         for j in range(rank):
-            if s[j] > _RANK_TOL * smax and s[j] > 0.0:
+            if w[j] > _RANK_TOL * w[0] and w[j] > 0.0:
                 v[:, j] = m.T @ u[:, j] / s[j]
             else:
                 dead.append(j)
@@ -213,6 +216,10 @@ def breve_factor(f: TuckerFactors, mode: int) -> np.ndarray:
     but is computed as a multilinear product with an identity slot at ``mode``,
     which avoids materializing the Kronecker product.  Shape is
     ``(prod of other outer dims, r_mode)``.
+
+    The solver never forms B: :func:`~trpca.rpca.scaled_step` computes the
+    products it needs with B in r-space.  This function stays as the
+    reference those products are tested against.
     """
     if not 0 <= mode < f.order:
         raise ValueError(f"mode {mode} out of range for order-{f.order} factors")

@@ -130,6 +130,26 @@ def random_tucker(rng, dims, rank, orthonormal=False, scale=1.0):
     return TuckerFactors(tuple(factors), core)
 
 
+def oracle_scaled_step(f, y, s_next, eta, mask):
+    """The scaled step with explicit co-factors ``B_k`` from breve_factor.
+
+    Every active factor moves by ``matricize(D, k) @ B_k @ inv(B_k.T @ B_k)``
+    and the core by ``D x_k (inv(U_k.T @ U_k) @ U_k.T)``, with ``D = s_next - y``;
+    all products go through explicit matricizations and Kronecker products.
+    """
+    d = np.asarray(s_next) - np.asarray(y)
+    factors = []
+    for k, u in enumerate(f.factors):
+        if mask[k]:
+            b = breve_factor(f, k)
+            u = (1.0 - eta) * u - eta * oracle_matricize(d, k) @ b @ np.linalg.inv(b.T @ b)
+        factors.append(u)
+    pre = [np.linalg.inv(u.T @ u) @ u.T for u in f.factors]
+    grad = pre[0] @ oracle_matricize(d, 0) @ descending_kron(pre, 0).T
+    core = (1.0 - eta) * f.core - eta * tensorize(grad, f.core.shape, 0)
+    return TuckerFactors(tuple(factors), core)
+
+
 def fd_gradients(f, y, s_next, h=1e-6):
     """Central-difference gradients of 0.5*||reconstruct(F)+S-Y||_F^2.
 

@@ -5,8 +5,16 @@ import types
 import numpy as np
 import pytest
 
-from oracles import fd_gradients, random_tucker, rel_diff, suite_corrupt_iter
+import trpca.rpca
+from oracles import (
+    fd_gradients,
+    oracle_scaled_step,
+    random_tucker,
+    rel_diff,
+    suite_corrupt_iter,
+)
 from trpca.rpca import (
+    DivergenceError,
     Reference,
     SingularGramError,
     SolverConfig,
@@ -223,6 +231,35 @@ def test_scaled_step_matches_fd_gradient():
     assert rel_diff(got_core, want_core) < 1e-4
 
 
+def test_scaled_step_matches_breve_oracle():
+    # the r-space step against the explicit co-factor form, on uneven dims
+    # and ranks of orders 3-5, with every mode active, mode 0 frozen (which
+    # skips the second full contraction), the last mode frozen, and all
+    # factor updates off
+    rng = np.random.default_rng(25)
+    eta = 0.2
+    cases = [((7, 5, 6), (3, 2, 4)), ((4, 6, 5, 3), (2, 3, 2, 2)),
+             ((3, 4, 5, 3, 4), (2, 2, 3, 1, 2))]
+    for dims, rank in cases:
+        order = len(dims)
+        masks = [(True,) * order, (False,) + (True,) * (order - 1),
+                 (True,) * (order - 1) + (False,), tuple(k % 2 == 1 for k in range(order)),
+                 (False,) * order]
+        for mask in masks:
+            f = random_tucker(rng, dims, rank)
+            y = rng.standard_normal(dims)
+            s_next = soft_shrink(rng.standard_normal(dims), 1.0)
+            cfg = SolverConfig(rank=rank, eta=eta, active_modes=mask)
+            got = scaled_step(SolverState(f, s_next, 0.0, 0), y, s_next, cfg)
+            want = oracle_scaled_step(f, y, s_next, eta, mask)
+            for k, u in enumerate(f.factors):
+                if mask[k]:
+                    assert rel_diff(u - got.factors[k], u - want.factors[k]) <= 1e-12
+                else:
+                    assert np.array_equal(got.factors[k], u)
+            assert rel_diff(f.core - got.core, f.core - want.core) <= 1e-12
+
+
 def test_scaled_step_singular_gram_reports_mode():
     f = random_tucker(np.random.default_rng(12), (4, 4, 4), (2, 2, 2))
     f.core[:] = 0.0  # co-factors collapse
@@ -385,6 +422,74 @@ def test_solve_input_validation():
 def test_solve_zero_tensor_raises_singular_gram():
     with pytest.raises(SingularGramError):
         solve(np.zeros((6, 6, 6)), SolverConfig(rank=(2, 2, 2)))
+
+
+def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
+    truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=26)
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=2, stop_tol=0.0)
+    expand = trpca.rpca.reconstruct
+
+    def poison_iteration_2(value):
+        calls = []
+
+        def reconstruct(f):
+            x = expand(f)
+            calls.append(f)
+            if len(calls) == 3:  # call 1 expands the spectral initialization
+                x[1, 2, 3] = value
+            return x
+
+        return reconstruct
+
+    for bad in (np.nan, np.inf, -np.inf):
+        monkeypatch.setattr(trpca.rpca, "reconstruct", poison_iteration_2(bad))
+        with pytest.raises(DivergenceError, match="iteration 2"):
+            solve(truth.y, cfg)
+    # a finite entry whose square overflows makes the norm infinite; the
+    # exact check behind it finds every entry finite and the run goes on
+    monkeypatch.setattr(trpca.rpca, "reconstruct", poison_iteration_2(1e200))
+    with np.errstate(over="ignore"):
+        result = solve(truth.y, cfg)
+    assert result.trace.final.iteration == 2
+    assert result.trace.final.loss == np.inf
+
+
+def test_solve_tiny_input_recovers_truth():
+    # 1e-200 * y squares to below the float range inside every Gram matrix
+    truth = gen_truth((30, 30, 30), 2, kappa=5.0, alpha=0.1, seed=27)
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=300)
+    c = 1e-200
+    result = solve(c * truth.y, cfg)
+    assert rel_diff(reconstruct(result.factors) / c, truth.x_star) <= 1e-6
+    assert rel_diff(result.sparse / c, truth.s_star) <= 1e-6
+
+
+def test_solve_power_of_two_scaling_is_exact():
+    truth = gen_truth((9, 9, 9), 2, kappa=3.0, alpha=1 / 9, seed=28)
+    d = truth.diagnostics
+    kwargs = dict(rank=(2, 2, 2), max_iters=30, stop_tol=0.0)
+    z0, z1 = inf_norm(truth.x_star), 0.05
+
+    def run(c, explicit):
+        if explicit:
+            cfg = SolverConfig(zeta0=c * z0, zeta1=c * z1, **kwargs)
+        else:
+            cfg = SolverConfig(**kwargs)
+        diag = types.SimpleNamespace(mu=d.mu, sigma_min=c * d.sigma_min)
+        return solve(c * truth.y, cfg, reference=Reference(c * truth.x_star, diag))
+
+    for explicit in (False, True):
+        base = run(1.0, explicit)
+        for c in (2.0**100, 2.0**-100):
+            scaled = run(c, explicit)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(base.factors.factors, scaled.factors.factors))
+            assert np.array_equal(c * base.factors.core, scaled.factors.core)
+            assert np.array_equal(c * base.sparse, scaled.sparse)
+            assert len(base.trace) == len(scaled.trace) == 31
+            for p, q in zip(base.trace, scaled.trace):
+                assert (q.zeta, q.inf_error, q.loss, q.rel_fro_error) == (
+                    c * p.zeta, c * p.inf_error, c * c * p.loss, p.rel_fro_error)
 
 
 def test_solve_orderN_matches_solve_order3():

@@ -92,6 +92,27 @@ def test_thin_svd_rank_deficient_padding_deterministic():
     np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
 
 
+def test_thin_svd_wide_path_matches_tall_on_rank_deficient_inputs():
+    # m (cols > 4*rows) takes the Gram path and m.T the direct SVD; with
+    # (u, s, v) of m.T being (v, s, u) of m, both must report the missing
+    # triplets as exact zeros with the same deterministic completion
+    rng = np.random.default_rng(6)
+    for rows, cols, true_rank, rank in [(5, 40, 1, 2), (6, 60, 2, 4), (8, 100, 3, 6),
+                                        (5, 40, 0, 2)]:
+        for scale in (1.0, 1e-3, 1e5):
+            m = scale * rng.standard_normal((rows, true_rank)) @ rng.standard_normal(
+                (true_rank, cols))
+            wide = thin_svd(m, rank)
+            tall = thin_svd(m.T, rank)
+            assert np.all(wide.s[true_rank:] == 0.0) and np.all(tall.s[true_rank:] == 0.0)
+            np.testing.assert_allclose(wide.s, tall.s, rtol=1e-10)
+            for a in (wide.u, wide.v, tall.u, tall.v):
+                np.testing.assert_allclose(a.T @ a, np.eye(rank), atol=1e-12)
+            signs = np.sign(np.sum(wide.u * tall.v, axis=0))
+            np.testing.assert_allclose(wide.u * signs, tall.v, atol=1e-10)
+            np.testing.assert_allclose(wide.v * signs, tall.u, atol=1e-10)
+
+
 def test_thin_svd_validation():
     with pytest.raises(ValueError):
         thin_svd(np.zeros((3, 3)), 0)
