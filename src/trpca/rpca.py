@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,11 @@ from .tucker import TuckerFactors, hosvd, reconstruct
 # Gram matrices with a worse condition estimate than this are treated as
 # numerically singular instead of being inverted.
 GRAM_CONDITION_LIMIT = 1e12
+
+# Target size in bytes of the mode-0 slabs that each solver iteration streams
+# through: small enough that a slab stays in a core's L2 cache between the ops
+# applied to it.  A slab always holds at least one mode-0 row.
+_SLAB_BYTES = 1 << 20
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -262,13 +267,8 @@ def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | N
     return float(8.0 * np.sqrt(mu ** 3 * ratio) * sigma_min)
 
 
-def make_schedule(
-    cfg: SolverConfig,
-    y: np.ndarray,
-    init_estimate_hook: Callable[[np.ndarray, float], SolverState] | None = None,
-    reference=None,
-) -> ThresholdSchedule:
-    """Resolve the full shrinkage schedule for ``y``.
+def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> ThresholdSchedule:
+    """Resolve the full shrinkage schedule for ``y``, exactly as :func:`solve` does.
 
     zeta0 precedence: explicit config value, then ``||x_star||_inf`` when a
     reference is given, then the ``1 - alpha_estimate`` quantile of ``|y|``
@@ -277,21 +277,14 @@ def make_schedule(
     zeta1 precedence: explicit config value, then the oracle value
     ``8 * sqrt(mu^3 * prod(rank) / prod(dims)) * sigma_min`` when the
     reference carries diagnostics, else twice the sup-norm residual of the
-    spectral initialization.  ``init_estimate_hook(y, zeta0)`` supplies that
-    initialization; by default :func:`spectral_init` runs internally.
+    spectral initialization.  Like :func:`solve`, this runs that
+    initialization on ``y`` divided by a power of two, so the schedule of
+    ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
     """
-    y = as_tensor(y)
-    ref = _as_reference(reference)
-    zeta0 = _resolve_zeta0(cfg, y, ref)
-    zeta1 = cfg.zeta1
-    if zeta1 is None and ref is not None:
-        zeta1 = _oracle_zeta1(cfg, y, ref)
-    if zeta1 is None:
-        hook = init_estimate_hook
-        state = hook(y, zeta0) if hook is not None else spectral_init(y, cfg, zeta0=zeta0)
-        residual = y - state.sparse - reconstruct(state.factors)
-        zeta1 = 2.0 * inf_norm(residual)
-    return ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
+    y = as_tensor(y, min_order=3)
+    st = _start(y, cfg, _as_reference(reference))
+    sched = st.sched
+    return ThresholdSchedule(_ldexp(sched.zeta0, st.e), _ldexp(sched.zeta1, st.e), sched.rho)
 
 
 def spectral_init(
@@ -329,35 +322,15 @@ def _mode_dot(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(t, u, axes=(mode, 0)), -1, mode)
 
 
-def scaled_step(
-    state: SolverState, y: np.ndarray, s_next: np.ndarray, cfg: SolverConfig
-) -> TuckerFactors:
-    """One preconditioned gradient step on the factors and core.
+def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray | None, cfg) -> TuckerFactors:
+    """The r-space update of :func:`scaled_step` from two contractions of ``c``.
 
-    With ``D = s_next - y``, core ``G``, factor Grams ``M_j = U_j.T @ U_j``
-    and ``unfold(., k)`` the mode-k matricization, every active mode gets
-
-        U_k <- (1 - eta) * U_k - eta * R_k @ inv(C_k)
-        R_k  = unfold(D x_{j!=k} U_j.T, k) @ unfold(G, k).T
-        C_k  = unfold(G x_{j!=k} M_j, k) @ unfold(G, k).T
-
-    and the core gets
-
-        G <- (1 - eta) * G - eta * (D x_all U_j.T) x_all inv(M_j).
-
-    ``R_k`` and ``C_k`` are ``matricize(D, k) @ B_k`` and ``B_k.T @ B_k`` for
-    the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
-    r-space without forming ``B_k``: ``D`` is read by two contractions only,
-    ``D x_0 U_0.T`` and (when mode 0 is active) ``D x_{N-1} U_{N-1}.T``, and
-    every ``R_k`` and the core gradient come from small partial contractions
-    built on those two.  All updates read the pre-step factors, so the order
-    of modes is irrelevant.
+    ``head`` is ``c x_0 U_0.T`` and ``tail`` is ``c x_{N-1} U_{N-1}.T``
+    (only read, and only needed, when mode 0 is active).
     """
-    f = state.factors
     eta = cfg.eta
     us, core, order = f.factors, f.core, f.order
     mask = cfg.modes_mask(order)
-    d = np.subtract(s_next, y, order="C")
 
     def others(k):
         return [j for j in range(order) if j != k]
@@ -374,14 +347,14 @@ def scaled_step(
     inv_grams = [np.linalg.inv(_checked_gram(m, k, "factor")) for k, m in enumerate(grams)]
 
     rhs = {}
-    if mask[0]:  # D x_{j!=0} U_j.T, contracted from the last mode down
-        part = np.tensordot(d, us[-1], axes=(order - 1, 0))
+    if mask[0]:  # c x_{j!=0} U_j.T, contracted from the last mode down
+        part = tail
         for j in range(1, order - 1):
             part = _mode_dot(part, us[j], j)
         rhs[0] = np.tensordot(part, core, axes=(others(0), others(0)))
-    # prefix is D x_{j<k} U_j.T; contracting its modes after k gives
-    # D x_{j!=k} U_j.T
-    prefix = np.tensordot(us[0], d, axes=(0, 0))
+    # prefix is c x_{j<k} U_j.T; contracting its modes after k gives
+    # c x_{j!=k} U_j.T
+    prefix = head
     for k in range(1, order):
         if mask[k]:
             part = prefix
@@ -389,19 +362,102 @@ def scaled_step(
                 part = _mode_dot(part, us[j], j)
             rhs[k] = np.tensordot(part, core, axes=(others(k), others(k)))
         prefix = _mode_dot(prefix, us[k], k)
-    # prefix is now D x_all U_j.T, the unpreconditioned core gradient
+    # prefix is now c x_all U_j.T, the negated core gradient
 
     new_factors = tuple(
-        (1.0 - eta) * u - eta * np.linalg.solve(cograms[k], rhs[k].T).T if mask[k] else u
+        u + eta * np.linalg.solve(cograms[k], rhs[k].T).T if mask[k] else u
         for k, u in enumerate(us)
     )
-    new_core = (1.0 - eta) * core - eta * multilinear_mul(inv_grams, prefix)
+    new_core = core + eta * multilinear_mul(inv_grams, prefix)
     return TuckerFactors(new_factors, new_core)
+
+
+def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> TuckerFactors:
+    """One preconditioned gradient step on the factors and core.
+
+    ``c = y - reconstruct(factors) - s_next`` is the residual left by the
+    new sparse part.  The loss gradient tensor is ``x + s_next - y = -c``;
+    inside :func:`solve`, where ``s_next = soft_shrink(r, zeta)`` for the
+    residual ``r = y - x``, that is ``-clip(r, -zeta, zeta)``.  With core
+    ``G``, factor Grams ``M_j = U_j.T @ U_j`` and ``unfold(., k)`` the mode-k
+    matricization, every active mode gets
+
+        U_k <- U_k + eta * R_k @ inv(C_k)
+        R_k  = unfold(c x_{j!=k} U_j.T, k) @ unfold(G, k).T
+        C_k  = unfold(G x_{j!=k} M_j, k) @ unfold(G, k).T
+
+    and the core gets
+
+        G <- G + eta * (c x_all U_j.T) x_all inv(M_j).
+
+    ``R_k`` and ``C_k`` are ``matricize(c, k) @ B_k`` and ``B_k.T @ B_k`` for
+    the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
+    r-space without forming ``B_k``: ``c`` is read by two contractions only,
+    ``c x_0 U_0.T`` and (when mode 0 is active) ``c x_{N-1} U_{N-1}.T``, and
+    every ``R_k`` and the core gradient come from small partial contractions
+    built on those two.  All updates read the pre-step factors, so the order
+    of modes is irrelevant.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    us = factors.factors
+    if c.shape != factors.outer_dims:
+        raise ValueError(f"residual has shape {c.shape}, factors expand to {factors.outer_dims}")
+    head = np.tensordot(us[0], c, axes=(0, 0))
+    tail = np.tensordot(c, us[-1], axes=(c.ndim - 1, 0)) if cfg.modes_mask(c.ndim)[0] else None
+    return _step(factors, head, tail, cfg)
 
 
 def _ldexp(v, e: int):
     """``v * 2**e`` as a float, passing None through."""
     return None if v is None else float(np.ldexp(v, e))
+
+
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of squares of a contiguous array's entries, as one dot product."""
+    v = a.reshape(-1)
+    return float(np.dot(v, v))
+
+
+class _Start(NamedTuple):
+    """What every solve starts from, in the units of ``y_n = y / 2**e``."""
+
+    e: int
+    y_n: np.ndarray
+    sched: ThresholdSchedule
+    factors: TuckerFactors
+    sparse: np.ndarray
+    x: np.ndarray  # the initial iterate
+    gap: np.ndarray  # y_n - x - sparse
+
+
+def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
+    """Scale ``y``, run the spectral initialization and resolve the schedule.
+
+    The one threshold resolver, for :func:`make_schedule` and :func:`solve`.
+    The scale ``2**e`` is a power of two near ``||y||_inf``, so it is exact,
+    and Gram matrices and norms of tiny or huge inputs neither underflow nor
+    overflow.  Explicit and oracle thresholds are resolved in the units of
+    ``y`` and scaled; the automatic zeta1 comes from the scaled
+    initialization.  The initial iterate is expanded through ``reconstruct``
+    in the units of ``y``, like every later one, and then scaled in place.
+    """
+    e = int(np.frexp(inf_norm(y))[1])
+    y_n = np.ldexp(y, -e)
+    zeta0 = _ldexp(_resolve_zeta0(cfg, y, ref), -e)
+    zeta1 = cfg.zeta1
+    if zeta1 is None and ref is not None:
+        zeta1 = _oracle_zeta1(cfg, y, ref)
+    zeta1 = _ldexp(zeta1, -e)
+    init = spectral_init(y_n, cfg, zeta0=zeta0)
+    f, s = init.factors, init.sparse
+    x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
+    np.ldexp(x, -e, out=x)
+    gap = y_n - x
+    gap -= s
+    if zeta1 is None:
+        zeta1 = 2.0 * inf_norm(gap)
+    sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
+    return _Start(e, y_n, sched, f, s, x, gap)
 
 
 def _solve_impl(y: np.ndarray, cfg: SolverConfig, reference) -> SolveResult:
@@ -413,84 +469,100 @@ def _solve_impl(y: np.ndarray, cfg: SolverConfig, reference) -> SolveResult:
     for k, r in enumerate(cfg.rank):
         if r > min(y.shape[k], size // y.shape[k]):
             raise ValueError(f"rank[{k}]={r} too large for shape {y.shape}")
-    cfg.modes_mask(y.ndim)  # validate early
+    mask = cfg.modes_mask(y.ndim)
 
     ref = _as_reference(reference)
     x_star = ref.x_star if ref is not None else None
     if x_star is not None and x_star.shape != y.shape:
         raise ValueError(f"reference shape {x_star.shape} does not match {y.shape}")
 
-    # The iteration runs on y_n = y / 2**e with 2**e near ||y||_inf, so that
-    # Gram matrices and norms of tiny or huge inputs neither underflow nor
-    # overflow.  A power-of-two scale is exact.  Each iterate is expanded in
-    # the units of y, and every output is scaled back to them.
-    e = int(np.frexp(inf_norm(y))[1])
-    y_n = np.ldexp(y, -e)
-    x_star_fro = fro_norm(np.ldexp(x_star, -e)) if x_star is not None else None
-
-    zeta0 = _ldexp(_resolve_zeta0(cfg, y, ref), -e)
-    zeta1 = cfg.zeta1
-    if zeta1 is None and ref is not None:
-        zeta1 = _oracle_zeta1(cfg, y, ref)
-    zeta1 = _ldexp(zeta1, -e)
-    init = spectral_init(y_n, cfg, zeta0=zeta0)
-    f, s = init.factors, init.sparse
-    del init
-
+    # The iteration runs on y_n = y / 2**e (see _start).  Each iterate is
+    # expanded in the units of y, and every output is scaled back to them.
+    e, y_n, sched, f, s, x, gap = _start(y, cfg, ref)
     trace = IterationTrace()
 
-    def expand(f):
-        return reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
-
-    def errors(x_t):
+    def record(t, zeta, err2, err_inf, loss):
         if x_star is None:
-            return None, None
-        diff = x_t - x_star
-        err_inf = inf_norm(diff)
-        np.ldexp(diff, -e, out=diff)
-        rel = fro_norm(diff) / x_star_fro if x_star_fro > 0 else _ldexp(fro_norm(diff), e)
-        return rel, err_inf
-
-    def record(t, zeta, errs, loss):
+            errs = (None, None)
+        else:
+            err = math.sqrt(err2)
+            errs = (err / x_star_fro if x_star_fro > 0 else _ldexp(err, e), _ldexp(err_inf, e))
         trace.rows.append(TraceRow(t, _ldexp(zeta, e), *errs, _ldexp(loss, 2 * e),
                                    time.perf_counter() - start))
 
-    x = expand(f)
-    errs = errors(x)
-    np.ldexp(x, -e, out=x)
-    x_fro = fro_norm(x)
-    # r is the scaled residual y_n - x of the current iterate, kept for the
-    # whole run; each new iterate's buffer becomes the next residual.
-    r = y_n - x
-    np.subtract(r, s, out=x)
-    if zeta1 is None:
-        zeta1 = 2.0 * inf_norm(x)
-    sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
-    record(0, zeta0, errs, 0.5 * fro_norm(x) ** 2)
+    err2 = err_inf = 0.0
+    if x_star is not None:
+        diff = np.ldexp(x_star, -e)
+        x_star_fro = fro_norm(diff)
+        np.subtract(x, diff, out=diff)
+        err2, err_inf = _sumsq(diff), inf_norm(diff)
+        del diff
+    x_fro = math.sqrt(_sumsq(x))
+    record(0, sched.zeta0, err2, err_inf, 0.5 * _sumsq(gap))
+    del gap
+    # r is the residual y_n - x of the current iterate; each new iterate's
+    # buffer becomes the next residual.
+    r = np.subtract(y_n, x, out=x)
     del x
+
+    # Each iteration streams twice through mode-0 slabs of about
+    # _SLAB_BYTES, so that every slab stays in cache between the ops applied
+    # to it.  With c = clip(r, -zeta, zeta), the new sparse part is r - c and
+    # the loss gradient tensor x + s - y is -c, so the step reads only c.
+    n0 = y.shape[0]
+    row = size // n0
+    rows = max(1, _SLAB_BYTES // (y.itemsize * row))
+    slabs = [slice(a, min(a + rows, n0)) for a in range(0, n0, rows)]
+    buf = np.empty((min(rows, n0),) + y.shape[1:])
+    head = np.empty((cfg.rank[0], row))
+    part = np.empty_like(head)
+    n_last, r_last = y.shape[-1], cfg.rank[-1]
+    tail = np.empty(y.shape[:-1] + (r_last,)) if mask[0] else None
 
     for t in range(cfg.max_iters):
         zeta = sched.value(t + 1)
-        del s  # the old sparse part goes before the new one is allocated
-        s = soft_shrink(r, zeta)
-        f = scaled_step(SolverState(f, s, zeta, t + 1), y_n, s, cfg)
-        x = expand(f)
-        errs = errors(x)
-        np.ldexp(x, -e, out=x)
-        x_next_fro = fro_norm(x)
-        # A finite norm proves every entry finite; look closer only otherwise.
-        if not math.isfinite(x_next_fro) and not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite iterate at iteration {t + 1}")
-        np.subtract(y_n, x, out=x)
-        np.subtract(r, x, out=r)  # x_next - x
-        delta = fro_norm(r)
-        np.subtract(x, s, out=r)
-        record(t + 1, zeta, errs, 0.5 * fro_norm(r) ** 2)
+        u0, u_last = f.factors[0], f.factors[-1]
+        # Pass 1: the shrink, in place, and c's contractions with U_0 and
+        # U_{N-1}; c lives only in the slab buffer.
+        for sl in slabs:
+            c = np.clip(r[sl], -zeta, zeta, out=buf[: sl.stop - sl.start])
+            np.subtract(r[sl], c, out=s[sl])
+            c_rows = c.reshape(c.shape[0], row)
+            if sl.start == 0:
+                np.matmul(u0[sl].T, c_rows, out=head)
+            else:
+                head += np.matmul(u0[sl].T, c_rows, out=part)
+            if mask[0]:  # a mode-0 slice of tail reshapes as a view
+                np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
+        f = _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+
+        # Pass 2: sum the reference errors, scale the new iterate, sum its
+        # norm, turn it into the next residual in place, and sum the relative
+        # change and the loss; the slab buffer holds each difference.
+        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
+        x_sq = delta2 = loss2 = err2 = err_inf = 0.0
+        for sl in slabs:
+            xb = x[sl]
+            d = buf[: sl.stop - sl.start]
+            if x_star is not None:
+                np.ldexp(np.subtract(xb, x_star[sl], out=d), -e, out=d)
+                err2 += _sumsq(d)
+                err_inf = max(err_inf, inf_norm(d))
+            np.ldexp(xb, -e, out=xb)
+            q = _sumsq(xb)
+            # A finite sum proves every entry finite; look closer only otherwise.
+            if not math.isfinite(q) and not np.all(np.isfinite(xb)):
+                raise DivergenceError(f"non-finite iterate at iteration {t + 1}")
+            x_sq += q
+            np.subtract(y_n[sl], xb, out=xb)
+            delta2 += _sumsq(np.subtract(r[sl], xb, out=d))  # x_next - x
+            loss2 += _sumsq(np.subtract(xb, s[sl], out=d))
+        record(t + 1, zeta, err2, err_inf, 0.5 * loss2)
         r = x
         del x
         denom = max(x_fro, 1e-300)
-        x_fro = x_next_fro
-        if cfg.stop_tol > 0 and delta / denom < cfg.stop_tol:
+        x_fro = math.sqrt(x_sq)
+        if cfg.stop_tol > 0 and math.sqrt(delta2) / denom < cfg.stop_tol:
             break
     core = np.ldexp(f.core, e)
     return SolveResult(TuckerFactors(f.factors, core), np.ldexp(s, e, out=s), trace)

@@ -14,9 +14,14 @@ skipped.  All routines in this module rely on that identity.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
+
+# Below this norm, squares of the smaller entries may have underflowed by
+# enough to change the sum of squares, so fro_norm rescales instead.
+_FRO_TINY = 2.0**-450
 
 
 def as_tensor(values, min_order: int = 1) -> np.ndarray:
@@ -125,14 +130,34 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def fro_norm(t: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(t).reshape(-1)))
+    """Frobenius norm, accurate for finite entries anywhere in the float range.
+
+    The plain ``sqrt(sum of squares)`` is returned when it is finite and above
+    ``_FRO_TINY``.  Otherwise the squares may have overflowed, or underflowed
+    enough to lose bits, and the norm is taken again on the tensor divided by
+    a power of two near its largest entry.  Non-finite entries give inf or nan.
+    """
+    v = np.asarray(t, dtype=np.float64).reshape(-1)
+    with np.errstate(over="ignore", under="ignore"):
+        n = math.sqrt(np.dot(v, v))
+        if _FRO_TINY < n < math.inf:
+            return n
+        m = inf_norm(v)
+        if not 0.0 < m < math.inf:
+            return m
+        e = int(np.frexp(m)[1])
+        w = np.ldexp(v, -e)
+        return float(np.ldexp(math.sqrt(np.dot(w, w)), e))
 
 
 def inf_norm(t: np.ndarray) -> float:
-    """Largest entry magnitude."""
+    """Largest entry magnitude (nan if any entry is nan).
+
+    Taken from the largest and smallest entries, so no ``abs`` copy of the
+    tensor is made.
+    """
     t = np.asarray(t)
-    return float(np.abs(t).max()) if t.size else 0.0
+    return abs(float(np.maximum(t.max(), -t.min()))) if t.size else 0.0
 
 
 def l2inf_norm(m: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from trpca.metrics import condition_numbers, sparse_norm_bounds_check
-from trpca.rpca import SolverState, soft_shrink, update_sparse
+from trpca.rpca import SolverState, soft_shrink, spectral_init, update_sparse
 from trpca.synth import gen_truth
 from trpca.tensor_ops import (
     fro_norm,
@@ -148,6 +148,65 @@ def oracle_scaled_step(f, y, s_next, eta, mask):
     grad = pre[0] @ oracle_matricize(d, 0) @ descending_kron(pre, 0).T
     core = (1.0 - eta) * f.core - eta * tensorize(grad, f.core.shape, 0)
     return TuckerFactors(tuple(factors), core)
+
+
+def oracle_solve(y, cfg, reference=None):
+    """The solver loop as whole-tensor passes, with the step of oracle_scaled_step.
+
+    Each iteration shrinks the full residual ``y_n - x``, steps on
+    ``D = s - y_n`` with explicit co-factors, expands the new iterate and takes
+    the loss, relative change and reference errors from whole-tensor
+    differences.  Like the solver it runs on ``y_n = y / 2**e`` with ``2**e``
+    near ``||y||_inf`` and resolves the thresholds the same way.  Returns
+    ``(factors, sparse, rows)`` in the units of ``y``, each row an
+    ``(iteration, zeta, rel_fro_error, inf_error, loss)`` tuple.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    e = int(np.frexp(np.abs(y).max())[1])
+    y_n = np.ldexp(y, -e)
+    x_star = getattr(reference, "x_star", reference)
+    diag = getattr(reference, "diagnostics", None)
+    if cfg.zeta0 is not None:
+        zeta0 = cfg.zeta0
+    elif x_star is not None:
+        zeta0 = np.abs(x_star).max()
+    elif cfg.alpha_estimate == 0.0:
+        zeta0 = np.abs(y).max()
+    else:
+        zeta0 = np.quantile(np.abs(y), 1.0 - cfg.alpha_estimate)
+    zeta0 = float(np.ldexp(zeta0, -e))
+    zeta1 = cfg.zeta1
+    if zeta1 is None and diag is not None:
+        ratio = np.prod(cfg.rank) / y.size
+        zeta1 = 8.0 * np.sqrt(diag.mu ** 3 * ratio) * diag.sigma_min
+    init = spectral_init(y_n, cfg, zeta0=zeta0)
+    f, s = init.factors, init.sparse
+    x = reconstruct(f)
+    zeta1 = 2.0 * np.abs(y_n - x - s).max() if zeta1 is None else np.ldexp(zeta1, -e)
+    rho = cfg.effective_rho
+    x_star_n = None if x_star is None else np.ldexp(np.asarray(x_star, dtype=np.float64), -e)
+    mask = cfg.modes_mask(y.ndim)
+
+    def row(t, zeta, x, s):
+        rel = err_inf = None
+        if x_star_n is not None:
+            rel = np.linalg.norm(x - x_star_n) / np.linalg.norm(x_star_n)
+            err_inf = np.ldexp(np.abs(x - x_star_n).max(), e)
+        loss = 0.5 * np.linalg.norm(y_n - x - s) ** 2
+        return (t, np.ldexp(zeta, e), rel, err_inf, np.ldexp(loss, 2 * e))
+
+    rows = [row(0, zeta0, x, s)]
+    for t in range(1, cfg.max_iters + 1):
+        zeta = zeta1 * rho ** (t - 1)
+        s = soft_shrink(y_n - x, zeta)
+        f = oracle_scaled_step(f, y_n, s, cfg.eta, mask)
+        x_next = reconstruct(f)
+        rows.append(row(t, zeta, x_next, s))
+        change = np.linalg.norm(x_next - x) / max(np.linalg.norm(x), 1e-300)
+        x = x_next
+        if cfg.stop_tol > 0 and change < cfg.stop_tol:
+            break
+    return TuckerFactors(f.factors, np.ldexp(f.core, e)), np.ldexp(s, e), rows
 
 
 def fd_gradients(f, y, s_next, h=1e-6):

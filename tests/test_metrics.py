@@ -280,6 +280,19 @@ def test_error_report_single_entry_offset():
     assert report.inf_envelope_ratio == pytest.approx(0.25 / scale, rel=1e-12)
 
 
+def test_error_report_rel_fro_is_scale_free():
+    # at 2**-660 the squared entries underflow to 0, at 2**600 they overflow
+    truth = gen_truth((12, 12, 12), 2, kappa=3.0, alpha=0.0, seed=24)
+    f = truth.factors
+    rels = []
+    for c in (1.0, 2.0**-660, 2.0**600):
+        doubled = TuckerFactors(f.factors, 2.0 * c * f.core)
+        scaled = types.SimpleNamespace(x_star=c * truth.x_star, diagnostics=truth.diagnostics)
+        rels.append(error_report(doubled, scaled).rel_fro)
+    assert rels[0] == pytest.approx(1.0, rel=1e-12)
+    assert rels[1] == rels[0] and rels[2] == rels[0]
+
+
 def test_x_star_entry_bound():
     truth = gen_truth((12, 12, 12), 2, kappa=6.0, alpha=0.0, seed=21)
     d = truth.diagnostics

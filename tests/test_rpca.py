@@ -9,6 +9,7 @@ import trpca.rpca
 from oracles import (
     fd_gradients,
     oracle_scaled_step,
+    oracle_solve,
     random_tucker,
     rel_diff,
     suite_corrupt_iter,
@@ -112,6 +113,21 @@ def test_make_schedule_oracle_zeta1():
     assert sched.zeta0 == inf_norm(truth.x_star)
 
 
+def test_make_schedule_is_scale_exact_and_matches_solve():
+    # the spectral initialization behind the automatic zeta1 runs on y scaled
+    # by a power of two, as in solve, so a 2**-660 scale neither underflows
+    # its Gram matrices nor moves the schedule off the exact scaled values
+    truth = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.1, seed=29)
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=1)
+    base = make_schedule(cfg, truth.y)
+    for c in (1.0, 2.0**-660):
+        sched = make_schedule(cfg, c * truth.y)
+        assert (sched.zeta0, sched.zeta1, sched.rho) == (c * base.zeta0, c * base.zeta1,
+                                                         base.rho)
+        rows = solve(c * truth.y, cfg).trace.rows
+        assert (rows[0].zeta, rows[1].zeta) == (sched.zeta0, sched.zeta1)
+
+
 def test_make_schedule_auto_rules():
     rng = np.random.default_rng(3)
     y = rng.standard_normal((6, 6, 6))
@@ -185,8 +201,8 @@ def test_scaled_step_stationary_at_truth():
     for dims in [(10, 10, 10), (6, 6, 6, 6)]:
         truth = gen_truth(dims, 2, kappa=4.0, alpha=1 / dims[0], seed=9)
         cfg = SolverConfig(rank=(2,) * len(dims))
-        state = SolverState(truth.factors, truth.s_star, 0.0, 0)
-        f_next = scaled_step(state, truth.y, truth.s_star, cfg)
+        c = truth.y - reconstruct(truth.factors) - truth.s_star
+        f_next = scaled_step(truth.factors, c, cfg)
         for u_new, u_old in zip(f_next.factors, truth.factors.factors):
             assert np.abs(u_new - u_old).max() < 1e-10
         assert np.abs(f_next.core - truth.factors.core).max() < 1e-10
@@ -197,8 +213,8 @@ def test_scaled_step_zero_eta_is_identity():
     # minimal config stand-in exposing the two attributes scaled_step reads
     truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=10)
     cfg = types.SimpleNamespace(eta=0.0, modes_mask=lambda order: (True,) * order)
-    state = SolverState(truth.factors, truth.s_star, 0.0, 0)
-    f_next = scaled_step(state, truth.y, np.zeros_like(truth.s_star), cfg)
+    c = truth.y - reconstruct(truth.factors) - np.zeros_like(truth.s_star)
+    f_next = scaled_step(truth.factors, c, cfg)
     assert all(
         np.array_equal(a, b) for a, b in zip(f_next.factors, truth.factors.factors)
     )
@@ -214,7 +230,7 @@ def test_scaled_step_matches_fd_gradient():
     s_next = soft_shrink(rng.standard_normal((3, 3, 3)), 1.0)
     eta = 0.25
     cfg = SolverConfig(rank=(2, 2, 2), eta=eta)
-    f_next = scaled_step(SolverState(f, s_next, 0.0, 0), y, s_next, cfg)
+    f_next = scaled_step(f, y - reconstruct(f) - s_next, cfg)
     fd_factors, fd_core = fd_gradients(f, y, s_next)
     from trpca.tucker import breve_factor
 
@@ -250,7 +266,7 @@ def test_scaled_step_matches_breve_oracle():
             y = rng.standard_normal(dims)
             s_next = soft_shrink(rng.standard_normal(dims), 1.0)
             cfg = SolverConfig(rank=rank, eta=eta, active_modes=mask)
-            got = scaled_step(SolverState(f, s_next, 0.0, 0), y, s_next, cfg)
+            got = scaled_step(f, y - reconstruct(f) - s_next, cfg)
             want = oracle_scaled_step(f, y, s_next, eta, mask)
             for k, u in enumerate(f.factors):
                 if mask[k]:
@@ -263,9 +279,9 @@ def test_scaled_step_matches_breve_oracle():
 def test_scaled_step_singular_gram_reports_mode():
     f = random_tucker(np.random.default_rng(12), (4, 4, 4), (2, 2, 2))
     f.core[:] = 0.0  # co-factors collapse
-    state = SolverState(f, np.zeros((4, 4, 4)), 0.0, 0)
+    c = np.zeros((4, 4, 4)) - reconstruct(f) - np.zeros((4, 4, 4))
     with pytest.raises(SingularGramError) as exc:
-        scaled_step(state, np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), SolverConfig(rank=(2, 2, 2)))
+        scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
     assert exc.value.mode == 0
     assert "co-factor" in str(exc.value)
 
@@ -353,7 +369,7 @@ def test_solve_support_containment_along_run():
         if inf_norm(x_t - truth.x_star) <= zeta:
             held += 1
             assert not np.any((s_next != 0) & ~star_supp)
-        f_next = scaled_step(state, truth.y, s_next, cfg)
+        f_next = scaled_step(state.factors, truth.y - x_t - s_next, cfg)
         state = SolverState(f_next, s_next, zeta, t + 1)
     assert held > 30  # the containment precondition holds for most of the run
 
@@ -452,6 +468,72 @@ def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
         result = solve(truth.y, cfg)
     assert result.trace.final.iteration == 2
     assert result.trace.final.loss == np.inf
+
+
+# ---------------------------------------------------------------------------
+# the streamed iteration
+
+
+def _slab_settings(dims):
+    """_SLAB_BYTES values for one slab, several slabs with a ragged last one,
+    one mode-0 row per slab, and less than a row (which means one row)."""
+    row = 8 * int(np.prod(dims[1:]))
+    assert dims[0] % 4 != 0
+    return [1 << 40, 4 * row, row, row // 2]
+
+
+@pytest.mark.parametrize("dims, mask, with_ref", [
+    ((11, 7, 9), None, False),
+    ((11, 7, 9), None, True),
+    ((11, 7, 9), (False, True, True), True),
+    ((6, 5, 7, 5), None, False),
+    ((6, 5, 7, 5), None, True),
+    ((6, 5, 7, 5), (False, True, True, True), False),
+])
+def test_streamed_loop_matches_whole_tensor_oracle(monkeypatch, dims, mask, with_ref):
+    truth = gen_truth(dims, 2, kappa=3.0, alpha=1 / min(dims), seed=len(dims))
+    cfg = SolverConfig(rank=(2,) * len(dims), max_iters=20, stop_tol=0.0, active_modes=mask)
+    ref = truth if with_ref else None
+    want_f, want_s, want_rows = oracle_solve(truth.y, cfg, ref)
+    assert len(want_rows) == 21
+    for slab_bytes in _slab_settings(dims):
+        monkeypatch.setattr(trpca.rpca, "_SLAB_BYTES", slab_bytes)
+        got = solve_orderN(truth.y, cfg, reference=ref)
+        assert len(got.trace) == len(want_rows)
+        for row, want in zip(got.trace, want_rows):
+            assert (row.iteration, row.zeta) == want[:2]
+            for a, b in zip((row.rel_fro_error, row.inf_error, row.loss), want[2:]):
+                if b is None:
+                    assert a is None
+                else:
+                    assert abs(a - b) <= 1e-10 * abs(b)
+        assert np.array_equal(got.sparse != 0, want_s != 0)
+        assert rel_diff(got.sparse, want_s) <= 1e-10
+        for a, b in zip(got.factors.factors, want_f.factors):
+            assert rel_diff(a, b) <= 1e-10
+        assert rel_diff(got.factors.core, want_f.core) <= 1e-10
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_streamed_loop_divergence_in_first_and_last_slab(monkeypatch, row):
+    truth = gen_truth((11, 7, 9), 2, kappa=2.0, alpha=1 / 7, seed=30)
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=3, stop_tol=0.0)
+    monkeypatch.setattr(trpca.rpca, "_SLAB_BYTES", 4 * 8 * 7 * 9)  # slabs of 4, 4, 3 rows
+    expand = trpca.rpca.reconstruct
+    calls = []
+
+    def reconstruct(f):
+        x = expand(f)
+        calls.append(f)
+        if len(calls) == 3:  # call 1 expands the spectral initialization
+            x[row, 2, 3] = np.nan
+        return x
+
+    monkeypatch.setattr(trpca.rpca, "reconstruct", reconstruct)
+    for ref in (None, truth):
+        calls.clear()
+        with pytest.raises(DivergenceError, match="iteration 2"):
+            solve(truth.y, cfg, reference=ref)
 
 
 def test_solve_tiny_input_recovers_truth():

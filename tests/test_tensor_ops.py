@@ -167,6 +167,23 @@ def test_as_tensor_validation():
 def test_inf_norm_values():
     assert inf_norm(np.array([[-3.5, 2.0]])) == 3.5
     assert inf_norm(np.zeros((2, 2))) == 0.0
+    assert np.copysign(1.0, inf_norm(np.array([-0.0, -0.0]))) == 1.0
+    assert inf_norm(np.array([-np.inf, 1.0])) == np.inf
+    assert np.isnan(inf_norm(np.array([1.0, np.nan, -np.inf])))
+
+
+def test_fro_norm_across_the_float_range():
+    rng = np.random.default_rng(40)
+    t = rng.standard_normal((5, 6, 7))
+    base = fro_norm(t)
+    assert base == float(np.linalg.norm(t.reshape(-1)))  # the common path is the plain one
+    for k in (-1000, -660, -500, 500, 600, 1000):
+        assert fro_norm(np.ldexp(t, k)) == np.ldexp(base, k)
+    assert fro_norm(np.array([3e-200, 4e-200])) == pytest.approx(5e-200, rel=1e-15)
+    assert fro_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert fro_norm(np.zeros((2, 3))) == 0.0
+    assert fro_norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(fro_norm(np.array([1.0, np.nan, np.inf])))
 
 
 def test_property_suites_reduced():
