@@ -28,7 +28,7 @@ from .rpca import (
     Reference,
     SingularGramError,
     SolverConfig,
-    solve_orderN,
+    solve,
 )
 from .synth import gen_truth, run_sweep
 from .tucker import reconstruct
@@ -51,13 +51,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
 def _float_or_auto(text: str):
@@ -88,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold decay factor (default 1 - 0.45*eta)")
     p.add_argument("--zeta0", type=_float_or_auto, default=None, metavar="F|auto")
     p.add_argument("--zeta1", type=_float_or_auto, default=None, metavar="F|auto")
-    p.add_argument("--zeta1-grid", type=_float_list, default=None, metavar="F,F,...",
-                   help="try several zeta1 values, keep the lowest final loss")
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--stop-tol", type=float, default=1e-12,
                    help="early-exit tolerance on the relative iterate change; 0 disables")
@@ -158,33 +149,24 @@ def _cmd_decompose(args) -> int:
             return _fail(EXIT_USAGE, "usage", "--modes entries must be 0 or 1")
         modes = tuple(bool(v) for v in args.modes)
 
-    def make_config(zeta1):
-        return SolverConfig(
+    try:
+        cfg = SolverConfig(
             rank=args.rank,
             eta=args.eta,
             rho=args.rho,
             zeta0=args.zeta0,
-            zeta1=zeta1,
+            zeta1=args.zeta1,
             max_iters=args.iters,
             stop_tol=args.stop_tol,
             active_modes=modes,
             alpha_estimate=args.alpha_estimate,
         )
-
-    candidates = list(args.zeta1_grid) if args.zeta1_grid else [args.zeta1]
-    best = None
-    chosen_zeta1 = None
-    try:
-        for zeta1 in candidates:
-            result = solve_orderN(y, make_config(zeta1), reference=reference)
-            if best is None or result.trace.final.loss < best.trace.final.loss:
-                best, chosen_zeta1 = result, zeta1
+        factors, sparse, trace = solve(y, cfg, reference=reference)
     except (SingularGramError, DivergenceError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_SOLVER, "solver", str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
 
-    factors, sparse, trace = best
     lowrank = reconstruct(factors)
     try:
         if args.out_lowrank:
@@ -208,7 +190,7 @@ def _cmd_decompose(args) -> int:
         "inf_error": final.inf_error,
         "seconds": final.seconds,
         "zeta0": trace.rows[0].zeta,
-        "zeta1": trace.rows[1].zeta if len(trace.rows) > 1 else chosen_zeta1,
+        "zeta1": trace.rows[1].zeta if len(trace.rows) > 1 else args.zeta1,
         "sparse_fraction": sparsity_fraction(sparse),
     }
 
@@ -222,7 +204,7 @@ def _cmd_decompose(args) -> int:
                 "eta": args.eta,
                 "rho": args.rho,
                 "zeta0": args.zeta0,
-                "zeta1": chosen_zeta1,
+                "zeta1": args.zeta1,
                 "iters": args.iters,
                 "stop_tol": args.stop_tol,
                 "modes": None if modes is None else [int(m) for m in modes],

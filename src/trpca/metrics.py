@@ -8,10 +8,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor_ops import fro_norm, inf_norm, l1inf_norm, l2inf_norm, matricize, multilinear_mul
-from .tucker import TuckerFactors, hosvd, op_norm, reconstruct
+from .rpca import GRAM_CONDITION_LIMIT, _checked_gram
+from .tucker import TuckerFactors, _wide_spectrum, hosvd, op_norm, reconstruct
 
 _ORTHO_TOL = 1e-8
-_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -56,15 +56,6 @@ def incoherence(f: TuckerFactors) -> float:
     return worst
 
 
-def _mode_singular_values(m: np.ndarray) -> np.ndarray:
-    """All singular values of a matricization, small side first when wide."""
-    rows, cols = m.shape
-    if cols > 4 * rows:
-        w = np.linalg.eigvalsh(m @ m.T)
-        return np.sqrt(np.maximum(w[::-1], 0.0))
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
     """Joint and worst-case condition numbers of a tensor at a declared rank.
 
@@ -76,7 +67,10 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
 
     so ``kappa <= kappa_s`` always.  ``sigma_min`` is the denominator.
     Raises on an all-zero tensor; a tensor that is rank-deficient at the
-    declared rank yields infinite condition numbers.
+    declared rank yields infinite condition numbers.  Wide matricizations
+    take their spectra from the small Gram matrix of
+    :func:`~trpca.tucker._wide_spectrum`, the rest from a direct SVD; both
+    work at any scale.
     """
     x = np.asarray(x, dtype=np.float64)
     rank = tuple(int(r) for r in np.atleast_1d(rank))
@@ -87,7 +81,9 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
     spectra = []
     tops, bottoms = [], []
     for k, r in enumerate(rank):
-        s = _mode_singular_values(matricize(x, k))
+        m = matricize(x, k)
+        spectrum = _wide_spectrum(m)
+        s = np.linalg.svd(m, compute_uv=False) if spectrum is None else spectrum[2][::-1]
         if not 1 <= r <= s.size:
             raise ValueError(f"rank[{k}]={r} out of range for shape {x.shape}")
         spectra.append(s)
@@ -190,14 +186,6 @@ class AlignmentResult:
     dist_upper: float
 
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0.0 or w[-1] / w[0] > _COND_LIMIT:
-        raise ValueError(f"singular {what} (condition estimate "
-                         f"{np.inf if w[0] <= 0 else w[-1] / w[0]:.3e})")
-    return np.linalg.solve(gram, rhs)
-
-
 def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
     """Align ``f`` to a ground truth in normal form and bound their distance.
 
@@ -213,7 +201,9 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
     an upper bound on the jointly minimized scaled distance (the per-mode
     minimizers are evaluated on a common objective rather than jointly).
     Zero iff the two factorizations describe the same tensor with the same
-    subspaces, up to the alignment.
+    subspaces, up to the alignment.  A numerically singular factor Gram
+    matrix ``U_k^T U_k`` raises :class:`~trpca.rpca.SingularGramError`, a
+    ``ValueError``.
     """
     if f.order != f_star.order or f.outer_dims != f_star.outer_dims or f.rank != f_star.rank:
         raise ValueError("factorizations have mismatched shapes")
@@ -231,8 +221,8 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
     qs, inv_qs = [], []
     total = 0.0
     for k, (u, u_star) in enumerate(zip(f.factors, f_star.factors)):
-        q = _spd_solve(u.T @ u, u.T @ u_star, f"factor {k} Gram matrix")
-        if np.linalg.cond(q) > _COND_LIMIT:
+        q = np.linalg.solve(_checked_gram(u.T @ u, k, "factor"), u.T @ u_star)
+        if np.linalg.cond(q) > GRAM_CONDITION_LIMIT:
             raise ValueError(f"alignment matrix for mode {k} is numerically singular")
         qs.append(q)
         inv_qs.append(np.linalg.inv(q))

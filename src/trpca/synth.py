@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import Diagnostics, condition_numbers, incoherence, sparsity_fraction
-from .rpca import SolverConfig, solve_orderN
+from .rpca import SolverConfig, solve
 from .tucker import TuckerFactors, _fix_signs, reconstruct
 
 _SHORTFALL_FRACTION = 0.002
@@ -365,7 +365,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepCell]:
                                 max_iters=spec.max_iters,
                                 stop_tol=spec.stop_tol,
                             )
-                            result = solve_orderN(truth.y, cfg, reference=truth)
+                            result = solve(truth.y, cfg, reference=truth)
                             rels.append(result.trace.final.rel_fro_error)
                             iters.append(result.trace.final.iteration)
                         except (ValueError, np.linalg.LinAlgError, RuntimeError):

@@ -41,14 +41,6 @@ def as_tensor(values, min_order: int = 1) -> np.ndarray:
     return a
 
 
-def as_matrix(values) -> np.ndarray:
-    """Like :func:`as_tensor` but requires an order-2 array."""
-    a = as_tensor(values)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got order {a.ndim}")
-    return a
-
-
 def _check_mode(order: int, mode: int) -> None:
     if not 0 <= mode < order:
         raise ValueError(f"mode {mode} out of range for order-{order} tensor")
@@ -81,15 +73,6 @@ def tensorize(m: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
     return np.moveaxis(np.reshape(m, (dims[mode], *rest), order="F"), 0, mode)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    return np.kron(a, b)
-
-
 def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
     """Multilinear (Tucker) product ``(B1, ..., BN) . t``.
 
@@ -118,15 +101,6 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
         else:
             out = np.moveaxis(np.tensordot(b, out, axes=(1, mode)), 0, mode)
     return out
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Entrywise inner product <a, b> of two same-shape tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.reshape(-1), b.reshape(-1)))
 
 
 def fro_norm(t: np.ndarray) -> float:

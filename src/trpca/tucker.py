@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import matricize, multilinear_mul
+from .tensor_ops import _FRO_TINY, inf_norm, matricize, multilinear_mul
 
 # Relative cutoff below which a singular triplet counts as numerically zero
 # and its vectors are replaced by a deterministic orthonormal completion.
@@ -64,6 +64,37 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
                 v[:, j] = -v[:, j]
 
 
+def _wide_spectrum(m: np.ndarray, vectors: bool = False):
+    """Spectrum of a matrix more than 4x wider than tall, from its small Gram matrix.
+
+    Returns None for any other shape; callers take those to a direct SVD.
+    Otherwise returns ``(w, u, s)``: the ascending eigenvalues ``w`` of the
+    Gram matrix ``a @ a.T`` of ``a = m / 2**e``, its eigenvectors ``u`` (the
+    left singular vectors; None unless ``vectors``) and the singular values
+    ``s = sqrt(w) * 2**e``.  ``e`` is 0 when the plain ``m @ m.T`` is finite
+    with a trace above ``_FRO_TINY**2``; otherwise its squares may have
+    overflowed, or underflowed enough to lose bits, and ``2**e`` is a power of
+    two near the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.
+    """
+    rows, cols = m.shape
+    if cols <= 4 * rows:
+        return None
+    e = 0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        g = m @ m.T
+        if not _FRO_TINY**2 < np.trace(g) < np.inf:
+            e = int(np.frexp(inf_norm(m))[1])
+            a = np.ldexp(m, -e)
+            g = a @ a.T
+    if vectors:
+        w, u = np.linalg.eigh(g)
+    else:
+        w, u = np.linalg.eigvalsh(g), None
+    s = np.maximum(w, 0.0)
+    np.sqrt(s, out=s)
+    return w, u, np.ldexp(s, e, out=s)
+
+
 def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     """Top-``rank`` singular triplets of a matrix with deterministic signs.
 
@@ -85,10 +116,10 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
 
     Notes
     -----
-    Very wide matrices (``cols > 4 * rows``) go through the Gram matrix
-    ``m @ m.T``: a symmetric eigendecomposition of the small side is much
-    cheaper than a full SVD and the right vectors are recovered as
-    ``m.T @ u / s``.
+    Very wide matrices go through the small Gram matrix of
+    :func:`_wide_spectrum`, and the right vectors are recovered as
+    ``m.T @ u / s``.  That path works at any scale but cannot resolve
+    singular values below ~1.5e-7 * s_max, which come out as 0.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -99,12 +130,12 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
 
-    if cols > 4 * rows:
-        w, vecs = np.linalg.eigh(m @ m.T)
+    spectrum = _wide_spectrum(m, vectors=True)
+    if spectrum is not None:
+        w, vecs, s = spectrum
         order = np.argsort(w)[::-1][:rank]
         u = vecs[:, order].copy()
-        w = w[order]
-        s = np.sqrt(np.maximum(w, 0.0))
+        w, s = w[order], s[order]
         v = np.zeros((cols, rank))
         # The Gram matrix holds the squared singular values, and its rounding
         # floor (~eps * s_max**2) is a singular value of ~sqrt(eps) * s_max, so
@@ -136,9 +167,11 @@ def op_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("op_norm expects a matrix")
-    if m.shape[1] > 4 * m.shape[0] or m.shape[0] > 4 * m.shape[1]:
-        small = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-        return float(np.sqrt(max(np.linalg.eigvalsh(small)[-1], 0.0)))
+    spectrum = _wide_spectrum(m)
+    if spectrum is None:
+        spectrum = _wide_spectrum(m.T)
+    if spectrum is not None:
+        return float(spectrum[2][-1])
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

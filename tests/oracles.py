@@ -14,16 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from trpca.metrics import condition_numbers, sparse_norm_bounds_check
-from trpca.rpca import SolverState, soft_shrink, spectral_init, update_sparse
+from trpca.rpca import SolverState, soft_shrink, spectral_init
 from trpca.synth import gen_truth
-from trpca.tensor_ops import (
-    fro_norm,
-    inf_norm,
-    inner,
-    matricize,
-    multilinear_mul,
-    tensorize,
-)
+from trpca.tensor_ops import fro_norm, inf_norm, matricize, multilinear_mul, tensorize
 from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct
 
 
@@ -96,6 +89,23 @@ def oracle_kron(a, b):
                 j * b.shape[1] : (j + 1) * b.shape[1],
             ] = a[i, j] * b
     return out
+
+
+def inner(a, b):
+    """Entrywise inner product <a, b> of two same-shape tensors."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(np.dot(a.reshape(-1), b.reshape(-1)))
+
+
+def update_sparse(state, y, zeta_next):
+    """Next sparse iterate: shrink the current low-rank residual at zeta_next.
+
+    One whole-tensor pass; the solver does the same shrink slab by slab.
+    """
+    return soft_shrink(np.asarray(y) - reconstruct(state.factors), zeta_next)
 
 
 def oracle_fiber_fraction(s):

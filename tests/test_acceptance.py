@@ -12,7 +12,7 @@ import pytest
 
 from oracles import ALL_SUITES, build_corrupt_corpus, fd_gradients, random_tucker, rel_diff
 from trpca.fileio import TensorFileError, read_tensor, write_tensor
-from trpca.rpca import SolverConfig, scaled_step, soft_shrink, solve, solve_orderN
+from trpca.rpca import SolverConfig, scaled_step, soft_shrink, solve
 from trpca.synth import SweepSpec, gen_truth, run_sweep
 from trpca.tensor_ops import multilinear_mul
 from trpca.tucker import breve_factor, reconstruct
@@ -154,21 +154,12 @@ def test_criterion_08_preconditioned_gradient_check():
 
 
 def test_criterion_09_order_four_support():
-    """Order-4 recovery converges, and order-3 input takes the identical path."""
+    """Order-4 recovery converges through the same solve as order 3."""
     truth4 = gen_truth((8, 8, 8, 8), 2, kappa=3.0, alpha=0.0, seed=0)
     cfg4 = SolverConfig(rank=(2, 2, 2, 2), eta=0.25, max_iters=100)
-    result4 = solve_orderN(truth4.y, cfg4, reference=truth4)
+    result4 = solve(truth4.y, cfg4, reference=truth4)
     assert result4.trace.final.rel_fro_error <= 1e-8
     assert result4.trace.final.iteration <= 100
-
-    truth3 = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.1, seed=1)
-    cfg3 = SolverConfig(rank=(2, 2, 2), max_iters=40)
-    ra = solve(truth3.y, cfg3, reference=truth3)
-    rb = solve_orderN(truth3.y, cfg3, reference=truth3)
-    assert np.array_equal(ra.sparse, rb.sparse)
-    assert np.array_equal(ra.factors.core, rb.factors.core)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(ra.factors.factors, rb.factors.factors))
 
 
 def test_criterion_10_container_format(tmp_path):

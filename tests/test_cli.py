@@ -9,7 +9,7 @@ import pytest
 
 from trpca.cli import main
 from trpca.fileio import parse_sweep_spec, read_tensor, write_tensor
-from trpca.rpca import SolverConfig, solve, solve_orderN, spectral_init
+from trpca.rpca import SolverConfig, solve, spectral_init
 from trpca.synth import SweepSpec, gen_truth, run_sweep
 from trpca.tucker import reconstruct
 
@@ -130,7 +130,7 @@ def test_decompose_matches_library_run(capsys, tmp_path):
     )
     assert rc == 0
     y = read_tensor(f"{prefix}-y.trpc")
-    result = solve_orderN(y, SolverConfig(rank=(2, 2, 2), max_iters=30))
+    result = solve(y, SolverConfig(rank=(2, 2, 2), max_iters=30))
     assert np.array_equal(read_tensor(low), reconstruct(result.factors))
     assert np.array_equal(read_tensor(sparse), result.sparse)
     for k in range(3):
@@ -197,6 +197,17 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2 and json.loads(err)["error"] == "usage"
     rc, _, err = run_cli(capsys, "info", "--input", y, "--rank", "2,2")
     assert rc == 2
+
+
+def test_zeta1_grid_is_a_usage_error(capsys, tmp_path):
+    # the flag kept the candidate with the lowest final loss, which a smaller
+    # zeta1 always wins by letting the sparse part absorb the residual
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=10)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--input", f"{prefix}-y.trpc", "--rank", "2,2,2",
+              "--zeta1-grid", "1e-6,1e-2"])
+    assert exc.value.code == 2
+    assert "--zeta1-grid" in capsys.readouterr().err
 
 
 def test_io_errors(capsys, tmp_path):

@@ -103,6 +103,20 @@ def test_condition_numbers_edge_cases():
         condition_numbers(a, (5, 2, 2))
 
 
+def test_condition_numbers_scale_across_the_float_range():
+    # the squares in a Gram matrix underflow at 2**-660 and overflow at 2**600
+    truth = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.1, seed=29)
+    base = condition_numbers(truth.x_star, (2, 2, 2))
+    assert base.kappa == pytest.approx(5.0, rel=1e-9)
+    for c in (2.0**-660, 2.0**600):
+        cond = condition_numbers(c * truth.x_star, (2, 2, 2))
+        assert cond.kappa == pytest.approx(base.kappa, rel=1e-12)
+        assert cond.kappa_s == pytest.approx(base.kappa_s, rel=1e-12)
+        assert cond.sigma_min == pytest.approx(c * base.sigma_min, rel=1e-12)
+        for s, s_base in zip(cond.singular_values, base.singular_values):
+            assert rel_diff(s, c * s_base) <= 1e-12
+
+
 def test_condition_ordering_suite():
     suite_condition_ordering(np.random.default_rng(4), 120)
 

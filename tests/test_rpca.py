@@ -13,6 +13,7 @@ from oracles import (
     random_tucker,
     rel_diff,
     suite_corrupt_iter,
+    update_sparse,
 )
 from trpca.rpca import (
     DivergenceError,
@@ -25,9 +26,7 @@ from trpca.rpca import (
     scaled_step,
     soft_shrink,
     solve,
-    solve_orderN,
     spectral_init,
-    update_sparse,
 )
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, inf_norm
@@ -177,7 +176,7 @@ def test_spectral_init_error_level_regression():
 
 
 # ---------------------------------------------------------------------------
-# update_sparse
+# update_sparse (the whole-tensor oracle of the solver's slab-wise shrink)
 
 
 def test_update_sparse_exact_factors():
@@ -424,10 +423,6 @@ def test_solve_input_validation():
     with pytest.raises(ValueError):
         solve(np.zeros((3, 3)), cfg)
     with pytest.raises(ValueError):
-        solve(np.zeros((3, 3, 3, 3)), cfg)  # order-4 goes to solve_orderN
-    with pytest.raises(ValueError):
-        solve_orderN(np.zeros((3, 3)), cfg)
-    with pytest.raises(ValueError):
         solve(np.zeros((3, 3, 3)), SolverConfig(rank=(2, 2)))
     with pytest.raises(ValueError):
         solve(np.ones((3, 3, 3)), SolverConfig(rank=(4, 2, 2)))
@@ -498,7 +493,7 @@ def test_streamed_loop_matches_whole_tensor_oracle(monkeypatch, dims, mask, with
     assert len(want_rows) == 21
     for slab_bytes in _slab_settings(dims):
         monkeypatch.setattr(trpca.rpca, "_SLAB_BYTES", slab_bytes)
-        got = solve_orderN(truth.y, cfg, reference=ref)
+        got = solve(truth.y, cfg, reference=ref)
         assert len(got.trace) == len(want_rows)
         for row, want in zip(got.trace, want_rows):
             assert (row.iteration, row.zeta) == want[:2]
@@ -574,21 +569,10 @@ def test_solve_power_of_two_scaling_is_exact():
                     c * p.zeta, c * p.inf_error, c * c * p.loss, p.rel_fro_error)
 
 
-def test_solve_orderN_matches_solve_order3():
-    truth = gen_truth((10, 10, 10), 2, kappa=5.0, alpha=0.1, seed=23)
-    cfg = SolverConfig(rank=(2, 2, 2), max_iters=30)
-    ra = solve(truth.y, cfg, reference=truth)
-    rb = solve_orderN(truth.y, cfg, reference=truth)
-    assert np.array_equal(reconstruct(ra.factors), reconstruct(rb.factors))
-    assert np.array_equal(ra.sparse, rb.sparse)
-    assert all(np.array_equal(a, b)
-               for a, b in zip(ra.factors.factors, rb.factors.factors))
-
-
 def test_solve_order4_zero_corruption():
     truth = gen_truth((6, 6, 6, 6), 2, kappa=3.0, alpha=0.0, seed=24)
     cfg = SolverConfig(rank=(2, 2, 2, 2), max_iters=60)
-    result = solve_orderN(truth.y, cfg, reference=truth)
+    result = solve(truth.y, cfg, reference=truth)
     assert result.trace.final.rel_fro_error <= 1e-8
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_fiber_fraction
-from trpca.rpca import SolverConfig, solve, solve_orderN
+from trpca.rpca import SolverConfig, solve
 from trpca.synth import SweepCell, SweepSpec, gen_truth, run_sweep, sample_support
 from trpca.tucker import reconstruct
 
@@ -196,7 +196,7 @@ def test_sweep_cell_matches_direct_run():
     truth = gen_truth((12, 12, 12), 2, kappa=4.0, alpha=1 / 12,
                       seed=np.random.SeedSequence((5, 0, 0, 0, 0, 0)))
     cfg = SolverConfig(rank=(2, 2, 2), max_iters=40)
-    result = solve_orderN(truth.y, cfg, reference=truth)
+    result = solve(truth.y, cfg, reference=truth)
     assert cell.median_rel_error == result.trace.final.rel_fro_error
     assert cell.median_iterations == result.trace.final.iteration
     assert cell.failures == 0

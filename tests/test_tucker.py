@@ -132,6 +132,25 @@ def test_op_norm():
     assert op_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [-660, 600])
+def test_spectra_scale_across_the_float_range(k):
+    # the squares in a Gram matrix underflow at 2**-660 and overflow at
+    # 2**600; the results must still be the unit-scale ones scaled by 2**k
+    truth = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.1, seed=29)
+    y, c = truth.y, 2.0**k
+    m = matricize(y, 0)  # 12 x 144, wide enough for the Gram path
+    base, scaled = thin_svd(m, 2), thin_svd(c * m, 2)
+    assert rel_diff(scaled.s, c * base.s) <= 1e-12
+    assert rel_diff(scaled.u, base.u) <= 1e-12
+    assert rel_diff(scaled.v, base.v) <= 1e-12
+    for a in (m, m.T):  # wide and tall
+        assert abs(op_norm(c * a) - c * op_norm(a)) <= 1e-12 * c * op_norm(a)
+    f, g = hosvd(y, (2, 2, 2)), hosvd(c * y, (2, 2, 2))
+    for a, b in zip(g.factors, f.factors):
+        assert rel_diff(a, b) <= 1e-12
+    assert rel_diff(g.core, c * f.core) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # TuckerFactors / hosvd / reconstruct
 
