@@ -207,14 +207,19 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
     """
     if f.order != f_star.order or f.outer_dims != f_star.outer_dims or f.rank != f_star.rank:
         raise ValueError("factorizations have mismatched shapes")
+    # The distance is homogeneous of degree 1 in the two cores, so it is
+    # taken on both divided by 2**e near their largest entry, where the core
+    # Grams and the squared norms neither overflow nor underflow.
+    e = int(np.frexp(max(inf_norm(f.core), inf_norm(f_star.core)))[1])
+    core, core_star = np.ldexp(f.core, -e), np.ldexp(f_star.core, -e)
     sigmas = []
     for k, u in enumerate(f_star.factors):
         if np.abs(u.T @ u - np.eye(u.shape[1])).max() > _ORTHO_TOL:
             raise ValueError(f"reference factor {k} is not orthonormal")
-        g = matricize(f_star.core, k)
+        g = matricize(core_star, k)
         gram = g @ g.T
         off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max() > _ORTHO_TOL * max(1.0, np.diag(gram).max()):
+        if np.abs(off).max() > _ORTHO_TOL * np.diag(gram).max():
             raise ValueError("reference core is not all-orthogonal")
         sigmas.append(np.sqrt(np.maximum(np.diag(gram), 0.0)))
 
@@ -227,8 +232,8 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
         qs.append(q)
         inv_qs.append(np.linalg.inv(q))
         total += fro_norm((u @ q - u_star) * sigmas[k][None, :]) ** 2
-    total += fro_norm(multilinear_mul(inv_qs, f.core) - f_star.core) ** 2
-    return AlignmentResult(q=tuple(qs), dist_upper=float(np.sqrt(total)))
+    total += fro_norm(multilinear_mul(inv_qs, core) - core_star) ** 2
+    return AlignmentResult(q=tuple(qs), dist_upper=float(np.ldexp(np.sqrt(total), e)))
 
 
 @dataclass

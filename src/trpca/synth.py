@@ -6,32 +6,30 @@ whose entries decay geometrically from 1 down to ``1/kappa``, so every
 mode-k matricization has singular values exactly ``kappa**(-(i)/(r-1))``
 and the instance hits the requested condition number by construction.
 
-Corruption targets an entry fraction ``alpha`` while never letting any
-fiber exceed the per-fiber cap ``floor(alpha * n_k)``.  Those two goals
-collide: an exact entry fraction of alpha forces the *average* fiber
-occupancy to ``alpha * n_k``, so either every fiber is exactly at the cap
-(a perfectly regular support) or some fiber is above it.  Uniform
-rejection sampling therefore essentially never succeeds.  The sampler
-handles this honestly:
-
-* when the caps bind and all dims are equal, it draws a randomized cyclic
-  design (distinct modular shifts composed with independent uniform axis
-  permutations) that meets every cap with equality -- exact fraction,
-  exact caps;
-* otherwise it fills a uniformly random cap-respecting subset greedily and
-  repairs toward the target with random remove/refill rounds, accepting a
-  documented shortfall of at most ``max(1, 0.002 * prod(dims))`` entries.
+Corruption is alpha-fraction sparse: no fiber along mode k holds more
+than its cap ``c_k = floor(alpha * n_k)`` entries.  One randomized cyclic
+design meets every cap for every shape.  It picks the mode k with the
+smallest ``c_k / n_k`` (the last such mode on ties), puts an entry wherever
+``(i_k - sum_{j != k} i_j) mod n_k`` is one of ``c_k`` shifts, and permutes
+every axis uniformly at random.  Each mode-k fiber meets every residue
+once, so it holds exactly ``c_k`` entries and the support is exactly
+``c_k / n_k`` of the tensor.  A fiber along another mode j sees ``n_j``
+consecutive residues.  When ``n_k`` divides every dim those cover each
+residue ``n_j / n_k`` times, so any ``c_k`` distinct random shifts do.
+Otherwise the shifts are the evenly spread residues ``m * n_k // c_k``
+under one random offset, and any window of ``n_j`` consecutive residues
+holds at most ``ceil(n_j * c_k / n_k) <= c_j`` of them.  Either way every
+cap holds.
 
 When ``alpha * n_k < 1`` for some mode, any corruption at all would break
 that mode's cap; the generator refuses such alphas (except alpha = 0).
-The achieved entry fraction is reported on the result.
+The achieved entry fraction, ``min_k c_k / n_k``, is reported on the result.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,17 +37,15 @@ from .metrics import Diagnostics, condition_numbers, incoherence, sparsity_fract
 from .rpca import SolverConfig, solve
 from .tucker import TuckerFactors, _fix_signs, reconstruct
 
-_SHORTFALL_FRACTION = 0.002
-_REPAIR_ROUNDS = 100
-
 
 @dataclass
 class GroundTruth:
     """A generated instance: truth tensors, factors, and measured statistics.
 
-    ``entry_fraction`` is the achieved fraction of corrupted entries, which
-    can fall below the requested alpha when the per-fiber caps bind (see
-    the module docstring).  ``diagnostics.alpha`` holds the measured
+    ``entry_fraction`` is the achieved fraction of corrupted entries,
+    exactly ``min_k floor(alpha * n_k) / n_k``: the requested alpha when
+    every ``alpha * n_k`` is an integer, below it when a cap rounds down
+    (see the module docstring).  ``diagnostics.alpha`` holds the measured
     per-fiber sparsity fraction.
     """
 
@@ -73,111 +69,18 @@ def _as_rng(seed) -> tuple[np.random.Generator, object]:
     return np.random.default_rng(np.random.SeedSequence(seed)), seed
 
 
-def _cyclic_mask(dims: tuple[int, ...], cap: int, rng: np.random.Generator) -> np.ndarray:
-    """Exactly ``cap`` entries in every fiber of every mode (equal dims only).
-
-    Entries live at index tuples whose coordinates satisfy
-    ``last = sum(others) + shift (mod n)`` for ``cap`` distinct shifts; any
-    N-1 fixed coordinates determine the last one, so each fiber of each
-    mode meets each shift exactly once.  Independent uniform permutations
-    of every axis randomize the support.
-    """
-    n = dims[0]
-    order = len(dims)
-    shifts = rng.choice(n, size=cap, replace=False)
-    perms = [rng.permutation(n) for _ in range(order)]
-    idx = np.indices(dims[:-1])
-    total = idx.sum(axis=0)
-    mask = np.zeros(dims, dtype=bool)
-    for shift in shifts:
-        coords = tuple(perms[d][idx[d]] for d in range(order - 1))
-        mask[coords + (perms[-1][(total + shift) % n],)] = True
-    return mask
-
-
-def _insertable(counts, caps, chosen):
-    """Boolean map of free slots whose fibers are all below their caps."""
-    ok = ~chosen
-    for k, cap in enumerate(caps):
-        ok &= np.expand_dims(counts[k] < cap, axis=k)
-    return ok
-
-
-def _greedy_mask(
-    dims: tuple[int, ...],
-    caps: Sequence[int],
-    target: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Random cap-respecting subset of ``target`` slots, repaired toward exactness."""
-    order = len(dims)
-    chosen = np.zeros(dims, dtype=bool)
-    counts = [
-        np.zeros([d for i, d in enumerate(dims) if i != k], dtype=np.int64)
-        for k in range(order)
-    ]
-
-    def oidx(idx, k):
-        return tuple(idx[i] for i in range(order) if i != k)
-
-    def flip(idx, on):
-        chosen[idx] = on
-        step = 1 if on else -1
-        for k in range(order):
-            counts[k][oidx(idx, k)] += step
-
-    filled = 0
-
-    def greedy_fill():
-        nonlocal filled
-        while filled < target:
-            slots = np.flatnonzero(_insertable(counts, caps, chosen).ravel())
-            if slots.size == 0:
-                return
-            rng.shuffle(slots)
-            before = filled
-            for flat in slots:
-                idx = np.unravel_index(flat, dims)
-                if all(counts[k][oidx(idx, k)] < caps[k] for k in range(order)):
-                    flip(idx, True)
-                    filled += 1
-                    if filled >= target:
-                        return
-            if filled == before:
-                return
-
-    greedy_fill()
-    best = chosen.copy()
-    for _ in range(_REPAIR_ROUNDS):
-        if filled >= target:
-            break
-        flat_chosen = np.flatnonzero(chosen.ravel())
-        drop = rng.choice(
-            flat_chosen,
-            size=min(max(1, int(0.05 * target)), flat_chosen.size),
-            replace=False,
-        )
-        for flat in drop:
-            flip(np.unravel_index(flat, dims), False)
-            filled -= 1
-        greedy_fill()
-        if filled > best.sum():
-            best = chosen.copy()
-    return chosen if filled >= best.sum() else best
-
-
 def sample_support(dims, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean corruption support of entry fraction ~alpha under per-fiber caps.
+    """Boolean corruption support meeting every per-fiber cap, at an exact fraction.
 
     No fiber along any mode ever holds more than ``floor(alpha * n_k)``
-    entries.  Raises when alpha > 0 permits no entries at all in some mode,
-    or when the sampler cannot get within the documented shortfall of the
-    cap-feasible target.
+    entries, and the support holds exactly ``min_k floor(alpha * n_k) / n_k``
+    of all entries (see the module docstring for the construction).  Raises
+    for an alpha outside [0, 1] and when alpha > 0 permits no entries at all
+    in some mode.
     """
     dims = tuple(int(d) for d in dims)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    size = int(np.prod(dims))
     if alpha == 0.0:
         return np.zeros(dims, dtype=bool)
     caps = [int(np.floor(alpha * d + 1e-9)) for d in dims]
@@ -187,21 +90,26 @@ def sample_support(dims, alpha: float, rng: np.random.Generator) -> np.ndarray:
             f"alpha={alpha} allows no corrupted entries per length-{dims[k]} fiber "
             f"(cap floor(alpha*n)=0); use alpha >= 1/min(dims) or alpha = 0"
         )
-    alpha_eff = min([alpha] + [c / d for c, d in zip(caps, dims)])
-    target = int(round(alpha_eff * size))
-    if target == 0:
-        return np.zeros(dims, dtype=bool)
-    equal_dims = len(set(dims)) == 1
-    saturated = all(target * d == c * size for c, d in zip(caps, dims))
-    if equal_dims and saturated:
-        return _cyclic_mask(dims, caps[0], rng)
-    mask = _greedy_mask(dims, caps, target, rng)
-    shortfall = target - int(mask.sum())
-    if shortfall > max(1, int(_SHORTFALL_FRACTION * size)):
-        raise ValueError(
-            f"could not reach corruption fraction {alpha} under per-fiber caps "
-            f"(short {shortfall} of {target} entries after repair)"
-        )
+    k = 0  # the mode with the smallest caps[k] / dims[k], the last on ties
+    for j in range(len(dims)):
+        if caps[j] * dims[k] <= caps[k] * dims[j]:
+            k = j
+    n, cap = dims[k], caps[k]
+    if all(d % n == 0 for d in dims):
+        shifts = rng.choice(n, size=cap, replace=False)
+    else:
+        shifts = (np.arange(cap) * n // cap + rng.integers(n)) % n
+    perms = [rng.permutation(d) for d in dims]
+    others = [j for j in range(len(dims)) if j != k]
+    idx = np.indices([dims[j] for j in others])
+    total = idx.sum(axis=0)
+    coords = [None] * len(dims)
+    for pos, j in enumerate(others):
+        coords[j] = perms[j][idx[pos]]
+    mask = np.zeros(dims, dtype=bool)
+    for shift in shifts:
+        coords[k] = perms[k][(total + shift) % n]
+        mask[tuple(coords)] = True
     return mask
 
 
@@ -226,8 +134,10 @@ def gen_truth(
     kappa : float
         Condition number, >= 1.  Core entries are kappa**(-(i)/(r-1)).
     alpha : float
-        Target corruption entry fraction in [0, 1]; see the module
-        docstring for how per-fiber caps can reduce the achieved fraction.
+        Per-fiber corruption fraction in [0, 1]: every fiber along mode k
+        holds at most ``floor(alpha * n_k)`` corrupted entries, and the
+        entry fraction is exactly the smallest of those caps over ``n_k``
+        (see the module docstring).
     corruption_scale : "mean-abs" or float
         Corruption values are uniform on [-m, m] with m the mean entry
         magnitude of the low-rank truth ("mean-abs"), or the given value.

@@ -103,25 +103,35 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
     return out
 
 
-def fro_norm(t: np.ndarray) -> float:
-    """Frobenius norm, accurate for finite entries anywhere in the float range.
+def _scale_safe(t: np.ndarray, norm) -> float:
+    """``norm(t)``, accurate for finite entries anywhere in the float range.
 
-    The plain ``sqrt(sum of squares)`` is returned when it is finite and above
-    ``_FRO_TINY``.  Otherwise the squares may have overflowed, or underflowed
-    enough to lose bits, and the norm is taken again on the tensor divided by
-    a power of two near its largest entry.  Non-finite entries give inf or nan.
+    ``norm`` is a square root of sums of squared entries.  Its plain value is
+    returned when it is finite and above ``_FRO_TINY``.  Otherwise the
+    squares may have overflowed, or underflowed enough to lose bits, and it
+    is taken again on ``t`` divided by a power of two near its largest
+    entry.  Non-finite entries give inf or nan.
     """
-    v = np.asarray(t, dtype=np.float64).reshape(-1)
     with np.errstate(over="ignore", under="ignore"):
-        n = math.sqrt(np.dot(v, v))
+        n = norm(t)
         if _FRO_TINY < n < math.inf:
             return n
-        m = inf_norm(v)
+        m = inf_norm(t)
         if not 0.0 < m < math.inf:
             return m
         e = int(np.frexp(m)[1])
-        w = np.ldexp(v, -e)
-        return float(np.ldexp(math.sqrt(np.dot(w, w)), e))
+        return float(np.ldexp(norm(np.ldexp(t, -e)), e))
+
+
+def fro_norm(t: np.ndarray) -> float:
+    """Frobenius norm, accurate for finite entries anywhere in the float range.
+
+    The plain ``sqrt(sum of squares)`` when it is finite and above
+    ``_FRO_TINY``, else the same on the rescaled tensor (see
+    :func:`_scale_safe`).  Non-finite entries give inf or nan.
+    """
+    v = np.asarray(t, dtype=np.float64).reshape(-1)
+    return _scale_safe(v, lambda w: math.sqrt(np.dot(w, w)))
 
 
 def inf_norm(t: np.ndarray) -> float:
@@ -135,11 +145,15 @@ def inf_norm(t: np.ndarray) -> float:
 
 
 def l2inf_norm(m: np.ndarray) -> float:
-    """Largest row 2-norm of a matrix."""
-    m = np.asarray(m)
+    """Largest row 2-norm of a matrix, accurate anywhere in the float range.
+
+    Rescaled like :func:`fro_norm` when the largest row's squares may have
+    overflowed or underflowed.
+    """
+    m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("l2inf_norm expects a matrix")
-    return float(np.sqrt((m * m).sum(axis=1).max()))
+    return _scale_safe(m, lambda w: math.sqrt((w * w).sum(axis=1).max()))
 
 
 def l1inf_norm(m: np.ndarray) -> float:

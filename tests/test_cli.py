@@ -71,6 +71,24 @@ def test_synth_then_info_round_trip(capsys, tmp_path):
     assert info["dims"] == [14, 14, 14]
 
 
+def test_synth_unequal_dims_round_trip(capsys, tmp_path):
+    prefix = tmp_path / "inst"
+    rc, out, _ = run_cli(
+        capsys, "synth", "--dims", "40,30,20", "--rank", 2, "--kappa", 5,
+        "--alpha", 0.1, "--seed", 0, "--out-prefix", prefix,
+    )
+    assert rc == 0
+    meta = json.loads(out)
+    assert meta["entry_fraction"] == 0.1
+    assert meta["alpha_per_fiber"] == 0.1
+    rc, out, _ = run_cli(
+        capsys, "decompose", "--input", f"{prefix}-y.trpc",
+        "--truth", f"{prefix}-xstar.trpc", "--rank", "2,2,2", "--iters", 300,
+    )
+    assert rc == 0
+    assert json.loads(out)["rel_fro_error"] <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

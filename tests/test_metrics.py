@@ -199,6 +199,16 @@ def test_norm_bounds_rejects_dense_rows():
         sparse_norm_bounds_check(np.zeros((3, 3)), 1.5)
 
 
+def test_norm_bounds_ratios_are_scale_free():
+    m = np.eye(6)
+    m[0, 1] = 2.0
+    base = sparse_norm_bounds_check(m, 1 / 3).ratios
+    assert base[1] == pytest.approx(np.sqrt(5 / 8), rel=1e-15)
+    for k in (-600, 600):
+        ratios = sparse_norm_bounds_check(2.0**k * m, 1 / 3).ratios
+        assert ratios == pytest.approx(base, rel=1e-12)
+
+
 def test_norm_bounds_suite():
     suite_sparse_norm_bounds(np.random.default_rng(9), 150)
 
@@ -268,6 +278,20 @@ def test_align_rejects_non_normal_form():
         align_factors(truth.factors, dense_core)  # core not all-orthogonal
     with pytest.raises(ValueError):
         align_factors(random_tucker(rng, (8, 8, 8), (3, 3, 3)), truth.factors)
+
+
+def test_align_scales_across_the_float_range():
+    # at 2**-600 the core Grams underflow to 0, at 2**600 the squares overflow
+    truth = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.0, seed=29)
+    mix = np.array([[1.0, 0.1], [0.0, 1.0]])
+    us = [u @ mix for u in truth.factors.factors]
+    base = align_factors(TuckerFactors(us, truth.factors.core), truth.factors).dist_upper
+    assert base == pytest.approx(0.0348, abs=1e-4)
+    for k in (-600, 600):
+        c = 2.0**k
+        f = TuckerFactors(us, c * truth.factors.core)
+        f_star = TuckerFactors(truth.factors.factors, c * truth.factors.core)
+        assert align_factors(f, f_star).dist_upper == pytest.approx(c * base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

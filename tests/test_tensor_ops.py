@@ -180,6 +180,15 @@ def test_fro_norm_across_the_float_range():
     assert np.isnan(fro_norm(np.array([1.0, np.nan, np.inf])))
 
 
+def test_l2inf_norm_across_the_float_range():
+    # the squared entries underflow to 0 at 2**-600 and overflow at 2**600
+    m = np.eye(6)
+    m[0, 1] = 2.0
+    assert l2inf_norm(m) == np.sqrt(5.0)
+    for k in (-600, 600):
+        assert l2inf_norm(2.0**k * m) == 2.0**k * l2inf_norm(m)
+
+
 def test_property_suites_reduced():
     suite_multilinear_composition(np.random.default_rng(10), 150)
     suite_matricization_identities(np.random.default_rng(11), 150)
