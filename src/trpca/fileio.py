@@ -32,7 +32,9 @@ from .tensor_ops import as_tensor
 
 MAGIC = b"TRPC"
 FORMAT_VERSION = 1
-SCHEMA_VERSION = 1
+# Version 2: ``loss`` is the loss at which the step into each iterate was
+# taken (see rpca.TraceRow), no longer the loss of the iterate itself.
+SCHEMA_VERSION = 2
 
 # Refuse dims whose product exceeds this (2**48 entries = 2 PiB of float64);
 # anything larger is a corrupt header, not a real tensor.

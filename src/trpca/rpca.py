@@ -11,6 +11,13 @@ step on the squared-error loss
 in the factor parametrization.  The per-mode preconditioners are the
 inverse Gram matrices of the co-factors, which is what keeps the step
 well-scaled regardless of how ill-conditioned the underlying tensor is.
+
+:func:`solve` expands each iterate once and makes one pass over it in
+mode-0 slabs, which turns it into the next residual and clips that at the
+next threshold; the step reads only the clip.  The trace's loss is the loss
+at which each step is taken, the stop rule's relative change is the change of
+the residual, summed in the same pass, and the sparse part is formed once, at
+the end.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import as_tensor, fro_norm, inf_norm, multilinear_mul
+from .tensor_ops import _sumsq, as_tensor, inf_norm, multilinear_mul
 from .tucker import TuckerFactors, hosvd, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
@@ -186,7 +193,17 @@ class ThresholdSchedule:
 
 @dataclass
 class TraceRow:
-    """One iteration record.  Error fields are None without a reference."""
+    """One iteration record.  Error fields are None without a reference.
+
+    ``zeta``, ``rel_fro_error`` and ``inf_error`` belong to iterate
+    ``iteration``.  ``loss`` is ``L(F, S) = 0.5 * ||y - reconstruct(F) - S||**2``
+    at the point where the step into this iterate was taken: for row t >= 1
+    the previous iterate's factors with the sparse part
+    ``S_t = soft_shrink(y - x_{t-1}, zeta_t)``, that is
+    ``0.5 * ||clip(y - x_{t-1}, -zeta_t, zeta_t)||**2``; for row 0 the
+    spectral initialization.  Being a squared norm, it alone can overflow to
+    inf or underflow to 0 for inputs near the ends of the float range.
+    """
 
     iteration: int
     zeta: float
@@ -388,7 +405,9 @@ def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> Tuc
     ``c x_0 U_0.T`` and (when mode 0 is active) ``c x_{N-1} U_{N-1}.T``, and
     every ``R_k`` and the core gradient come from small partial contractions
     built on those two.  All updates read the pre-step factors, so the order
-    of modes is irrelevant.
+    of modes is irrelevant.  :func:`solve` takes the same step without this
+    function: it accumulates both contractions of ``c`` slab by slab, in the
+    pass that forms the residual.
     """
     c = np.asarray(c, dtype=np.float64)
     us = factors.factors
@@ -404,22 +423,21 @@ def _ldexp(v, e: int):
     return None if v is None else float(np.ldexp(v, e))
 
 
-def _sumsq(a: np.ndarray) -> float:
-    """Sum of squares of a contiguous array's entries, as one dot product."""
-    v = a.reshape(-1)
-    return float(np.dot(v, v))
+# The loop keeps its full tensors in the units of y, unless ||y||_inf is
+# above 2**960, where a residual or a reference error could overflow; there
+# they are kept in the units of y / 2**e instead.
+_LOOP_EXP_LIMIT = 960
 
 
 class _Start(NamedTuple):
-    """What every solve starts from, in the units of ``y_n = y / 2**e``."""
+    """What every solve starts from; thresholds in the units of ``y / 2**e``."""
 
     e: int
-    y_n: np.ndarray
+    el: int  # the loop's full tensors are in the units of y / 2**(e - el)
     sched: ThresholdSchedule
     factors: TuckerFactors
-    sparse: np.ndarray
-    x: np.ndarray  # the initial iterate
-    gap: np.ndarray  # y_n - x - sparse
+    x: np.ndarray  # the initial iterate, in the loop's units
+    loss: float  # 0.5 * ||y - x - s0||**2 / 4**e, for the initial sparse part s0
 
 
 def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
@@ -431,9 +449,10 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
     overflow.  Explicit and oracle thresholds are resolved in the units of
     ``y`` and scaled; the automatic zeta1 comes from the scaled
     initialization.  The initial iterate is expanded through ``reconstruct``
-    in the units of ``y``, like every later one, and then scaled in place.
+    in the loop's units, like every later one.
     """
     e = int(np.frexp(inf_norm(y))[1])
+    el = e if e <= _LOOP_EXP_LIMIT else 0
     y_n = np.ldexp(y, -e)
     zeta0 = _ldexp(_resolve_zeta0(cfg, y, ref), -e)
     zeta1 = cfg.zeta1
@@ -442,14 +461,16 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
     zeta1 = _ldexp(zeta1, -e)
     init = spectral_init(y_n, cfg, zeta0=zeta0)
     f, s = init.factors, init.sparse
-    x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
-    np.ldexp(x, -e, out=x)
-    gap = y_n - x
+    x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
+    # the gap y_n - x - s0 in the buffer of y_n: y - x is taken in the loop's
+    # units, where it cannot overflow, and scaled to those of y_n
+    gap = np.subtract(y if el == e else y_n, x, out=y_n)
+    np.ldexp(gap, -el, out=gap)
     gap -= s
     if zeta1 is None:
         zeta1 = 2.0 * inf_norm(gap)
     sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
-    return _Start(e, y_n, sched, f, s, x, gap)
+    return _Start(e, el, sched, f, x, 0.5 * _sumsq(gap, 0))
 
 
 def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
@@ -457,9 +478,17 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
 
     The iteration runs on ``y`` divided by a power of two near its largest
     entry (see :func:`make_schedule`), so ``solve(2.0**k * y)`` is exactly
-    ``2.0**k * solve(y)``.  Each iteration streams twice through mode-0 slabs
-    of the tensor, shrinking in place and taking the step of
-    :func:`scaled_step` from the clipped residual.
+    ``2.0**k * solve(y)``.  Each iteration takes the step of
+    :func:`scaled_step` from the clipped residual, expands the new iterate
+    once through ``reconstruct`` and streams once through its mode-0 slabs:
+    each slab's sum of squares is the divergence check and the iterate's
+    norm, then the slab becomes the next residual in place, and its clip at
+    the next threshold gives the loss and the next step's contractions.  With
+    a stop tolerance, the slab's difference from the previous residual adds
+    to the change ``||x_t - x_{t-1}||`` of the stop rule.  The sparse part is
+    formed once, at the end.  For ``||y||_inf`` above ``2**960`` the loop's
+    tensors are kept in the units of ``y / 2**e``, so that no residual
+    overflows.
 
     Parameters
     ----------
@@ -477,7 +506,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     -------
     SolveResult
         Final factors, sparse estimate, and the iteration trace, all in the
-        units of ``y``.
+        units of ``y``.  Row ``t >= 1`` of the trace holds the loss at which
+        step ``t - 1`` was taken (see :class:`TraceRow`).
     """
     start = time.perf_counter()
     y = as_tensor(y, min_order=3)
@@ -494,39 +524,36 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     if x_star is not None and x_star.shape != y.shape:
         raise ValueError(f"reference shape {x_star.shape} does not match {y.shape}")
 
-    # The iteration runs on y_n = y / 2**e (see _start).  Each iterate is
-    # expanded in the units of y, and every output is scaled back to them.
-    e, y_n, sched, f, s, x, gap = _start(y, cfg, ref)
+    # The factors, the core and the thresholds are in the units of
+    # y_n = y / 2**e; every tensor the loop holds is in the units of
+    # y_n * 2**el, which are those of y except near the top of the float
+    # range (see _start), and every sum of squares is divided by 4**el.
+    e, el, sched, f, x, loss = _start(y, cfg, ref)
+    if el != e:
+        y = np.ldexp(y, el - e)
+        if x_star is not None:
+            x_star = np.ldexp(x_star, el - e)
+    x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
     trace = IterationTrace()
 
-    def record(t, zeta, err2, err_inf, loss):
-        if x_star is None:
-            errs = (None, None)
-        else:
-            err = math.sqrt(err2)
-            errs = (err / x_star_fro if x_star_fro > 0 else _ldexp(err, e), _ldexp(err_inf, e))
-        trace.rows.append(TraceRow(t, _ldexp(zeta, e), *errs, _ldexp(loss, 2 * e),
-                                   time.perf_counter() - start))
+    def record(t, err2, err_inf, loss):
+        # err2 and loss are in the units of y_n, err_inf in the loop's.  The
+        # loss, a squared norm, may overflow to inf, and so may the early
+        # thresholds and errors of an input near the float maximum.
+        errs = (None, None)
+        with np.errstate(over="ignore"):
+            if x_star is not None:
+                err = math.sqrt(err2)
+                errs = (err / x_star_fro if x_star_fro > 0 else _ldexp(err, e),
+                        _ldexp(err_inf, e - el))
+            values = (_ldexp(sched.value(t), e), *errs, _ldexp(loss, 2 * e))
+        trace.rows.append(TraceRow(t, *values, time.perf_counter() - start))
 
-    err2 = err_inf = 0.0
-    if x_star is not None:
-        diff = np.ldexp(x_star, -e)
-        x_star_fro = fro_norm(diff)
-        np.subtract(x, diff, out=diff)
-        err2, err_inf = _sumsq(diff), inf_norm(diff)
-        del diff
-    x_fro = math.sqrt(_sumsq(x))
-    record(0, sched.zeta0, err2, err_inf, 0.5 * _sumsq(gap))
-    del gap
-    # r is the residual y_n - x of the current iterate; each new iterate's
-    # buffer becomes the next residual.
-    r = np.subtract(y_n, x, out=x)
-    del x
-
-    # Each iteration streams twice through mode-0 slabs of about
-    # _SLAB_BYTES, so that every slab stays in cache between the ops applied
-    # to it.  With c = clip(r, -zeta, zeta), the new sparse part is r - c and
-    # the loss gradient tensor x + s - y is -c, so the step reads only c.
+    # One pass per iterate over mode-0 slabs of about _SLAB_BYTES, so that
+    # every slab stays in cache between the ops applied to it.  With
+    # c = clip(r, -zeta, zeta) for the residual r = y - x, the next sparse
+    # part is r - c and the loss gradient tensor x + s - y is -c, so the step
+    # reads only c, and c lives only in the slab buffer.
     n0 = y.shape[0]
     row = size // n0
     rows = max(1, _SLAB_BYTES // (y.itemsize * row))
@@ -537,53 +564,77 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     n_last, r_last = y.shape[-1], cfg.rank[-1]
     tail = np.empty(y.shape[:-1] + (r_last,)) if mask[0] else None
 
-    for t in range(cfg.max_iters):
-        zeta = sched.value(t + 1)
-        u0, u_last = f.factors[0], f.factors[-1]
-        # Pass 1: the shrink, in place, and c's contractions with U_0 and
-        # U_{N-1}; c lives only in the slab buffer.
-        for sl in slabs:
-            c = np.clip(r[sl], -zeta, zeta, out=buf[: sl.stop - sl.start])
-            np.subtract(r[sl], c, out=s[sl])
-            c_rows = c.reshape(c.shape[0], row)
-            if sl.start == 0:
-                np.matmul(u0[sl].T, c_rows, out=head)
-            else:
-                head += np.matmul(u0[sl].T, c_rows, out=part)
-            if mask[0]:  # a mode-0 slice of tail reshapes as a view
-                np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
-        f = _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+    def sweep(x, t, f, zeta, r_prev):
+        """The pass over iterate ``t`` with factors ``f``.
 
-        # Pass 2: sum the reference errors, scale the new iterate, sum its
-        # norm, turn it into the next residual in place, and sum the relative
-        # change and the loss; the slab buffer holds each difference.
-        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, e)))
-        x_sq = delta2 = loss2 = err2 = err_inf = 0.0
+        Returns its sum of squares and its reference errors; when the next
+        threshold ``zeta`` is given, also the loss ``0.5 * ||c||**2`` and,
+        when the previous residual ``r_prev`` is given too, the squared
+        change ``||r_prev - r||**2 = ||x - x_prev||**2``.  Then ``x`` holds
+        the residual and ``head`` and ``tail`` the contractions of ``c``
+        with ``U_0`` and ``U_{N-1}``, in the loop's units.
+        """
+        x_sq = err2 = err_inf = loss2 = delta2 = 0.0
+        u0, u_last = f.factors[0], f.factors[-1]
+        z = _ldexp(zeta, el)
         for sl in slabs:
             xb = x[sl]
             d = buf[: sl.stop - sl.start]
             if x_star is not None:
-                np.ldexp(np.subtract(xb, x_star[sl], out=d), -e, out=d)
-                err2 += _sumsq(d)
+                np.subtract(xb, x_star[sl], out=d)
+                err2 += _sumsq(d, el)
                 err_inf = max(err_inf, inf_norm(d))
-            np.ldexp(xb, -e, out=xb)
-            q = _sumsq(xb)
+            q = _sumsq(xb, el)
             # A finite sum proves every entry finite; look closer only otherwise.
             if not math.isfinite(q) and not np.all(np.isfinite(xb)):
-                raise DivergenceError(f"non-finite iterate at iteration {t + 1}")
+                raise DivergenceError(f"non-finite iterate at iteration {t}")
             x_sq += q
-            np.subtract(y_n[sl], xb, out=xb)
-            delta2 += _sumsq(np.subtract(r[sl], xb, out=d))  # x_next - x
-            loss2 += _sumsq(np.subtract(xb, s[sl], out=d))
-        record(t + 1, zeta, err2, err_inf, 0.5 * loss2)
-        r = x
-        del x
-        denom = max(x_fro, 1e-300)
-        x_fro = math.sqrt(x_sq)
-        if cfg.stop_tol > 0 and math.sqrt(delta2) / denom < cfg.stop_tol:
+            if z is None:
+                continue
+            r = np.subtract(y[sl], xb, out=xb)
+            if r_prev is not None:
+                delta2 += _sumsq(np.subtract(r_prev[sl], r, out=d), el)
+            c = np.clip(r, -z, z, out=d)
+            loss2 += _sumsq(c, el)
+            c_rows = c.reshape(c.shape[0], row)
+            if sl.start == 0:
+                np.matmul(u0[sl].T, c_rows, out=head)
+            else:
+                np.add(head, np.matmul(u0[sl].T, c_rows, out=part), out=head)
+            if mask[0]:  # a mode-0 slice of tail reshapes as a view
+                np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
+        return x_sq, err2, err_inf, 0.5 * loss2, delta2
+
+    # Besides y (and x_star), the loop holds two full tensors: r_prev and x,
+    # the buffer of each iterate, which becomes its residual.  The last
+    # iterate is not turned into a residual; when the stop rule ends the run
+    # earlier, the clip of its last sweep goes unused.
+    zeta = sched.value(1) if cfg.max_iters > 0 else None
+    x_sq, err2, err_inf, next_loss, _ = sweep(x, 0, f, zeta, None)
+    record(0, err2, err_inf, loss)
+    r_prev = None
+    t = 0
+    for t in range(1, cfg.max_iters + 1):
+        np.ldexp(head, -el, out=head)
+        if mask[0]:
+            np.ldexp(tail, -el, out=tail)
+        f = _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+        zeta = sched.value(t + 1) if t < cfg.max_iters else None
+        loss, r_prev, denom = next_loss, x, max(math.sqrt(x_sq), 1e-300)
+        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
+        x_sq, err2, err_inf, next_loss, delta2 = sweep(
+            x, t, f, zeta, r_prev if cfg.stop_tol > 0 else None)
+        record(t, err2, err_inf, loss)
+        if zeta is not None and math.sqrt(delta2) / denom < cfg.stop_tol:
             break
-    core = np.ldexp(f.core, e)
-    return SolveResult(TuckerFactors(f.factors, core), np.ldexp(s, e, out=s), trace)
+    zeta = _ldexp(sched.value(t), el)
+    if r_prev is None:
+        s = soft_shrink(y, zeta)
+    else:  # s = shrink(r_prev, zeta), in the buffer of r_prev
+        s = np.subtract(r_prev, np.clip(r_prev, -zeta, zeta, out=x), out=r_prev)
+    if el != e:
+        np.ldexp(s, e - el, out=s)
+    return SolveResult(TuckerFactors(f.factors, np.ldexp(f.core, e)), s, trace)
 
 
 # The former order-N entry point, kept as an alias because the benchmark's

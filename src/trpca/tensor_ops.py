@@ -103,35 +103,61 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
     return out
 
 
-def _scale_safe(t: np.ndarray, norm) -> float:
-    """``norm(t)``, accurate for finite entries anywhere in the float range.
+def _scale_safe(t: np.ndarray, sq, e: int | None = None) -> tuple[float, int]:
+    """``sq(t)`` as a pair ``(q, e)`` with ``sq(t) == q * 4**e``, accurate for
+    finite entries anywhere in the float range.
 
-    ``norm`` is a square root of sums of squared entries.  Its plain value is
-    returned when it is finite and above ``_FRO_TINY``.  Otherwise the
-    squares may have overflowed, or underflowed enough to lose bits, and it
-    is taken again on ``t`` divided by a power of two near its largest
-    entry.  Non-finite entries give inf or nan.
+    ``sq`` is a sum of squared entries, or the largest of several such sums.
+    Its plain value is used when it lies in (``_FRO_TINY**2``, inf).
+    Otherwise the squares may have overflowed, or underflowed enough to lose
+    bits, and ``sq`` is taken again on ``t`` divided by ``2**e``.  Without
+    ``e`` the plain value comes back with e = 0, and the retake divides by a
+    power of two near the largest entry.  With ``e`` the plain value is
+    divided by ``4**e`` too, so the result is always in the units of
+    ``2**e``.  Non-finite entries give inf or nan.
     """
     with np.errstate(over="ignore", under="ignore"):
-        n = norm(t)
-        if _FRO_TINY < n < math.inf:
-            return n
-        m = inf_norm(t)
-        if not 0.0 < m < math.inf:
-            return m
-        e = int(np.frexp(m)[1])
-        return float(np.ldexp(norm(np.ldexp(t, -e)), e))
+        q = sq(t)
+        if _FRO_TINY * _FRO_TINY < q < math.inf:
+            return (q, 0) if e is None else (float(np.ldexp(q, -2 * e)), e)
+        if e is None:
+            m = inf_norm(t)
+            if not 0.0 < m < math.inf:
+                return m * m, 0
+            e = int(np.frexp(m)[1])
+        return sq(np.ldexp(t, -e)), e
+
+
+def _root(q: float, e: int) -> float:
+    """``sqrt(q) * 2**e``, inf beyond the float range."""
+    try:
+        return math.ldexp(math.sqrt(q), e)
+    except OverflowError:
+        return math.inf
+
+
+def _dot_self(v: np.ndarray) -> float:
+    return float(np.dot(v, v))
+
+
+def _sumsq(t: np.ndarray, e: int) -> float:
+    """Sum of squares of a contiguous array's entries, divided by ``4**e``.
+
+    The plain dot product when it lies in (``_FRO_TINY**2``, inf), else the
+    dot product of the array divided by ``2**e`` (see :func:`_scale_safe`).
+    """
+    return _scale_safe(t.reshape(-1), _dot_self, e)[0]
 
 
 def fro_norm(t: np.ndarray) -> float:
     """Frobenius norm, accurate for finite entries anywhere in the float range.
 
-    The plain ``sqrt(sum of squares)`` when it is finite and above
-    ``_FRO_TINY``, else the same on the rescaled tensor (see
+    The plain ``sqrt(sum of squares)`` when the sum is finite and above
+    ``_FRO_TINY**2``, else the same on the rescaled tensor (see
     :func:`_scale_safe`).  Non-finite entries give inf or nan.
     """
     v = np.asarray(t, dtype=np.float64).reshape(-1)
-    return _scale_safe(v, lambda w: math.sqrt(np.dot(w, w)))
+    return _root(*_scale_safe(v, _dot_self))
 
 
 def inf_norm(t: np.ndarray) -> float:
@@ -153,7 +179,7 @@ def l2inf_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("l2inf_norm expects a matrix")
-    return _scale_safe(m, lambda w: math.sqrt((w * w).sum(axis=1).max()))
+    return _root(*_scale_safe(m, lambda w: float((w * w).sum(axis=1).max())))
 
 
 def l1inf_norm(m: np.ndarray) -> float:

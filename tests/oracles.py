@@ -166,10 +166,13 @@ def oracle_solve(y, cfg, reference=None):
     Each iteration shrinks the full residual ``y_n - x``, steps on
     ``D = s - y_n`` with explicit co-factors, expands the new iterate and takes
     the loss, relative change and reference errors from whole-tensor
-    differences.  Like the solver it runs on ``y_n = y / 2**e`` with ``2**e``
-    near ``||y||_inf`` and resolves the thresholds the same way.  Returns
-    ``(factors, sparse, rows)`` in the units of ``y``, each row an
-    ``(iteration, zeta, rel_fro_error, inf_error, loss)`` tuple.
+    differences.  Row t's loss is the loss at which step t - 1 was taken,
+    ``0.5 * ||y_n - x_{t-1} - s_t||**2``; row 0's is that of the spectral
+    initialization, ``0.5 * ||y_n - x_0 - s_0||**2``.  Like the solver it runs
+    on ``y_n = y / 2**e`` with ``2**e`` near ``||y||_inf`` and resolves the
+    thresholds the same way.  Returns ``(factors, sparse, rows)`` in the units
+    of ``y``, each row an ``(iteration, zeta, rel_fro_error, inf_error, loss)``
+    tuple.
     """
     y = np.asarray(y, dtype=np.float64)
     e = int(np.frexp(np.abs(y).max())[1])
@@ -197,21 +200,22 @@ def oracle_solve(y, cfg, reference=None):
     x_star_n = None if x_star is None else np.ldexp(np.asarray(x_star, dtype=np.float64), -e)
     mask = cfg.modes_mask(y.ndim)
 
-    def row(t, zeta, x, s):
+    def row(t, zeta, x, x_loss, s):
+        """Errors of the iterate ``x``, loss of the pair ``(x_loss, s)``."""
         rel = err_inf = None
         if x_star_n is not None:
             rel = np.linalg.norm(x - x_star_n) / np.linalg.norm(x_star_n)
             err_inf = np.ldexp(np.abs(x - x_star_n).max(), e)
-        loss = 0.5 * np.linalg.norm(y_n - x - s) ** 2
+        loss = 0.5 * np.linalg.norm(y_n - x_loss - s) ** 2
         return (t, np.ldexp(zeta, e), rel, err_inf, np.ldexp(loss, 2 * e))
 
-    rows = [row(0, zeta0, x, s)]
+    rows = [row(0, zeta0, x, x, s)]
     for t in range(1, cfg.max_iters + 1):
         zeta = zeta1 * rho ** (t - 1)
         s = soft_shrink(y_n - x, zeta)
         f = oracle_scaled_step(f, y_n, s, cfg.eta, mask)
         x_next = reconstruct(f)
-        rows.append(row(t, zeta, x_next, s))
+        rows.append(row(t, zeta, x_next, x, s))
         change = np.linalg.norm(x_next - x) / max(np.linalg.norm(x), 1e-300)
         x = x_next
         if cfg.stop_tol > 0 and change < cfg.stop_tol:

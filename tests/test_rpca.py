@@ -457,12 +457,13 @@ def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
         with pytest.raises(DivergenceError, match="iteration 2"):
             solve(truth.y, cfg)
     # a finite entry whose square overflows makes the norm infinite; the
-    # exact check behind it finds every entry finite and the run goes on
+    # exact check behind it finds every entry finite and the run goes on, and
+    # the sparse part, the shrunk residual of iterate 2, carries the entry
     monkeypatch.setattr(trpca.rpca, "reconstruct", poison_iteration_2(1e200))
     with np.errstate(over="ignore"):
-        result = solve(truth.y, cfg)
-    assert result.trace.final.iteration == 2
-    assert result.trace.final.loss == np.inf
+        result = solve(truth.y, SolverConfig(rank=(2, 2, 2), max_iters=3, stop_tol=0.0))
+    assert result.trace.final.iteration == 3
+    assert result.sparse[1, 2, 3] <= -1e199
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +532,51 @@ def test_streamed_loop_divergence_in_first_and_last_slab(monkeypatch, row):
             solve(truth.y, cfg, reference=ref)
 
 
+@pytest.mark.parametrize("dims, seed, stop, to_1e6", [
+    ((30, 30, 30), 0, 221, 122),
+    ((30, 30, 30), 1, 227, 128),
+    ((20, 20, 20, 20), 0, 216, 118),
+    ((20, 20, 20, 20), 1, 218, 120),
+    ((20, 20, 20, 20), 2, 217, 119),
+])
+def test_stop_rule_iterations_are_pinned(dims, seed, stop, to_1e6):
+    # the default stop_tol ends these runs where it does with the relative
+    # change summed over whole tensors, as oracle_solve sums it
+    truth = gen_truth(dims, 2, kappa=5.0, alpha=0.1, seed=seed)
+    cfg = SolverConfig(rank=(2,) * len(dims), max_iters=300)
+    trace = solve(truth.y, cfg, reference=truth).trace
+    assert trace.final.iteration == stop
+    assert trace.iterations_to(1e-6) == to_1e6
+
+
+def test_solve_expands_each_iterate_once_through_the_module_binding(monkeypatch):
+    truth = gen_truth((11, 7, 9), 2, kappa=3.0, alpha=1 / 7, seed=31)
+    expand = trpca.rpca.reconstruct
+    seen = []
+
+    def reconstruct(f):
+        x = expand(f)
+        seen.append(x.copy())
+        return x
+
+    monkeypatch.setattr(trpca.rpca, "reconstruct", reconstruct)
+    iterations = []
+    for cfg in (SolverConfig(rank=(2, 2, 2), max_iters=25, stop_tol=0.0),
+                SolverConfig(rank=(2, 2, 2), max_iters=300, stop_tol=1e-9),
+                SolverConfig(rank=(2, 2, 2), max_iters=0)):
+        seen.clear()
+        result = solve(truth.y, cfg, reference=truth)
+        trace = result.trace
+        iterations.append(trace.final.iteration)
+        assert len(seen) == 1 + trace.final.iteration == len(trace)
+        # call t expands iterate t: its error is row t's, and the last one is
+        # the returned factors' expansion
+        for x, row in zip(seen, trace):
+            assert abs(rel_diff(x, truth.x_star) - row.rel_fro_error) <= 1e-12
+        assert np.array_equal(seen[-1], expand(result.factors))
+    assert iterations[0] == 25 and iterations[1] < 300 and iterations[2] == 0
+
+
 def test_solve_tiny_input_recovers_truth():
     # 1e-200 * y squares to below the float range inside every Gram matrix
     truth = gen_truth((30, 30, 30), 2, kappa=5.0, alpha=0.1, seed=27)
@@ -557,7 +603,8 @@ def test_solve_power_of_two_scaling_is_exact():
 
     for explicit in (False, True):
         base = run(1.0, explicit)
-        for c in (2.0**100, 2.0**-100):
+        for k in (100, -100, 600, -600):
+            c = 2.0**k
             scaled = run(c, explicit)
             assert all(np.array_equal(a, b)
                        for a, b in zip(base.factors.factors, scaled.factors.factors))
@@ -565,8 +612,42 @@ def test_solve_power_of_two_scaling_is_exact():
             assert np.array_equal(c * base.sparse, scaled.sparse)
             assert len(base.trace) == len(scaled.trace) == 31
             for p, q in zip(base.trace, scaled.trace):
-                assert (q.zeta, q.inf_error, q.loss, q.rel_fro_error) == (
-                    c * p.zeta, c * p.inf_error, c * c * p.loss, p.rel_fro_error)
+                assert (q.zeta, q.inf_error, q.rel_fro_error) == (
+                    c * p.zeta, c * p.inf_error, p.rel_fro_error)
+                # the loss, a squared norm, leaves the float range at 2**600
+                with np.errstate(over="ignore"):
+                    assert q.loss == np.ldexp(p.loss, 2 * k)
+            if k == 600:
+                assert scaled.trace.final.loss == np.inf
+
+
+def test_solve_scaling_is_exact_at_the_top_of_the_float_range():
+    # One corrupted entry is raised to 0.95, opposite in sign to x_star
+    # there.  Scaled by 2**1024 the largest entry lies just below the float
+    # maximum, and the residuals and reference errors of early iterates, taken
+    # in the units of y, would leave the float range; the solve must still
+    # be 2**1024 times the unit-scale one.  The point is exactness, not
+    # recovery: this reference run does not recover x_star at either scale.
+    truth = gen_truth((9, 9, 9), 2, kappa=3.0, alpha=1 / 9, seed=28)
+    support = truth.s_star != 0
+    i = np.unravel_index(np.argmin(np.where(support, truth.x_star, np.inf)), support.shape)
+    y = truth.y.copy()
+    y[i] = 0.95
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=300)
+    k = 1024
+    base = solve(y, cfg, reference=truth.x_star)
+    scaled = solve(np.ldexp(y, k), cfg, reference=np.ldexp(truth.x_star, k))
+    assert all(np.array_equal(a, b)
+               for a, b in zip(base.factors.factors, scaled.factors.factors))
+    assert np.array_equal(np.ldexp(base.factors.core, k), scaled.factors.core)
+    assert np.array_equal(np.ldexp(base.sparse, k), scaled.sparse)
+    assert np.all(np.isfinite(scaled.sparse))
+    assert len(base.trace) == len(scaled.trace)
+    for p, q in zip(base.trace, scaled.trace):
+        # the early thresholds and errors themselves exceed the float range
+        with np.errstate(over="ignore"):
+            want = (np.ldexp(p.zeta, k), np.ldexp(p.inf_error, k), p.rel_fro_error)
+        assert (q.zeta, q.inf_error, q.rel_fro_error) == want
 
 
 def test_solve_order4_zero_corruption():
