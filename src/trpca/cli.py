@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -63,11 +64,22 @@ def _float_or_auto(text: str):
 
 
 def _scale_arg(text: str):
-    return text if text == "mean-abs" else _float_or_auto(text)
+    try:
+        value = text if text == "mean-abs" else float(text)
+    except ValueError:
+        value = math.nan
+    if value != "mean-abs" and not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"not 'mean-abs' or a finite number > 0: {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # bad flags are JSON usage errors too
+        self.exit(EXIT_USAGE, json.dumps({"error": "usage", "message": message}) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trpca",
         description="Low-multilinear-rank + sparse tensor decomposition",
     )

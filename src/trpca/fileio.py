@@ -17,6 +17,7 @@ crash never leaves a half-written file at the destination path.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .rpca import IterationTrace
+from .rpca import IterationTrace, TraceRow
 from .synth import SweepCell, SweepSpec
 from .tensor_ops import as_tensor
 
@@ -167,21 +168,20 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
+def _trace_cell(v) -> str:
+    if v is None:
+        return ""
+    return str(v) if isinstance(v, int) else repr(v)
+
+
 def write_trace_csv(path, trace: IterationTrace) -> None:
-    """Flat CSV of the iteration trace; error columns are empty without truth."""
-    rows = []
-    for r in trace:
-        rows.append(
-            [
-                r.iteration,
-                repr(r.zeta),
-                "" if r.rel_fro_error is None else repr(r.rel_fro_error),
-                "" if r.inf_error is None else repr(r.inf_error),
-                repr(r.loss),
-                repr(r.seconds),
-            ]
-        )
-    _write_csv(path, ["iteration", "zeta", "rel_fro_error", "inf_error", "loss", "seconds"], rows)
+    """Flat CSV of the iteration trace, one column per :class:`TraceRow` field.
+
+    Error columns are empty without truth.
+    """
+    names = [f.name for f in dataclasses.fields(TraceRow)]
+    rows = [[_trace_cell(getattr(r, n)) for n in names] for r in trace]
+    _write_csv(path, names, rows)
 
 
 def write_sweep_csv(path, cells: Sequence[SweepCell]) -> None:
@@ -224,6 +224,9 @@ class SweepSpecError(ValueError):
 
 
 _GRID_KEYS = {"n": int, "r": int, "alpha": float, "kappa": float}
+# Spec keys whose SweepSpec field has another name.
+_FIELD_NAMES = {"n": "n_grid", "r": "rank_grid", "alpha": "alpha_grid",
+                "kappa": "kappa_grid", "iters": "max_iters"}
 _SCALAR_KEYS = {
     "trials": int,
     "iters": int,
@@ -245,8 +248,10 @@ def parse_sweep_spec(path) -> SweepSpec:
     Grid keys ``n``, ``r``, ``alpha``, ``kappa`` are required and accept
     comma-separated lists.  Scalar keys ``trials``, ``iters``, ``eta``,
     ``rho`` (a number or ``auto``), ``stop_tol``, and ``seed`` are
-    optional.  Unknown keys, duplicate keys, or unparsable values raise
-    :class:`SweepSpecError` with the offending line number.
+    optional; an unset one takes :class:`SweepSpec`'s default.  Unknown
+    keys, duplicate keys, or unparsable values raise :class:`SweepSpecError`
+    with the offending line number; values that :class:`SweepSpec` rejects,
+    such as a step size outside (0, 0.25], raise it with line 0.
     """
     seen: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -286,17 +291,6 @@ def parse_sweep_spec(path) -> SweepSpec:
     if missing:
         raise SweepSpecError(0, f"missing required keys: {', '.join(missing)}")
     try:
-        return SweepSpec(
-            n_grid=seen["n"],
-            rank_grid=seen["r"],
-            alpha_grid=seen["alpha"],
-            kappa_grid=seen["kappa"],
-            trials=seen.get("trials", 3),
-            eta=seen.get("eta", 0.25),
-            rho=seen.get("rho"),
-            max_iters=seen.get("iters", 200),
-            stop_tol=seen.get("stop_tol", 1e-12),
-            seed=seen.get("seed", 0),
-        )
+        return SweepSpec(**{_FIELD_NAMES.get(k, k): v for k, v in seen.items()})
     except ValueError as exc:
         raise SweepSpecError(0, str(exc)) from None

@@ -8,8 +8,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor_ops import fro_norm, inf_norm, l1inf_norm, l2inf_norm, matricize, multilinear_mul
-from .rpca import GRAM_CONDITION_LIMIT, _checked_gram
-from .tucker import TuckerFactors, _wide_spectrum, hosvd, op_norm, reconstruct
+from .rpca import GRAM_CONDITION_LIMIT, _spd_solve
+from .tucker import TuckerFactors, hosvd, op_norm, reconstruct, singular_values
 
 _ORTHO_TOL = 1e-8
 
@@ -67,10 +67,8 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
 
     so ``kappa <= kappa_s`` always.  ``sigma_min`` is the denominator.
     Raises on an all-zero tensor; a tensor that is rank-deficient at the
-    declared rank yields infinite condition numbers.  Wide matricizations
-    take their spectra from the small Gram matrix of
-    :func:`~trpca.tucker._wide_spectrum`, the rest from a direct SVD; both
-    work at any scale.
+    declared rank yields infinite condition numbers.  The spectra come from
+    :func:`~trpca.tucker.singular_values`, which works at any scale.
     """
     x = np.asarray(x, dtype=np.float64)
     rank = tuple(int(r) for r in np.atleast_1d(rank))
@@ -81,9 +79,7 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
     spectra = []
     tops, bottoms = [], []
     for k, r in enumerate(rank):
-        m = matricize(x, k)
-        spectrum = _wide_spectrum(m)
-        s = np.linalg.svd(m, compute_uv=False) if spectrum is None else spectrum[2][::-1]
+        s = singular_values(matricize(x, k))
         if not 1 <= r <= s.size:
             raise ValueError(f"rank[{k}]={r} out of range for shape {x.shape}")
         spectra.append(s)
@@ -226,7 +222,7 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
     qs, inv_qs = [], []
     total = 0.0
     for k, (u, u_star) in enumerate(zip(f.factors, f_star.factors)):
-        q = np.linalg.solve(_checked_gram(u.T @ u, k, "factor"), u.T @ u_star)
+        q = _spd_solve(u.T @ u, u.T @ u_star, k, "factor")
         if np.linalg.cond(q) > GRAM_CONDITION_LIMIT:
             raise ValueError(f"alignment matrix for mode {k} is numerically singular")
         qs.append(q)

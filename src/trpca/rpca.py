@@ -137,8 +137,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be >= 0, got {z}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        if not self.stop_tol >= 0.0:
+            raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if self.active_modes is not None:
             self.active_modes = tuple(bool(b) for b in self.active_modes)
         if not 0.0 <= self.alpha_estimate < 1.0:
@@ -317,13 +317,13 @@ def spectral_init(
     return SolverState(factors=f0, sparse=s0, zeta=zeta0, iteration=0)
 
 
-def _checked_gram(gram: np.ndarray, mode: int, which: str) -> np.ndarray:
-    """Return the Gram matrix ``gram``, or raise if it is numerically singular."""
+def _spd_solve(gram: np.ndarray, rhs: np.ndarray, mode: int, which: str) -> np.ndarray:
+    """``inv(gram) @ rhs`` for a Gram matrix, or raise if it is numerically singular."""
     w = np.linalg.eigvalsh(gram)
     if w[-1] <= 0.0 or w[0] <= 0.0 or w[-1] / w[0] > GRAM_CONDITION_LIMIT:
         cond = np.inf if w[0] <= 0.0 else w[-1] / w[0]
         raise SingularGramError(mode, cond, which)
-    return gram
+    return np.linalg.solve(gram, rhs)
 
 
 def _mode_dot(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
@@ -331,54 +331,42 @@ def _mode_dot(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(t, u, axes=(mode, 0)), -1, mode)
 
 
-def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray | None, cfg) -> TuckerFactors:
+def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
+    """``unfold(t x_{j>=first, j!=k} mats_j.T, k) @ unfold(core, k).T`` for each ``k >= first``,
+    and ``t x_{j>=first} mats_j.T``; ``prefix`` shares the products before each ``k``."""
+    order = core.ndim
+    out, prefix = [], t
+    for k in range(first, order):
+        part = prefix
+        for j in range(k + 1, order):
+            part = _mode_dot(part, mats[j], j)
+        others = [j for j in range(order) if j != k]
+        out.append(np.tensordot(part, core, axes=(others, others)))
+        prefix = _mode_dot(prefix, mats[k], k)
+    return out, prefix
+
+
+def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray, cfg) -> TuckerFactors:
     """The r-space update of :func:`scaled_step` from two contractions of ``c``.
 
-    ``head`` is ``c x_0 U_0.T`` and ``tail`` is ``c x_{N-1} U_{N-1}.T``
-    (only read, and only needed, when mode 0 is active).
+    ``head`` is ``c x_0 U_0.T`` and ``tail`` is ``c x_{N-1} U_{N-1}.T``.  Every
+    ``C_k`` and ``R_k`` is formed; a Gram is checked only where it is solved.
     """
-    eta = cfg.eta
-    us, core, order = f.factors, f.core, f.order
-    mask = cfg.modes_mask(order)
-
-    def others(k):
-        return [j for j in range(order) if j != k]
-
+    eta, us, core = cfg.eta, f.factors, f.core
     grams = [u.T @ u for u in us]
-    cograms = {}
-    for k in range(order):
-        if mask[k]:
-            h = core
-            for j in others(k):
-                h = _mode_dot(h, grams[j], j)
-            gram = np.tensordot(h, core, axes=(others(k), others(k)))
-            cograms[k] = _checked_gram(gram, k, "co-factor")
-    inv_grams = [np.linalg.inv(_checked_gram(m, k, "factor")) for k, m in enumerate(grams)]
-
-    rhs = {}
-    if mask[0]:  # c x_{j!=0} U_j.T, contracted from the last mode down
-        part = tail
-        for j in range(1, order - 1):
-            part = _mode_dot(part, us[j], j)
-        rhs[0] = np.tensordot(part, core, axes=(others(0), others(0)))
-    # prefix is c x_{j<k} U_j.T; contracting its modes after k gives
-    # c x_{j!=k} U_j.T
-    prefix = head
-    for k in range(1, order):
-        if mask[k]:
-            part = prefix
-            for j in range(k + 1, order):
-                part = _mode_dot(part, us[j], j)
-            rhs[k] = np.tensordot(part, core, axes=(others(k), others(k)))
-        prefix = _mode_dot(prefix, us[k], k)
-    # prefix is now c x_all U_j.T, the negated core gradient
-
+    cograms, _ = _contractions(core, grams, core, 0)
+    rhs, grad = _contractions(head, us, core, 1)  # grad = c x_all U_j.T
+    for j in range(1, f.order - 1):  # R_0 from c x_{j!=0} U_j.T, from the last mode down
+        tail = _mode_dot(tail, us[j], j)
+    others = list(range(1, f.order))
+    rhs.insert(0, np.tensordot(tail, core, axes=(others, others)))
+    mask = cfg.modes_mask(f.order)
     new_factors = tuple(
-        u + eta * np.linalg.solve(cograms[k], rhs[k].T).T if mask[k] else u
+        u + eta * _spd_solve(cograms[k], rhs[k].T, k, "co-factor").T if mask[k] else u
         for k, u in enumerate(us)
     )
-    new_core = core + eta * multilinear_mul(inv_grams, prefix)
-    return TuckerFactors(new_factors, new_core)
+    inv_grams = [_spd_solve(m, np.eye(len(m)), k, "factor") for k, m in enumerate(grams)]
+    return TuckerFactors(new_factors, core + eta * multilinear_mul(inv_grams, grad))
 
 
 def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> TuckerFactors:
@@ -402,19 +390,22 @@ def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> Tuc
     ``R_k`` and ``C_k`` are ``matricize(c, k) @ B_k`` and ``B_k.T @ B_k`` for
     the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
     r-space without forming ``B_k``: ``c`` is read by two contractions only,
-    ``c x_0 U_0.T`` and (when mode 0 is active) ``c x_{N-1} U_{N-1}.T``, and
+    ``c x_0 U_0.T`` and ``c x_{N-1} U_{N-1}.T``, both always formed, and
     every ``R_k`` and the core gradient come from small partial contractions
-    built on those two.  All updates read the pre-step factors, so the order
-    of modes is irrelevant.  :func:`solve` takes the same step without this
-    function: it accumulates both contractions of ``c`` slab by slab, in the
-    pass that forms the residual.
+    built on those two.  Each Gram is checked for singularity where it is
+    solved, so a frozen mode's ``C_k`` is never checked; the active modes'
+    ``C_k`` are checked first, then the ``M_j``, and a singular one raises
+    :class:`SingularGramError`.  All updates read the pre-step factors, so
+    the order of modes is irrelevant.  :func:`solve` takes the same step
+    without this function: it accumulates both contractions of ``c`` slab by
+    slab, in the pass that forms the residual.
     """
     c = np.asarray(c, dtype=np.float64)
     us = factors.factors
     if c.shape != factors.outer_dims:
         raise ValueError(f"residual has shape {c.shape}, factors expand to {factors.outer_dims}")
     head = np.tensordot(us[0], c, axes=(0, 0))
-    tail = np.tensordot(c, us[-1], axes=(c.ndim - 1, 0)) if cfg.modes_mask(c.ndim)[0] else None
+    tail = np.tensordot(c, us[-1], axes=(c.ndim - 1, 0))
     return _step(factors, head, tail, cfg)
 
 
@@ -517,7 +508,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     for k, r in enumerate(cfg.rank):
         if r > min(y.shape[k], size // y.shape[k]):
             raise ValueError(f"rank[{k}]={r} too large for shape {y.shape}")
-    mask = cfg.modes_mask(y.ndim)
+    cfg.modes_mask(y.ndim)  # checks the length of active_modes
 
     ref = _as_reference(reference)
     x_star = ref.x_star if ref is not None else None
@@ -562,7 +553,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     head = np.empty((cfg.rank[0], row))
     part = np.empty_like(head)
     n_last, r_last = y.shape[-1], cfg.rank[-1]
-    tail = np.empty(y.shape[:-1] + (r_last,)) if mask[0] else None
+    tail = np.empty(y.shape[:-1] + (r_last,))
 
     def sweep(x, t, f, zeta, r_prev):
         """The pass over iterate ``t`` with factors ``f``.
@@ -601,8 +592,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 np.matmul(u0[sl].T, c_rows, out=head)
             else:
                 np.add(head, np.matmul(u0[sl].T, c_rows, out=part), out=head)
-            if mask[0]:  # a mode-0 slice of tail reshapes as a view
-                np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
+            # a mode-0 slice of tail reshapes as a view
+            np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
         return x_sq, err2, err_inf, 0.5 * loss2, delta2
 
     # Besides y (and x_star), the loop holds two full tensors: r_prev and x,
@@ -616,8 +607,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     t = 0
     for t in range(1, cfg.max_iters + 1):
         np.ldexp(head, -el, out=head)
-        if mask[0]:
-            np.ldexp(tail, -el, out=tail)
+        np.ldexp(tail, -el, out=tail)
         f = _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
         zeta = sched.value(t + 1) if t < cfg.max_iters else None
         loss, r_prev, denom = next_loss, x, max(math.sqrt(x_sq), 1e-300)

@@ -28,6 +28,7 @@ The achieved entry fraction, ``min_k c_k / n_k``, is reported on the result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -140,7 +141,8 @@ def gen_truth(
         (see the module docstring).
     corruption_scale : "mean-abs" or float
         Corruption values are uniform on [-m, m] with m the mean entry
-        magnitude of the low-rank truth ("mean-abs"), or the given value.
+        magnitude of the low-rank truth ("mean-abs"), or the given value,
+        which must be finite and positive.
     seed : int or numpy.random.SeedSequence
         Source of all randomness; equal seeds give bit-identical output.
     """
@@ -152,6 +154,8 @@ def gen_truth(
         raise ValueError(f"rank {r} invalid for dims {dims}")
     if not kappa >= 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if corruption_scale != "mean-abs" and not 0.0 < float(corruption_scale) < math.inf:
+        raise ValueError(f"corruption scale must be finite and positive, got {corruption_scale}")
     rng, seed_record = _as_rng(seed)
 
     factors = []
@@ -174,8 +178,6 @@ def gen_truth(
             m = float(np.abs(x_star).mean())
         else:
             m = float(corruption_scale)
-            if m <= 0:
-                raise ValueError(f"corruption scale must be positive, got {m}")
         s_star[mask] = rng.uniform(-m, m, size=count)
 
     cond = condition_numbers(x_star, (r,) * len(dims))
@@ -229,6 +231,9 @@ class SweepSpec:
                 raise ValueError(f"{name} must be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # the solver settings are checked by the config every trial builds
+        SolverConfig(rank=(1,), eta=self.eta, rho=self.rho,
+                     max_iters=self.max_iters, stop_tol=self.stop_tol)
 
 
 @dataclass

@@ -217,6 +217,27 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2
 
 
+def test_synth_rejects_scales_that_are_not_finite_positive_numbers(capsys, tmp_path):
+    for scale in ("auto", "nan", "inf", "-1", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--dims", "10,10,10", "--rank", "2", "--alpha", "0.1",
+                  "--scale", scale, "--out-prefix", str(tmp_path / "inst")])
+        assert exc.value.code == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "usage" and "--scale" in payload["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_spec_with_out_of_range_eta_writes_no_csv(capsys, tmp_path):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("n = 10\nr = 1\nalpha = 0.0\nkappa = 1.0\neta = 0.5\n")
+    out_csv = tmp_path / "sweep.csv"
+    rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file, "--out", out_csv)
+    assert rc == 3
+    assert "eta" in json.loads(err)["message"]
+    assert not out_csv.exists()
+
+
 def test_zeta1_grid_is_a_usage_error(capsys, tmp_path):
     # the flag kept the candidate with the lowest final loss, which a smaller
     # zeta1 always wins by letting the sparse part absorb the residual

@@ -19,7 +19,7 @@ from trpca.fileio import (
     write_tensor,
     write_trace_csv,
 )
-from trpca.rpca import SolverConfig, solve
+from trpca.rpca import IterationTrace, SolverConfig, TraceRow, solve
 from trpca.synth import SweepCell, gen_truth
 
 
@@ -114,6 +114,19 @@ def test_trace_csv_columns(tmp_path):
     assert all(r[2] == "" and r[3] == "" for r in rows[1:])
 
 
+def test_trace_csv_bytes(tmp_path):
+    # ints as str, floats as repr, None as an empty cell
+    trace = IterationTrace([TraceRow(0, 0.5, 0.25, 1e-3, 12.5, 0.001),
+                            TraceRow(1, 0.4, None, None, float("inf"), 2.5e-05)])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert path.read_bytes() == (
+        b"iteration,zeta,rel_fro_error,inf_error,loss,seconds\n"
+        b"0,0.5,0.25,0.001,12.5,0.001\n"
+        b"1,0.4,,,inf,2.5e-05\n"
+    )
+
+
 def test_sweep_csv_columns(tmp_path):
     cells = [
         SweepCell(n=10, rank=2, alpha=0.1, kappa=5.0, median_rel_error=1e-8,
@@ -180,6 +193,11 @@ def test_parse_defaults(tmp_path):
         ("n = 10\nr = two\nalpha = 0.1\nkappa = 1.0\n", 2),
         ("n = 10\nr = 2\nalpha = 0.1\nkappa = 1.0\ntrials = 1.5\n", 5),
         ("n = 10\nr = 2\n", 0),
+        # solver values SolverConfig rejects
+        ("n = 10\nr = 2\nalpha = 0.1\nkappa = 1.0\neta = 0.5\n", 0),
+        ("n = 10\nr = 2\nalpha = 0.1\nkappa = 1.0\nrho = 1.5\n", 0),
+        ("n = 10\nr = 2\nalpha = 0.1\nkappa = 1.0\niters = -3\n", 0),
+        ("n = 10\nr = 2\nalpha = 0.1\nkappa = 1.0\nstop_tol = nan\n", 0),
     ],
 )
 def test_parse_errors_carry_line_numbers(tmp_path, text, line):

@@ -89,6 +89,9 @@ def test_config_validation():
         SolverConfig(rank=(2, 2, 2), max_iters=-1)
     with pytest.raises(ValueError):
         SolverConfig(rank=(2, 2, 2), alpha_estimate=1.0)
+    for tol in (-1e-9, float("nan")):  # a NaN tolerance would never stop a run
+        with pytest.raises(ValueError, match="stop_tol"):
+            SolverConfig(rank=(2, 2, 2), stop_tol=tol)
     cfg = SolverConfig(rank=(2, 2, 2), active_modes=(True, False, True))
     assert cfg.modes_mask(3) == (True, False, True)
     with pytest.raises(ValueError):
@@ -279,6 +282,21 @@ def test_scaled_step_singular_gram_reports_mode():
     f = random_tucker(np.random.default_rng(12), (4, 4, 4), (2, 2, 2))
     f.core[:] = 0.0  # co-factors collapse
     c = np.zeros((4, 4, 4)) - reconstruct(f) - np.zeros((4, 4, 4))
+    with pytest.raises(SingularGramError) as exc:
+        scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
+    assert exc.value.mode == 0
+    assert "co-factor" in str(exc.value)
+
+
+def test_scaled_step_checks_only_the_grams_it_solves():
+    # two equal mode-0 slices of the core make the mode-0 co-factor Gram
+    # singular and leave every other Gram regular
+    f = random_tucker(np.random.default_rng(30), (5, 4, 6), (2, 2, 2))
+    f.core[1] = f.core[0]
+    c = np.random.default_rng(31).standard_normal((5, 4, 6))
+    frozen = scaled_step(f, c, SolverConfig(rank=(2, 2, 2), active_modes=(False, True, True)))
+    assert np.array_equal(frozen.factors[0], f.factors[0])
+    assert all(np.all(np.isfinite(u)) for u in frozen.factors)
     with pytest.raises(SingularGramError) as exc:
         scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
     assert exc.value.mode == 0

@@ -72,6 +72,11 @@ def test_corruption_scale_variants():
     with pytest.raises(ValueError):
         gen_truth((10, 10, 10), 2, kappa=3.0, alpha=0.1, seed=5,
                   corruption_scale="bogus")
+    for scale, alpha in [(float("nan"), 0.1), (float("inf"), 0.1), ("inf", 0.1),
+                         (float("nan"), 0.0)]:  # checked even when nothing is corrupted
+        with pytest.raises(ValueError, match="finite"):
+            gen_truth((10, 10, 10), 2, kappa=3.0, alpha=alpha, seed=5,
+                      corruption_scale=scale)
 
 
 def test_gen_truth_validation():
@@ -226,3 +231,9 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(n_grid=(10,), rank_grid=(2,), alpha_grid=(0.1,),
                   kappa_grid=(1.0,), trials=0)
+    # the solver settings are checked up front by SolverConfig, not trial by trial
+    grids = dict(n_grid=(10,), rank_grid=(2,), alpha_grid=(0.1,), kappa_grid=(1.0,))
+    bad = [("eta", 0.5), ("rho", 1.0), ("max_iters", -1), ("stop_tol", float("nan"))]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            SweepSpec(**grids, **{name: value})

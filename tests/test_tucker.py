@@ -18,6 +18,7 @@ from trpca.tucker import (
     hosvd,
     op_norm,
     reconstruct,
+    singular_values,
     thin_svd,
 )
 
@@ -130,6 +131,13 @@ def test_op_norm():
     assert op_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
     wide = rng.standard_normal((2, 40))
     assert op_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
+    # op_norm reads the descending spectrum of singular_values, which takes
+    # a wide matrix through its Gram matrix and every other one through an SVD
+    for a in (m, wide, wide.T):
+        s = singular_values(a)
+        assert s.shape == (min(a.shape),) and np.all(np.diff(s) <= 0)
+        assert rel_diff(s, np.linalg.svd(a, compute_uv=False)) <= 1e-10
+        assert op_norm(a) == s[0]
 
 
 @pytest.mark.parametrize("k", [-660, 600])
