@@ -7,15 +7,19 @@ JSON object to stdout on success; failures print a JSON error object to
 stderr and exit with a stable code:
 
     0  success
-    2  usage errors (bad flags, or flags inconsistent with the input)
-    3  unreadable or malformed input files / degenerate input data
-    4  solver failures (singular Gram matrices, divergence)
+    2  usage errors: bad flags, a --rank that breaks the rank rule, flags
+       inconsistent with the input (ValueError)
+    3  unreadable, malformed or unwritable files and degenerate input data
+       (TensorFileError, SweepSpecError, InputError, OSError)
+    4  solver failures (LinAlgError, such as SingularGramError; DivergenceError)
+
+A non-finite number is written as null, so every line is strict JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import math
 import os
 import sys
@@ -24,27 +28,15 @@ import numpy as np
 
 from . import fileio
 from .metrics import sparsity_fraction, tensor_diagnostics
-from .rpca import (
-    DivergenceError,
-    Reference,
-    SingularGramError,
-    SolverConfig,
-    solve,
-)
+from .rpca import DivergenceError, Reference, SolverConfig, solve
 from .synth import gen_truth, run_sweep
+from .tensor_ops import check_rank
 from .tucker import reconstruct
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
-
-
-def _fail(stream_code: int, kind: str, message: str, **extra) -> int:
-    payload = {"error": kind, "message": message}
-    payload.update(extra)
-    print(json.dumps(payload), file=sys.stderr)
-    return stream_code
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -75,7 +67,7 @@ def _scale_arg(text: str):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are JSON usage errors too
-        self.exit(EXIT_USAGE, json.dumps({"error": "usage", "message": message}) + "\n")
+        self.exit(EXIT_USAGE, fileio.json_line({"error": "usage", "message": message}) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,66 +123,75 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_tensor_or_fail(path):
+class InputError(Exception):
+    """Input data a command cannot use, such as a tensor whose diagnostics
+    are undefined."""
+
+
+@contextlib.contextmanager
+def _at(path):
+    """Name ``path`` in the JSON error of any input failure raised inside."""
     try:
-        return fileio.read_tensor(path), None
-    except fileio.TensorFileError as exc:
-        return None, _fail(EXIT_IO, "io", str(exc), code=exc.code, path=str(path))
-    except OSError as exc:
-        return None, _fail(EXIT_IO, "io", str(exc), path=str(path))
+        yield
+    except (fileio.TensorFileError, fileio.SweepSpecError, InputError, OSError) as exc:
+        exc.path = str(path)
+        raise
 
 
-def _cmd_decompose(args) -> int:
-    y, err = _read_tensor_or_fail(args.input)
-    if err is not None:
-        return err
+def _read(path) -> np.ndarray:
+    with _at(path):
+        return fileio.read_tensor(path)
 
+
+def _diagnosed(path, rank):
+    """The tensor in ``path`` and its diagnostics at ``rank``: a bad rank is
+    a usage error, undefined diagnostics are an input error."""
+    t = _read(path)
+    try:
+        check_rank(t.shape, rank)
+    except ValueError as exc:
+        raise ValueError(f"--rank for {path}: {exc}") from None
+    with _at(path):
+        try:
+            return t, tensor_diagnostics(t, rank)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+
+
+def _cmd_decompose(args) -> dict:
+    y = _read(args.input)
     reference = None
     if args.truth is not None:
-        x_star, err = _read_tensor_or_fail(args.truth)
-        if err is not None:
-            return err
-        try:
-            reference = Reference(x_star, tensor_diagnostics(x_star, args.rank))
-        except ValueError as exc:
-            return _fail(EXIT_USAGE, "usage", f"invalid truth tensor: {exc}")
+        reference = Reference(*_diagnosed(args.truth, args.rank))
 
     modes = None
     if args.modes is not None:
         if any(v not in (0, 1) for v in args.modes):
-            return _fail(EXIT_USAGE, "usage", "--modes entries must be 0 or 1")
+            raise ValueError("--modes entries must be 0 or 1")
         modes = tuple(bool(v) for v in args.modes)
 
-    try:
-        cfg = SolverConfig(
-            rank=args.rank,
-            eta=args.eta,
-            rho=args.rho,
-            zeta0=args.zeta0,
-            zeta1=args.zeta1,
-            max_iters=args.iters,
-            stop_tol=args.stop_tol,
-            active_modes=modes,
-            alpha_estimate=args.alpha_estimate,
-        )
-        factors, sparse, trace = solve(y, cfg, reference=reference)
-    except (SingularGramError, DivergenceError, np.linalg.LinAlgError) as exc:
-        return _fail(EXIT_SOLVER, "solver", str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "usage", str(exc))
+    cfg = SolverConfig(
+        rank=args.rank,
+        eta=args.eta,
+        rho=args.rho,
+        zeta0=args.zeta0,
+        zeta1=args.zeta1,
+        max_iters=args.iters,
+        stop_tol=args.stop_tol,
+        active_modes=modes,
+        alpha_estimate=args.alpha_estimate,
+    )
+    factors, sparse, trace = solve(y, cfg, reference=reference)
 
     lowrank = reconstruct(factors)
-    try:
-        if args.out_lowrank:
-            fileio.write_tensor(args.out_lowrank, lowrank)
-        if args.out_sparse:
-            fileio.write_tensor(args.out_sparse, sparse)
-        if args.out_factors:
-            for k, u in enumerate(factors.factors):
-                fileio.write_tensor(f"{args.out_factors}-factor{k}.trpc", u)
-            fileio.write_tensor(f"{args.out_factors}-core.trpc", factors.core)
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
+    if args.out_lowrank:
+        fileio.write_tensor(args.out_lowrank, lowrank)
+    if args.out_sparse:
+        fileio.write_tensor(args.out_sparse, sparse)
+    if args.out_factors:
+        for k, u in enumerate(factors.factors):
+            fileio.write_tensor(f"{args.out_factors}-factor{k}.trpc", u)
+        fileio.write_tensor(f"{args.out_factors}-core.trpc", factors.core)
 
     final = trace.final
     summary = {
@@ -231,25 +232,17 @@ def _cmd_decompose(args) -> int:
                 "mu": d.mu, "kappa": d.kappa, "kappa_s": d.kappa_s,
                 "sigma_min": d.sigma_min, "alpha": d.alpha,
             })
-        try:
-            fileio.write_report(args.report, records)
-            base, _ = os.path.splitext(args.report)
-            fileio.write_trace_csv(base + ".trace.csv", trace)
-        except OSError as exc:
-            return _fail(EXIT_IO, "io", str(exc))
-
-    print(json.dumps(summary))
-    return EXIT_OK
+        fileio.write_report(args.report, records)
+        base, _ = os.path.splitext(args.report)
+        fileio.write_trace_csv(base + ".trace.csv", trace)
+    return summary
 
 
-def _cmd_synth(args) -> int:
-    try:
-        truth = gen_truth(
-            args.dims, args.rank, args.kappa, args.alpha,
-            corruption_scale=args.scale, seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, "usage", str(exc))
+def _cmd_synth(args) -> dict:
+    truth = gen_truth(
+        args.dims, args.rank, args.kappa, args.alpha,
+        corruption_scale=args.scale, seed=args.seed,
+    )
     prefix = args.out_prefix
     d = truth.diagnostics
     meta = {
@@ -263,49 +256,25 @@ def _cmd_synth(args) -> int:
         "entry_fraction": truth.entry_fraction,
         "seed": truth.seed,
     }
-    try:
-        fileio.write_tensor(f"{prefix}-y.trpc", truth.y)
-        fileio.write_tensor(f"{prefix}-xstar.trpc", truth.x_star)
-        fileio.write_tensor(f"{prefix}-sstar.trpc", truth.s_star)
-        with open(f"{prefix}-meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
-    print(json.dumps(meta))
-    return EXIT_OK
+    fileio.write_tensor(f"{prefix}-y.trpc", truth.y)
+    fileio.write_tensor(f"{prefix}-xstar.trpc", truth.x_star)
+    fileio.write_tensor(f"{prefix}-sstar.trpc", truth.s_star)
+    with open(f"{prefix}-meta.json", "w", encoding="utf-8") as fh:
+        fh.write(fileio.json_line(meta, sort_keys=True) + "\n")
+    return meta
 
 
-def _cmd_sweep(args) -> int:
-    try:
+def _cmd_sweep(args) -> dict:
+    with _at(args.spec):
         spec = fileio.parse_sweep_spec(args.spec)
-    except fileio.SweepSpecError as exc:
-        return _fail(EXIT_IO, "io", str(exc), line=exc.line, path=str(args.spec))
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc), path=str(args.spec))
     cells = run_sweep(spec)
-    try:
-        fileio.write_sweep_csv(args.out, cells)
-    except OSError as exc:
-        return _fail(EXIT_IO, "io", str(exc))
-    print(json.dumps({"cells": len(cells), "out": str(args.out)}))
-    return EXIT_OK
+    fileio.write_sweep_csv(args.out, cells)
+    return {"cells": len(cells), "out": str(args.out)}
 
 
-def _cmd_info(args) -> int:
-    t, err = _read_tensor_or_fail(args.input)
-    if err is not None:
-        return err
-    if len(args.rank) != t.ndim:
-        return _fail(
-            EXIT_USAGE, "usage",
-            f"--rank has {len(args.rank)} entries for an order-{t.ndim} tensor",
-        )
-    try:
-        d = tensor_diagnostics(t, args.rank)
-    except ValueError as exc:
-        return _fail(EXIT_IO, "io", str(exc), path=str(args.input))
-    print(json.dumps({
+def _cmd_info(args) -> dict:
+    t, d = _diagnosed(args.input, args.rank)
+    return {
         "dims": list(t.shape),
         "rank": list(args.rank),
         "mu": d.mu,
@@ -313,8 +282,7 @@ def _cmd_info(args) -> int:
         "kappa_s": d.kappa_s,
         "sigma_min": d.sigma_min,
         "alpha": sparsity_fraction(t),
-    }))
-    return EXIT_OK
+    }
 
 
 _COMMANDS = {
@@ -325,9 +293,29 @@ _COMMANDS = {
 }
 
 
+def _fail(exc: Exception, code: int, kind: str) -> int:
+    payload = {"error": kind, "message": str(exc)}
+    payload.update({k: getattr(exc, k) for k in ("code", "line", "path") if hasattr(exc, k)})
+    print(fileio.json_line(payload), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command and print its JSON result, or map its failure to the
+    module docstring's exit-code table and print a JSON error.  The first
+    matching clause wins: SingularGramError is a LinAlgError, and LinAlgError
+    and SweepSpecError are ValueErrors."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        result = _COMMANDS[args.command](args)
+    except (fileio.SweepSpecError, fileio.TensorFileError, InputError, OSError) as exc:
+        return _fail(exc, EXIT_IO, "io")
+    except (np.linalg.LinAlgError, DivergenceError) as exc:
+        return _fail(exc, EXIT_SOLVER, "solver")
+    except ValueError as exc:
+        return _fail(exc, EXIT_USAGE, "usage")
+    print(fileio.json_line(result))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

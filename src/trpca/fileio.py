@@ -149,23 +149,30 @@ def _atomic_write_text(path, text: str) -> None:
     _atomic_write_bytes(path, (text.encode("utf-8"),))
 
 
+def json_line(obj, sort_keys: bool = False) -> str:
+    """``obj`` as one line of strict JSON (RFC 8259), with a non-finite float
+    written as null, as JavaScript's ``JSON.stringify`` does.  The writer of
+    every JSON line the package emits."""
+    return json.dumps(_finite(obj), sort_keys=sort_keys, allow_nan=False)
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_report(path, records: Sequence[dict]) -> None:
-    """Write run records as JSON lines.
+    """Write run records as JSON lines (see :func:`json_line`).
 
     The first line always carries ``schema_version`` so consumers can
     detect layout changes; the caller's records follow one per line.
     """
-    lines = [json.dumps({"record": "schema", "schema_version": SCHEMA_VERSION})]
-    lines += [json.dumps(rec, sort_keys=True, default=_json_default) for rec in records]
+    lines = [json_line({"record": "schema", "schema_version": SCHEMA_VERSION})]
+    lines += [json_line(rec, sort_keys=True) for rec in records]
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _trace_cell(v) -> str:

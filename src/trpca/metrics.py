@@ -7,7 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import fro_norm, inf_norm, l1inf_norm, l2inf_norm, matricize, multilinear_mul
+from .tensor_ops import (
+    check_rank, fro_norm, inf_norm, l1inf_norm, l2inf_norm, matricize, multilinear_mul,
+)
 from .rpca import GRAM_CONDITION_LIMIT, _spd_solve
 from .tucker import TuckerFactors, hosvd, op_norm, reconstruct, singular_values
 
@@ -22,7 +24,8 @@ class Diagnostics:
     worst-case condition numbers, ``sigma_min`` the smallest matricization
     singular value read at the declared rank, ``alpha`` the measured
     per-fiber sparsity fraction of the sparse part, and
-    ``singular_values`` the per-mode matricization spectra.
+    ``singular_values`` the per-mode matricization spectra, exactly 0 where
+    numerically zero (see :func:`~trpca.tucker.singular_values`).
     """
 
     mu: float
@@ -66,32 +69,25 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
         kappa_s = max_k s_k[0] / min_k s_k[rank[k] - 1]
 
     so ``kappa <= kappa_s`` always.  ``sigma_min`` is the denominator.
-    Raises on an all-zero tensor; a tensor that is rank-deficient at the
-    declared rank yields infinite condition numbers.  The spectra come from
-    :func:`~trpca.tucker.singular_values`, which works at any scale.
+    Raises on an all-zero tensor.  The spectra come from
+    :func:`~trpca.tucker.singular_values`, which works at any scale and reads
+    0 for a numerically zero value, so a tensor that is rank-deficient at the
+    declared rank yields ``sigma_min`` 0 and infinite condition numbers, as
+    does one with ``sigma_min`` below ~1.5e-7 * s_max in a wide unfolding.
     """
     x = np.asarray(x, dtype=np.float64)
-    rank = tuple(int(r) for r in np.atleast_1d(rank))
-    if len(rank) != x.ndim:
-        raise ValueError(f"rank {rank} does not match tensor order {x.ndim}")
+    rank = check_rank(x.shape, rank)
     if fro_norm(x) == 0.0:
         raise ValueError("condition numbers are undefined for the zero tensor")
-    spectra = []
-    tops, bottoms = [], []
-    for k, r in enumerate(rank):
-        s = singular_values(matricize(x, k))
-        if not 1 <= r <= s.size:
-            raise ValueError(f"rank[{k}]={r} out of range for shape {x.shape}")
-        spectra.append(s)
-        tops.append(s[0])
-        bottoms.append(s[r - 1])
-    sigma_min = min(bottoms)
+    spectra = tuple(singular_values(matricize(x, k)) for k in range(x.ndim))
+    tops = [s[0] for s in spectra]
+    sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
     if sigma_min == 0.0:
         kappa = kappa_s = float("inf")
     else:
         kappa = min(tops) / sigma_min
         kappa_s = max(tops) / sigma_min
-    return ConditionNumbers(float(kappa), float(kappa_s), float(sigma_min), tuple(spectra))
+    return ConditionNumbers(float(kappa), float(kappa_s), float(sigma_min), spectra)
 
 
 def sparsity_fraction(s: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _sumsq, as_tensor, inf_norm, multilinear_mul
+from .tensor_ops import _sumsq, as_tensor, check_rank, inf_norm, multilinear_mul
 from .tucker import TuckerFactors, hosvd, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
@@ -502,12 +502,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     """
     start = time.perf_counter()
     y = as_tensor(y, min_order=3)
-    size = y.size
-    if len(cfg.rank) != y.ndim:
-        raise ValueError(f"rank {cfg.rank} does not match tensor order {y.ndim}")
-    for k, r in enumerate(cfg.rank):
-        if r > min(y.shape[k], size // y.shape[k]):
-            raise ValueError(f"rank[{k}]={r} too large for shape {y.shape}")
+    check_rank(y.shape, cfg.rank)
     cfg.modes_mask(y.ndim)  # checks the length of active_modes
 
     ref = _as_reference(reference)
@@ -546,7 +541,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # part is r - c and the loss gradient tensor x + s - y is -c, so the step
     # reads only c, and c lives only in the slab buffer.
     n0 = y.shape[0]
-    row = size // n0
+    row = y.size // n0
     rows = max(1, _SLAB_BYTES // (y.itemsize * row))
     slabs = [slice(a, min(a + rows, n0)) for a in range(0, n0, rows)]
     buf = np.empty((min(rows, n0),) + y.shape[1:])

@@ -36,6 +36,7 @@ import numpy as np
 
 from .metrics import Diagnostics, condition_numbers, incoherence, sparsity_fraction
 from .rpca import SolverConfig, solve
+from .tensor_ops import check_rank
 from .tucker import TuckerFactors, _fix_signs, reconstruct
 
 
@@ -114,6 +115,21 @@ def sample_support(dims, alpha: float, rng: np.random.Generator) -> np.ndarray:
     return mask
 
 
+def _check_args(dims, rank, kappa: float, alpha: float) -> tuple[tuple[int, ...], int]:
+    """:func:`gen_truth`'s rules for each argument on its own; returns the
+    dims and the rank as ints.  Whether an alpha leaves an entry to corrupt
+    depends on the dims too, which :func:`sample_support` checks."""
+    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    if len(dims) < 3:
+        raise ValueError(f"expected order >= 3, got dims {dims}")
+    r = check_rank(dims, (rank,) * len(dims))[0]
+    if not 1.0 <= kappa < math.inf:  # an infinite one zeroes a core entry
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return dims, r
+
+
 def gen_truth(
     dims,
     rank: int,
@@ -133,7 +149,8 @@ def gen_truth(
         construction needs the same rank in all modes; unequal target
         ranks would silently degenerate to the smallest one.
     kappa : float
-        Condition number, >= 1.  Core entries are kappa**(-(i)/(r-1)).
+        Condition number, finite and >= 1.  Core entries are
+        kappa**(-(i)/(r-1)).
     alpha : float
         Per-fiber corruption fraction in [0, 1]: every fiber along mode k
         holds at most ``floor(alpha * n_k)`` corrupted entries, and the
@@ -146,14 +163,7 @@ def gen_truth(
     seed : int or numpy.random.SeedSequence
         Source of all randomness; equal seeds give bit-identical output.
     """
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
-    if len(dims) < 3:
-        raise ValueError(f"expected order >= 3, got dims {dims}")
-    r = int(rank)
-    if r < 1 or any(d < r for d in dims):
-        raise ValueError(f"rank {r} invalid for dims {dims}")
-    if not kappa >= 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    dims, r = _check_args(dims, rank, kappa, alpha)
     if corruption_scale != "mean-abs" and not 0.0 < float(corruption_scale) < math.inf:
         raise ValueError(f"corruption scale must be finite and positive, got {corruption_scale}")
     rng, seed_record = _as_rng(seed)
@@ -229,6 +239,17 @@ class SweepSpec:
         for name in ("n_grid", "rank_grid", "alpha_grid", "kappa_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        # each grid value is checked on its own, with every other argument
+        # at a value any instance admits; combinations that fail, such as r
+        # above n, stay per-cell failures
+        for n in self.n_grid:
+            _check_args((n,) * 3, 1, 1.0, 0.0)
+        for r in self.rank_grid:
+            _check_args((r,) * 3, r, 1.0, 0.0)
+        for alpha in self.alpha_grid:
+            _check_args((1,) * 3, 1, 1.0, alpha)
+        for kappa in self.kappa_grid:
+            _check_args((1,) * 3, 1, kappa, 0.0)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         # the solver settings are checked by the config every trial builds

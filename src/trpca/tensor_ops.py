@@ -41,6 +41,26 @@ def as_tensor(values, min_order: int = 1) -> np.ndarray:
     return a
 
 
+def check_rank(shape: Sequence[int], rank) -> tuple[int, ...]:
+    """The multilinear rank ``rank`` of a tensor of ``shape``, as a tuple of ints.
+
+    Raises ValueError unless it has one entry per mode and each entry is
+    ``1 <= r_k <= min(n_k, prod(n) // n_k)``, at most the rank the mode-k
+    matricization can have.  The one rank rule of every entry point.
+    """
+    rank = tuple(int(r) for r in np.atleast_1d(rank))
+    if len(rank) != len(shape):
+        raise ValueError(f"rank {rank} does not match tensor order {len(shape)}")
+    size = math.prod(shape)
+    for k, (n, r) in enumerate(zip(shape, rank)):
+        if not 1 <= r <= n or r * n > size:
+            raise ValueError(
+                f"rank[{k}]={r} invalid for shape {tuple(shape)}: "
+                f"needs 1 <= r_k <= min(n_k, prod(n) // n_k)"
+            )
+    return rank
+
+
 def _check_mode(order: int, mode: int) -> None:
     if not 0 <= mode < order:
         raise ValueError(f"mode {mode} out of range for order-{order} tensor")

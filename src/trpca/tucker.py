@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _FRO_TINY, inf_norm, matricize, multilinear_mul
+from .tensor_ops import _FRO_TINY, check_rank, inf_norm, matricize, multilinear_mul
 
 # Relative cutoff below which a singular triplet counts as numerically zero
 # and its vectors are replaced by a deterministic orthonormal completion.
@@ -64,35 +64,63 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
                 v[:, j] = -v[:, j]
 
 
-def _wide_spectrum(m: np.ndarray, vectors: bool = False):
-    """Spectrum of a matrix more than 4x wider than tall, from its small Gram matrix.
+def _spectrum(m: np.ndarray, rank: int | None = None):
+    """Descending singular values of a matrix, 0 where numerically zero; with
+    ``rank``, the top-``rank`` triplets instead, as for :func:`thin_svd`.
 
-    Returns None for any other shape; callers take those to a direct SVD.
-    Otherwise returns ``(w, u, s)``: the ascending eigenvalues ``w`` of the
-    Gram matrix ``a @ a.T`` of ``a = m / 2**e``, its eigenvectors ``u`` (the
-    left singular vectors; None unless ``vectors``) and the singular values
-    ``s = sqrt(w) * 2**e``.  ``e`` is 0 when the plain ``m @ m.T`` is finite
-    with a trace above ``_FRO_TINY**2``; otherwise its squares may have
-    overflowed, or underflowed enough to lose bits, and ``2**e`` is a power of
-    two near the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.
+    A matrix more than 4x wider than tall goes through its small Gram matrix
+    ``a @ a.T`` of ``a = m / 2**e``: the singular values are
+    ``sqrt(w) * 2**e`` for its eigenvalues ``w``, its eigenvectors are the
+    left vectors, and each right vector is ``m.T @ u / s``.  ``e`` is 0 when
+    the plain ``m @ m.T`` is finite with a trace above ``_FRO_TINY**2``;
+    otherwise its squares may have overflowed, or underflowed enough to lose
+    bits, and ``2**e`` is a power of two near the largest entry, as in
+    :func:`~trpca.tensor_ops.fro_norm`.  Any other matrix goes to a direct
+    SVD.  A value is numerically zero unless the decomposition's output (an
+    eigenvalue, or a singular value) exceeds ``_RANK_TOL`` times the
+    largest.  An eigenvalue is a square, whose rounding floor is a singular
+    value of ~sqrt(eps) * s_max, so the Gram path resolves none below
+    ~1.5e-7 * s_max.
     """
     rows, cols = m.shape
-    if cols <= 4 * rows:
-        return None
-    e = 0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        g = m @ m.T
-        if not _FRO_TINY**2 < np.trace(g) < np.inf:
-            e = int(np.frexp(inf_norm(m))[1])
-            a = np.ldexp(m, -e)
-            g = a @ a.T
-    if vectors:
-        w, u = np.linalg.eigh(g)
+    if cols > 4 * rows:
+        e = 0
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            g = m @ m.T
+            if not _FRO_TINY**2 < np.trace(g) < np.inf:
+                e = int(np.frexp(inf_norm(m))[1])
+                a = np.ldexp(m, -e)
+                g = a @ a.T
+        if rank is None:
+            raw = np.linalg.eigvalsh(g)[::-1]
+        else:
+            w, vecs = np.linalg.eigh(g)
+            order = np.argsort(w)[::-1]
+            raw = w[order]
+            u = vecs[:, order[:rank]].copy()
+        s = np.maximum(raw, 0.0)
+        np.sqrt(s, out=s)
+        np.ldexp(s, e, out=s)
+    elif rank is None:
+        raw = s = np.linalg.svd(m, compute_uv=False)
     else:
-        w, u = np.linalg.eigvalsh(g), None
-    s = np.maximum(w, 0.0)
-    np.sqrt(s, out=s)
-    return w, u, np.ldexp(s, e, out=s)
+        uu, raw, vt = np.linalg.svd(m, full_matrices=False)
+        u, s, v = uu[:, :rank].copy(), raw.copy(), vt[:rank].T.copy()
+    dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
+    s[dead] = 0.0
+    if rank is None:
+        return s
+    s, dead = s[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
+    if cols > 4 * rows:
+        v = np.zeros((cols, rank))
+        for j in range(rank):
+            if s[j] > 0.0:
+                v[:, j] = m.T @ u[:, j] / s[j]
+    if dead:
+        _complete_columns(u, dead)
+        _complete_columns(v, dead)
+    _fix_signs(u, v)
+    return SvdResult(u, s, v)
 
 
 def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
@@ -110,63 +138,26 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     SvdResult
         ``u`` and ``v`` have orthonormal columns; ``s`` is nonincreasing and
         nonnegative.  Each left vector's largest-magnitude entry is positive
-        (ties to the lowest index).  Numerically zero triplets get a
-        deterministic canonical-basis completion so the output never depends
-        on backend behavior for degenerate subspaces.
-
-    Notes
-    -----
-    Very wide matrices go through the small Gram matrix of
-    :func:`_wide_spectrum`, and the right vectors are recovered as
-    ``m.T @ u / s``.  That path works at any scale but cannot resolve
-    singular values below ~1.5e-7 * s_max, which come out as 0.
+        (ties to the lowest index).  Numerically zero triplets have ``s``
+        exactly 0 and a deterministic canonical-basis completion, so the
+        output never depends on backend behavior for degenerate subspaces.
+        :func:`_spectrum` computes them, at any scale; a very wide matrix
+        cannot resolve singular values below ~1.5e-7 * s_max.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("thin_svd expects a matrix")
-    rows, cols = m.shape
-    if not 1 <= rank <= min(rows, cols):
-        raise ValueError(f"rank {rank} out of range 1..{min(rows, cols)} for shape {m.shape}")
+    rank = check_rank(m.shape, (rank, rank))[0]
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-
-    spectrum = _wide_spectrum(m, vectors=True)
-    if spectrum is not None:
-        w, vecs, s = spectrum
-        order = np.argsort(w)[::-1][:rank]
-        u = vecs[:, order].copy()
-        w, s = w[order], s[order]
-        v = np.zeros((cols, rank))
-        # The Gram matrix holds the squared singular values, and its rounding
-        # floor (~eps * s_max**2) is a singular value of ~sqrt(eps) * s_max, so
-        # the relative cutoff applies to the eigenvalues, not to their roots.
-        dead = []
-        for j in range(rank):
-            if w[j] > _RANK_TOL * w[0] and w[j] > 0.0:
-                v[:, j] = m.T @ u[:, j] / s[j]
-            else:
-                dead.append(j)
-    else:
-        uu, ss, vt = np.linalg.svd(m, full_matrices=False)
-        u = uu[:, :rank].copy()
-        s = ss[:rank].copy()
-        v = vt[:rank].T.copy()
-        smax = ss[0] if ss.size else 0.0
-        dead = [j for j in range(rank) if not (s[j] > _RANK_TOL * smax and s[j] > 0.0)]
-
-    if dead:
-        s[dead] = 0.0
-        _complete_columns(u, dead)
-        _complete_columns(v, dead)
-    _fix_signs(u, v)
-    return SvdResult(u, s, v)
+    return _spectrum(m, rank)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values: from :func:`_wide_spectrum` for a matrix more
-    than 4x wider than tall (none resolved below ~1.5e-7 * s_max), else by SVD."""
-    spectrum = _wide_spectrum(m)
-    return np.linalg.svd(m, compute_uv=False) if spectrum is None else spectrum[2][::-1]
+    """Descending singular values, exactly 0 where numerically zero (see
+    :func:`_spectrum`): on the Gram path of a matrix more than 4x wider than
+    tall, every value below ~1.5e-7 * s_max."""
+    return _spectrum(m)
 
 
 def op_norm(m: np.ndarray) -> float:
@@ -227,13 +218,7 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     zero core, so the output is deterministic for every input.
     """
     t = np.asarray(t, dtype=np.float64)
-    rank = tuple(int(r) for r in np.atleast_1d(rank))
-    if len(rank) != t.ndim:
-        raise ValueError(f"rank {rank} does not match tensor order {t.ndim}")
-    size = t.size
-    for k, r in enumerate(rank):
-        if not 1 <= r <= min(t.shape[k], size // t.shape[k]):
-            raise ValueError(f"rank[{k}]={r} invalid for shape {t.shape}")
+    rank = check_rank(t.shape, rank)
     factors = tuple(thin_svd(matricize(t, k), rank[k]).u for k in range(t.ndim))
     core = multilinear_mul([u.T for u in factors], t)
     return TuckerFactors(factors, core)

@@ -14,9 +14,20 @@ from trpca.synth import SweepSpec, gen_truth, run_sweep
 from trpca.tucker import reconstruct
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_loads(text):
+    """JSON under RFC 8259, which has no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject)
+
+
 def run_cli(capsys, *argv):
     rc = main([str(a) for a in argv])
     captured = capsys.readouterr()
+    for line in (captured.out + captured.err).splitlines():
+        strict_loads(line)
     return rc, captured.out, captured.err
 
 
@@ -28,7 +39,7 @@ def synth_instance(capsys, tmp_path, n=20, rank=2, kappa=5.0, alpha=0.1, seed=0)
         "--out-prefix", prefix,
     )
     assert rc == 0
-    return prefix, json.loads(out)
+    return prefix, strict_loads(out)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +55,7 @@ def test_synth_writes_instance(capsys, tmp_path):
     assert meta["dims"] == [20, 20, 20]
     assert meta["kappa"] == pytest.approx(10.0, rel=1e-6)
     assert meta["entry_fraction"] == pytest.approx(0.1, abs=0.002)
-    on_disk = json.loads(open(f"{prefix}-meta.json").read())
+    on_disk = strict_loads(open(f"{prefix}-meta.json").read())
     assert on_disk == meta
 
 
@@ -64,7 +75,7 @@ def test_synth_then_info_round_trip(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "info", "--input", f"{prefix}-xstar.trpc",
                          "--rank", "2,2,2")
     assert rc == 0
-    info = json.loads(out)
+    info = strict_loads(out)
     assert info["kappa"] == pytest.approx(meta["kappa"], rel=1e-12)
     assert info["kappa"] == pytest.approx(6.0, rel=1e-6)
     assert info["mu"] == pytest.approx(meta["mu"], rel=1e-12)
@@ -78,7 +89,7 @@ def test_synth_unequal_dims_round_trip(capsys, tmp_path):
         "--alpha", 0.1, "--seed", 0, "--out-prefix", prefix,
     )
     assert rc == 0
-    meta = json.loads(out)
+    meta = strict_loads(out)
     assert meta["entry_fraction"] == 0.1
     assert meta["alpha_per_fiber"] == 0.1
     rc, out, _ = run_cli(
@@ -86,7 +97,7 @@ def test_synth_unequal_dims_round_trip(capsys, tmp_path):
         "--truth", f"{prefix}-xstar.trpc", "--rank", "2,2,2", "--iters", 300,
     )
     assert rc == 0
-    assert json.loads(out)["rel_fro_error"] <= 1e-6
+    assert strict_loads(out)["rel_fro_error"] <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +113,13 @@ def test_decompose_recovers_truth_and_reports(capsys, tmp_path):
         "--iters", 300, "--report", report,
     )
     assert rc == 0
-    summary = json.loads(out)
+    summary = strict_loads(out)
     assert summary["rel_fro_error"] <= 1e-6
     assert set(summary) == {
         "input", "rank", "iterations", "loss", "rel_fro_error", "inf_error",
         "seconds", "zeta0", "zeta1", "sparse_fraction",
     }
-    lines = [json.loads(l) for l in report.read_text().splitlines()]
+    lines = [strict_loads(l) for l in report.read_text().splitlines()]
     assert lines[0]["record"] == "schema"
     kinds = [l["record"] for l in lines[1:]]
     assert kinds == ["run", "diagnostics", "final"]
@@ -128,7 +139,7 @@ def test_decompose_zero_iters_is_spectral_init(capsys, tmp_path):
         "--iters", 0, "--out-lowrank", low, "--out-sparse", sparse,
     )
     assert rc == 0
-    summary = json.loads(out)
+    summary = strict_loads(out)
     assert summary["iterations"] == 0
     assert summary["rel_fro_error"] is None and summary["inf_error"] is None
     y = read_tensor(f"{prefix}-y.trpc")
@@ -186,7 +197,7 @@ def test_sweep_command_matches_library(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     rc, out, _ = run_cli(capsys, "sweep", "--spec", spec_file, "--out", out_csv)
     assert rc == 0
-    assert json.loads(out) == {"cells": 1, "out": str(out_csv)}
+    assert strict_loads(out) == {"cells": 1, "out": str(out_csv)}
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 2
     cell = run_sweep(parse_sweep_spec(spec_file))[0]
@@ -210,11 +221,23 @@ def test_usage_errors(capsys, tmp_path):
     write_tensor(y, np.ones((4, 4, 4)))
     rc, _, err = run_cli(capsys, "decompose", "--input", y, "--rank", "2,2,2",
                          "--modes", "0,2,1")
-    assert rc == 2 and json.loads(err)["error"] == "usage"
+    assert rc == 2 and strict_loads(err)["error"] == "usage"
     rc, _, err = run_cli(capsys, "decompose", "--input", y, "--rank", "9,2,2")
-    assert rc == 2 and json.loads(err)["error"] == "usage"
+    assert rc == 2 and strict_loads(err)["error"] == "usage"
     rc, _, err = run_cli(capsys, "info", "--input", y, "--rank", "2,2")
     assert rc == 2
+    # a rank that breaks the rank rule is a usage error in every command
+    for rank in ("7,2,2", "0,2,2"):
+        rc, _, err = run_cli(capsys, "info", "--input", y, "--rank", rank)
+        assert rc == 2 and strict_loads(err)["error"] == "usage"
+    matrix = tmp_path / "matrix.trpc"
+    write_tensor(matrix, np.ones((4, 4)))
+    rc, _, err = run_cli(capsys, "decompose", "--input", y, "--truth", matrix,
+                         "--rank", "2,2,2")
+    assert rc == 2 and str(matrix) in strict_loads(err)["message"]
+    rc, _, err = run_cli(capsys, "synth", "--dims", "10,10,10", "--rank", 2,
+                         "--kappa", "inf", "--out-prefix", tmp_path / "inf")
+    assert rc == 2 and strict_loads(err)["error"] == "usage"
 
 
 def test_synth_rejects_scales_that_are_not_finite_positive_numbers(capsys, tmp_path):
@@ -223,7 +246,7 @@ def test_synth_rejects_scales_that_are_not_finite_positive_numbers(capsys, tmp_p
             main(["synth", "--dims", "10,10,10", "--rank", "2", "--alpha", "0.1",
                   "--scale", scale, "--out-prefix", str(tmp_path / "inst")])
         assert exc.value.code == 2
-        payload = json.loads(capsys.readouterr().err)
+        payload = strict_loads(capsys.readouterr().err)
         assert payload["error"] == "usage" and "--scale" in payload["message"]
     assert not list(tmp_path.iterdir())
 
@@ -234,8 +257,37 @@ def test_sweep_spec_with_out_of_range_eta_writes_no_csv(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file, "--out", out_csv)
     assert rc == 3
-    assert "eta" in json.loads(err)["message"]
+    assert "eta" in strict_loads(err)["message"]
     assert not out_csv.exists()
+
+
+def test_sweep_spec_with_invalid_grid_values_writes_no_csv(capsys, tmp_path):
+    grids = {"n": "10", "r": "1", "alpha": "0.0", "kappa": "1.0"}
+    for key, value in [("r", "0"), ("kappa", "0.5"), ("kappa", "inf"), ("alpha", "1.5"),
+                       ("n", "0")]:
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text("".join(f"{k} = {v}\n" for k, v in {**grids, key: value}.items()))
+        out_csv = tmp_path / "sweep.csv"
+        rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file, "--out", out_csv)
+        assert rc == 3 and strict_loads(err)["line"] == 0, (key, value)
+        assert not out_csv.exists()
+
+
+def test_non_finite_values_are_written_as_null(capsys, tmp_path):
+    prefix = tmp_path / "inst"
+    rc, _, _ = run_cli(capsys, "synth", "--dims", "12,12,12", "--rank", 2, "--seed", 3,
+                       "--out-prefix", prefix)
+    assert rc == 0
+    rc, out, _ = run_cli(capsys, "info", "--input", f"{prefix}-xstar.trpc",
+                         "--rank", "9,2,2")
+    assert rc == 0 and strict_loads(out)["kappa"] is None
+    report = tmp_path / "run.jsonl"
+    rc, out, _ = run_cli(capsys, "decompose", "--input", f"{prefix}-y.trpc",
+                         "--rank", "2,2,2", "--iters", 2, "--zeta1", "inf",
+                         "--report", report)
+    assert rc == 0 and strict_loads(out)["zeta1"] is None
+    records = [strict_loads(line) for line in report.read_text().splitlines()]
+    assert [r["zeta1"] for r in records[1:]] == [None, None]  # run and final
 
 
 def test_zeta1_grid_is_a_usage_error(capsys, tmp_path):
@@ -254,7 +306,7 @@ def test_io_errors(capsys, tmp_path):
     bad.write_bytes(b"XXXX" + bytes(16))
     rc, _, err = run_cli(capsys, "decompose", "--input", bad, "--rank", "2,2,2")
     assert rc == 3
-    payload = json.loads(err)
+    payload = strict_loads(err)
     assert payload["error"] == "io" and payload["code"] == "bad-magic"
     rc, _, _ = run_cli(capsys, "info", "--input", tmp_path / "missing.trpc",
                        "--rank", "2,2,2")
@@ -264,19 +316,27 @@ def test_io_errors(capsys, tmp_path):
     write_tensor(zero, np.zeros((5, 5, 5)))
     rc, _, err = run_cli(capsys, "info", "--input", zero, "--rank", "2,2,2")
     assert rc == 3
+    # degenerate data is an input error, as a --truth too
+    rc, _, err = run_cli(capsys, "decompose", "--input", bad, "--truth", zero,
+                         "--rank", "2,2,2")
+    assert rc == 3
+    rc, _, err = run_cli(capsys, "decompose", "--input", zero, "--truth", zero,
+                         "--rank", "2,2,2")
+    payload = strict_loads(err)
+    assert rc == 3 and payload["error"] == "io" and payload["path"] == str(zero)
 
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text("n = 10\nwhat even is this\n")
     rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file,
                          "--out", tmp_path / "o.csv")
-    assert rc == 3 and json.loads(err)["line"] == 2
+    assert rc == 3 and strict_loads(err)["line"] == 2
 
 
 def test_solver_errors(capsys, tmp_path):
     zero = tmp_path / "zero.trpc"
     write_tensor(zero, np.zeros((6, 6, 6)))
     rc, _, err = run_cli(capsys, "decompose", "--input", zero, "--rank", "2,2,2")
-    assert rc == 4 and json.loads(err)["error"] == "solver"
+    assert rc == 4 and strict_loads(err)["error"] == "solver"
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +351,6 @@ def test_module_invocation_smoke(tmp_path):
         capture_output=True, text=True,
     )
     assert out.returncode == 0
-    meta = json.loads(out.stdout)
+    meta = strict_loads(out.stdout)
     assert meta["dims"] == [8, 8, 8]
     assert (tmp_path / "inst-y.trpc").exists()

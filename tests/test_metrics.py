@@ -78,6 +78,9 @@ def test_condition_numbers_match_construction():
     assert cond.kappa_s == pytest.approx(7.0, rel=1e-8)  # equal mode spectra
     assert cond.sigma_min == pytest.approx(1.0 / 7.0, rel=1e-8)
     assert truth.diagnostics.kappa == pytest.approx(7.0, rel=1e-6)
+    for kappa in (1e5, 1e6):  # still resolved by the Gram path's spectrum
+        truth = gen_truth((20, 20, 20), 2, kappa=kappa, alpha=0.0, seed=0)
+        assert truth.diagnostics.kappa == pytest.approx(kappa, rel=1e-4)
 
 
 def test_condition_numbers_equal_superdiagonal():
@@ -97,6 +100,13 @@ def test_condition_numbers_edge_cases():
     a = np.zeros((4, 4, 4))  # single entry: exactly rank one per mode
     a[0, 0, 0] = 2.0
     assert condition_numbers(a, (2, 2, 2)).kappa == np.inf
+    # rank one at declared rank 2: the second singular value is numerically
+    # zero on the Gram path (10^3) and on the direct SVD (4x5x6)
+    rng = np.random.default_rng(0)
+    for dims in ((10, 10, 10), (4, 5, 6)):
+        x = multilinear_mul([rng.standard_normal((n, 1)) for n in dims], np.ones((1, 1, 1)))
+        cond = condition_numbers(x, (2, 2, 2))
+        assert cond.kappa == cond.kappa_s == np.inf and cond.sigma_min == 0.0
     with pytest.raises(ValueError):
         condition_numbers(a, (2, 2))
     with pytest.raises(ValueError):

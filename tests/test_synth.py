@@ -88,6 +88,8 @@ def test_gen_truth_validation():
         gen_truth((10, 10, 10), 2, kappa=0.5, alpha=0.0, seed=0)
     with pytest.raises(ValueError):
         gen_truth((10, 10, 10), 2, kappa=2.0, alpha=1.5, seed=0)
+    with pytest.raises(ValueError, match="kappa"):  # would zero the last core entry
+        gen_truth((10, 10, 10), 2, kappa=float("inf"), alpha=0.0, seed=0)
 
 
 def test_order_four_generation():
@@ -237,3 +239,9 @@ def test_sweep_spec_validation():
     for name, value in bad:
         with pytest.raises(ValueError, match=name):
             SweepSpec(**grids, **{name: value})
+    # so is every grid value that no instance accepts, by gen_truth's rules
+    bad = [("n_grid", 0), ("rank_grid", 0), ("alpha_grid", 1.5), ("alpha_grid", -0.1),
+           ("kappa_grid", 0.5), ("kappa_grid", float("inf"))]
+    for name, value in bad:
+        with pytest.raises(ValueError):
+            SweepSpec(**{**grids, name: (value,)})

@@ -16,6 +16,7 @@ from oracles import (
 )
 from trpca.tensor_ops import (
     as_tensor,
+    check_rank,
     fro_norm,
     inf_norm,
     l1inf_norm,
@@ -156,6 +157,16 @@ def test_as_tensor_validation():
         as_tensor(np.zeros((2, 2)), min_order=3)
     out = as_tensor([[1, 2], [3, 4]])
     assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
+
+
+def test_check_rank():
+    assert check_rank((4, 5, 6), [2, 5, 3]) == (2, 5, 3)
+    assert check_rank((2, 3, 20), (2, 3, 6)) == (2, 3, 6)  # r_k <= prod(n) // n_k
+    for shape, rank in [((4, 5, 6), (2, 2)), ((4, 5, 6), (0, 2, 2)),
+                        ((4, 5, 6), (5, 2, 2)), ((2, 3, 20), (2, 3, 7)),
+                        ((0, 3, 3), (1, 1, 1))]:
+        with pytest.raises(ValueError):
+            check_rank(shape, rank)
 
 
 def test_inf_norm_values():

@@ -132,12 +132,17 @@ def test_op_norm():
     wide = rng.standard_normal((2, 40))
     assert op_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
     # op_norm reads the descending spectrum of singular_values, which takes
-    # a wide matrix through its Gram matrix and every other one through an SVD
-    for a in (m, wide, wide.T):
+    # a wide matrix through its Gram matrix and every other one through an
+    # SVD; on both paths a numerically zero value reads exactly 0
+    one = np.outer(rng.standard_normal(3), rng.standard_normal(40))
+    for a in (m, wide, wide.T, one, one.T):
         s = singular_values(a)
         assert s.shape == (min(a.shape),) and np.all(np.diff(s) <= 0)
         assert rel_diff(s, np.linalg.svd(a, compute_uv=False)) <= 1e-10
         assert op_norm(a) == s[0]
+        assert op_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    for a in (one, one.T):  # rank one: the Gram path and the direct SVD
+        assert np.all(singular_values(a)[1:] == 0.0)
 
 
 @pytest.mark.parametrize("k", [-660, 600])
