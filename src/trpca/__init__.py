@@ -9,18 +9,15 @@ from .tensor_ops import (
     as_tensor,
     fro_norm,
     inf_norm,
-    l1inf_norm,
     l2inf_norm,
     matricize,
     multilinear_mul,
-    tensorize,
 )
 from .tucker import (
     SvdResult,
     TuckerFactors,
     breve_factor,
     hosvd,
-    op_norm,
     reconstruct,
     thin_svd,
 )
@@ -44,13 +41,9 @@ from .metrics import (
     AlignmentResult,
     ConditionNumbers,
     Diagnostics,
-    ErrorReport,
-    NormBoundsReport,
     align_factors,
     condition_numbers,
-    error_report,
     incoherence,
-    sparse_norm_bounds_check,
     sparsity_fraction,
     tensor_diagnostics,
 )
@@ -80,10 +73,8 @@ __all__ = [
     "ConditionNumbers",
     "Diagnostics",
     "DivergenceError",
-    "ErrorReport",
     "GroundTruth",
     "IterationTrace",
-    "NormBoundsReport",
     "Reference",
     "SingularGramError",
     "SolveResult",
@@ -101,18 +92,15 @@ __all__ = [
     "as_tensor",
     "breve_factor",
     "condition_numbers",
-    "error_report",
     "fro_norm",
     "gen_truth",
     "hosvd",
     "incoherence",
     "inf_norm",
-    "l1inf_norm",
     "l2inf_norm",
     "make_schedule",
     "matricize",
     "multilinear_mul",
-    "op_norm",
     "parse_sweep_spec",
     "read_tensor",
     "reconstruct",
@@ -121,11 +109,9 @@ __all__ = [
     "scaled_step",
     "soft_shrink",
     "solve",
-    "sparse_norm_bounds_check",
     "sparsity_fraction",
     "spectral_init",
     "tensor_diagnostics",
-    "tensorize",
     "thin_svd",
     "write_report",
     "write_sweep_csv",

@@ -80,17 +80,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="separate a tensor file into low-rank + sparse")
     p.add_argument("--input", required=True, help="tensor container file to decompose")
     p.add_argument("--rank", required=True, type=_int_list, metavar="R1,R2,...")
-    p.add_argument("--eta", type=float, default=0.25, help="step size (default 0.25)")
+    p.add_argument("--eta", type=float, default=SolverConfig.eta,
+                   help=f"step size (default {SolverConfig.eta})")
     p.add_argument("--rho", type=_float_or_auto, default=None, metavar="F|auto",
                    help="threshold decay factor (default 1 - 0.45*eta)")
     p.add_argument("--zeta0", type=_float_or_auto, default=None, metavar="F|auto")
     p.add_argument("--zeta1", type=_float_or_auto, default=None, metavar="F|auto")
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--stop-tol", type=float, default=1e-12,
+    p.add_argument("--iters", type=int, default=SolverConfig.max_iters)
+    p.add_argument("--stop-tol", type=float, default=SolverConfig.stop_tol,
                    help="early-exit tolerance on the relative iterate change; 0 disables")
     p.add_argument("--modes", type=_int_list, default=None, metavar="1,0,...",
                    help="per-mode 0/1 mask of factors to update (default: all)")
-    p.add_argument("--alpha-estimate", type=float, default=0.1,
+    p.add_argument("--alpha-estimate", type=float, default=SolverConfig.alpha_estimate,
                    help="corruption guess for the automatic zeta0 rule")
     p.add_argument("--truth", default=None,
                    help="tensor file with the true low-rank part; enables oracle "
@@ -164,12 +165,6 @@ def _cmd_decompose(args) -> dict:
     if args.truth is not None:
         reference = Reference(*_diagnosed(args.truth, args.rank))
 
-    modes = None
-    if args.modes is not None:
-        if any(v not in (0, 1) for v in args.modes):
-            raise ValueError("--modes entries must be 0 or 1")
-        modes = tuple(bool(v) for v in args.modes)
-
     cfg = SolverConfig(
         rank=args.rank,
         eta=args.eta,
@@ -178,14 +173,13 @@ def _cmd_decompose(args) -> dict:
         zeta1=args.zeta1,
         max_iters=args.iters,
         stop_tol=args.stop_tol,
-        active_modes=modes,
+        active_modes=args.modes,
         alpha_estimate=args.alpha_estimate,
     )
     factors, sparse, trace = solve(y, cfg, reference=reference)
 
-    lowrank = reconstruct(factors)
     if args.out_lowrank:
-        fileio.write_tensor(args.out_lowrank, lowrank)
+        fileio.write_tensor(args.out_lowrank, reconstruct(factors))
     if args.out_sparse:
         fileio.write_tensor(args.out_sparse, sparse)
     if args.out_factors:
@@ -220,7 +214,7 @@ def _cmd_decompose(args) -> dict:
                 "zeta1": args.zeta1,
                 "iters": args.iters,
                 "stop_tol": args.stop_tol,
-                "modes": None if modes is None else [int(m) for m in modes],
+                "modes": None if args.modes is None else list(args.modes),
                 "truth": args.truth,
             },
             {"record": "final", **{k: v for k, v in summary.items() if k != "input"}},

@@ -1,4 +1,4 @@
-"""Diagnostics: incoherence, condition numbers, sparsity, and error measures."""
+"""Diagnostics: incoherence, condition numbers, sparsity, and factor alignment."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import (
-    check_rank, fro_norm, inf_norm, l1inf_norm, l2inf_norm, matricize, multilinear_mul,
-)
+from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
 from .rpca import GRAM_CONDITION_LIMIT, _spd_solve
-from .tucker import TuckerFactors, hosvd, op_norm, reconstruct, singular_values
+from .tucker import TuckerFactors, hosvd, singular_values
 
 _ORTHO_TOL = 1e-8
 
@@ -111,66 +109,6 @@ def sparsity_fraction(s: np.ndarray) -> float:
 
 
 @dataclass
-class NormBoundsReport:
-    """Measured norms of a sparse matrix against their sparsity bounds.
-
-    Each pair is (measured value, bound); all ratios must be <= 1 for a
-    matrix whose rows and columns are alpha-fraction sparse.
-    """
-
-    op: tuple[float, float]
-    l2inf: tuple[float, float]
-    l1inf: tuple[float, float]
-
-    @staticmethod
-    def _ratio(pair):
-        val, bound = pair
-        if bound == 0.0:
-            return 0.0 if val == 0.0 else float("inf")
-        return val / bound
-
-    @property
-    def ratios(self) -> tuple[float, float, float]:
-        return (self._ratio(self.op), self._ratio(self.l2inf), self._ratio(self.l1inf))
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r <= 1.0 + 1e-12 for r in self.ratios)
-
-
-def sparse_norm_bounds_check(m: np.ndarray, alpha: float) -> NormBoundsReport:
-    """Check the three operator-type norm bounds of an alpha-sparse matrix.
-
-    For an ``m x n`` matrix whose every row has at most ``alpha * n`` and
-    every column at most ``alpha * m`` nonzeros:
-
-        ||S||_op    <= alpha * sqrt(m * n) * ||S||_inf
-        ||S||_{2,inf} <= sqrt(alpha * n) * ||S||_inf
-        ||S||_{1,inf} <= alpha * n * ||S||_inf
-
-    Raises if the input is not alpha-fraction sparse in that sense.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    rows, cols = m.shape
-    mask = m != 0
-    tol = 1e-9
-    if mask.sum(axis=1).max(initial=0) > alpha * cols + tol:
-        raise ValueError("a row exceeds the alpha-fraction sparsity cap")
-    if mask.sum(axis=0).max(initial=0) > alpha * rows + tol:
-        raise ValueError("a column exceeds the alpha-fraction sparsity cap")
-    entry = inf_norm(m)
-    return NormBoundsReport(
-        op=(op_norm(m), alpha * np.sqrt(rows * cols) * entry),
-        l2inf=(l2inf_norm(m), np.sqrt(alpha * cols) * entry),
-        l1inf=(l1inf_norm(m), alpha * cols * entry),
-    )
-
-
-@dataclass
 class AlignmentResult:
     """Per-mode alignment matrices and the resulting scaled distance bound."""
 
@@ -226,34 +164,6 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
         total += fro_norm((u @ q - u_star) * sigmas[k][None, :]) ** 2
     total += fro_norm(multilinear_mul(inv_qs, core) - core_star) ** 2
     return AlignmentResult(q=tuple(qs), dist_upper=float(np.ldexp(np.sqrt(total), e)))
-
-
-@dataclass
-class ErrorReport:
-    """Reconstruction error of a factorization against ground truth.
-
-    ``inf_envelope_ratio`` rescales the entrywise error by
-    ``sqrt(mu^3 * prod(rank) / prod(dims)) * sigma_min``, the natural
-    entrywise scale of an incoherent low-rank tensor; along a successful
-    run it tracks the same geometric decay as the Frobenius error.
-    """
-
-    rel_fro: float
-    inf_error: float
-    inf_envelope_ratio: float
-
-
-def error_report(f: TuckerFactors, truth) -> ErrorReport:
-    """Compare a factorization with a ground-truth instance."""
-    x_star = np.asarray(truth.x_star, dtype=np.float64)
-    diff = reconstruct(f) - x_star
-    denom = fro_norm(x_star)
-    rel = fro_norm(diff) / denom if denom > 0 else fro_norm(diff)
-    err_inf = inf_norm(diff)
-    d = truth.diagnostics
-    scale = np.sqrt(d.mu ** 3 * np.prod(f.rank) / x_star.size) * d.sigma_min
-    ratio = err_inf / scale if scale > 0 else float("inf") if err_inf > 0 else 0.0
-    return ErrorReport(float(rel), float(err_inf), float(ratio))
 
 
 def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) -> Diagnostics:

@@ -108,7 +108,8 @@ class SolverConfig:
         steps while the threshold is still above the corruption scale.
     active_modes : tuple of bool or None
         Which factor matrices to update each iteration (the core and the
-        sparse part always update).  None means all modes.
+        sparse part always update), each entry 0, 1, False or True.  None
+        means all modes.
     alpha_estimate : float
         Corruption-fraction guess used by the automatic zeta0 rule.
     """
@@ -140,6 +141,8 @@ class SolverConfig:
         if not self.stop_tol >= 0.0:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if self.active_modes is not None:
+            if any(b not in (0, 1) for b in self.active_modes):
+                raise ValueError(f"active_modes entries must be 0 or 1, got {self.active_modes}")
             self.active_modes = tuple(bool(b) for b in self.active_modes)
         if not 0.0 <= self.alpha_estimate < 1.0:
             raise ValueError(f"alpha_estimate must be in [0, 1), got {self.alpha_estimate}")
@@ -278,7 +281,13 @@ def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | N
     if mu is None or sigma_min is None:
         return None
     ratio = np.prod(cfg.rank) / y.size
-    return float(8.0 * np.sqrt(mu ** 3 * ratio) * sigma_min)
+    zeta1 = float(8.0 * np.sqrt(mu ** 3 * ratio) * sigma_min)
+    if not zeta1 > 0.0:
+        raise ValueError(
+            f"the oracle zeta1 is {zeta1}, from the reference's sigma_min {sigma_min} "
+            f"and mu {mu}; pass zeta1 (--zeta1) explicitly"
+        )
+    return zeta1
 
 
 def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> ThresholdSchedule:
@@ -290,8 +299,9 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
 
     zeta1 precedence: explicit config value, then the oracle value
     ``8 * sqrt(mu^3 * prod(rank) / prod(dims)) * sigma_min`` when the
-    reference carries diagnostics, else twice the sup-norm residual of the
-    spectral initialization.  Like :func:`solve`, this runs that
+    reference carries diagnostics (a ValueError unless it is > 0, as for a
+    reference whose ``sigma_min`` reads 0), else twice the sup-norm residual
+    of the spectral initialization.  Like :func:`solve`, this runs that
     initialization on ``y`` divided by a power of two, so the schedule of
     ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
     """
@@ -301,17 +311,14 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
     return ThresholdSchedule(_ldexp(sched.zeta0, st.e), _ldexp(sched.zeta1, st.e), sched.rho)
 
 
-def spectral_init(
-    y: np.ndarray, cfg: SolverConfig, zeta0: float | None = None, reference=None
-) -> SolverState:
+def spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float) -> SolverState:
     """Initial iterate: shrink ``y`` at zeta0, then rank-truncate the rest.
 
     The sparse part is ``soft_shrink(y, zeta0)``; the factors are the
-    truncated higher-order SVD of ``y`` minus that sparse part.
+    truncated higher-order SVD of ``y`` minus that sparse part.  The
+    threshold :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
-    if zeta0 is None:
-        zeta0 = _resolve_zeta0(cfg, y, _as_reference(reference))
     s0 = soft_shrink(y, zeta0)
     f0 = hosvd(y - s0, cfg.rank)
     return SolverState(factors=f0, sparse=s0, zeta=zeta0, iteration=0)

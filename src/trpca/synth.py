@@ -225,10 +225,10 @@ class SweepSpec:
     alpha_grid: tuple[float, ...]
     kappa_grid: tuple[float, ...]
     trials: int = 3
-    eta: float = 0.25
+    eta: float = SolverConfig.eta
     rho: float | None = None
-    max_iters: int = 200
-    stop_tol: float = 1e-12
+    max_iters: int = SolverConfig.max_iters
+    stop_tol: float = SolverConfig.stop_tol
     seed: int = 0
 
     def __post_init__(self):

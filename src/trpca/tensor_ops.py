@@ -70,27 +70,11 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """Unfold tensor ``t`` along ``mode`` into an ``n_mode x prod(rest)`` matrix.
 
     Columns run over the remaining modes in ascending order, first remaining
-    mode fastest.  Inverse of :func:`tensorize`.
+    mode fastest.
     """
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
-def tensorize(m: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
-    """Fold a matricization back into a tensor of shape ``dims``.
-
-    ``m`` must have shape ``(dims[mode], prod of the other dims)``; the
-    column linearization must match :func:`matricize`.
-    """
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
-    _check_mode(len(dims), mode)
-    rest = tuple(d for i, d in enumerate(dims) if i != mode)
-    expected = (dims[mode], int(np.prod(rest)) if rest else 1)
-    if m.shape != expected:
-        raise ValueError(f"matricization has shape {m.shape}, expected {expected}")
-    return np.moveaxis(np.reshape(m, (dims[mode], *rest), order="F"), 0, mode)
 
 
 def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
@@ -200,11 +184,3 @@ def l2inf_norm(m: np.ndarray) -> float:
     if m.ndim != 2:
         raise ValueError("l2inf_norm expects a matrix")
     return _root(*_scale_safe(m, lambda w: float((w * w).sum(axis=1).max())))
-
-
-def l1inf_norm(m: np.ndarray) -> float:
-    """Largest row 1-norm of a matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError("l1inf_norm expects a matrix")
-    return float(np.abs(m).sum(axis=1).max())

@@ -22,29 +22,37 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
+def _axis_residual(basis: list[np.ndarray], axis: int, n: int) -> np.ndarray:
+    """The canonical axis ``e_axis`` of R^n, orthogonalized against ``basis``."""
+    cand = np.zeros(n)
+    cand[axis] = 1.0
+    for b in basis:
+        cand -= np.dot(b, cand) * b
+    return cand
+
+
 def _complete_columns(u: np.ndarray, cols: list[int]) -> None:
     """Fill the listed columns of ``u`` with canonical-basis completions.
 
     Walks e_0, e_1, ... in order, orthogonalizes against all current columns,
-    and accepts the first candidate with significant residual.  Deterministic,
-    so rank-deficient inputs always produce the same basis.
+    and accepts the first candidate with a residual above 0.5.  Once no axis
+    is left, each remaining column takes the axis with the largest residual
+    against the current columns, the lowest on a tie; with ``d`` directions
+    missing from R^n that residual is at least ``sqrt(d / n)``.
+    Deterministic, so rank-deficient inputs always produce the same basis.
     """
     n = u.shape[0]
     keep = [j for j in range(u.shape[1]) if j not in cols]
     basis = [u[:, j] for j in keep]
     next_axis = 0
     for j in cols:
-        while True:
-            if next_axis >= n:
-                raise np.linalg.LinAlgError("could not complete an orthonormal basis")
-            cand = np.zeros(n)
-            cand[next_axis] = 1.0
+        while next_axis < n:
+            cand = _axis_residual(basis, next_axis, n)
             next_axis += 1
-            for b in basis:
-                cand -= np.dot(b, cand) * b
-            norm = np.linalg.norm(cand)
-            if norm > 0.5:
+            if np.linalg.norm(cand) > 0.5:
                 break
+        else:
+            cand = max((_axis_residual(basis, i, n) for i in range(n)), key=np.linalg.norm)
         cand /= np.linalg.norm(cand)
         u[:, j] = cand
         basis.append(cand)
@@ -158,14 +166,6 @@ def singular_values(m: np.ndarray) -> np.ndarray:
     :func:`_spectrum`): on the Gram path of a matrix more than 4x wider than
     tall, every value below ~1.5e-7 * s_max."""
     return _spectrum(m)
-
-
-def op_norm(m: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of a matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("op_norm expects a matrix")
-    return float(singular_values(m)[0])
 
 
 @dataclass

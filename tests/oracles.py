@@ -11,13 +11,15 @@ the full 1000 randomized cases per suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from trpca.metrics import condition_numbers, sparse_norm_bounds_check
+from trpca.metrics import condition_numbers
 from trpca.rpca import SolverState, soft_shrink, spectral_init
 from trpca.synth import gen_truth
-from trpca.tensor_ops import fro_norm, inf_norm, matricize, multilinear_mul, tensorize
-from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct
+from trpca.tensor_ops import fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
+from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct, singular_values
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,24 @@ def oracle_matricize(t, mode):
             stride *= t.shape[i]
         out[idx[mode], col] = t[idx]
     return out
+
+
+def tensorize(m, dims, mode):
+    """Fold a matricization back into a tensor of shape ``dims``.
+
+    ``m`` must have shape ``(dims[mode], prod of the other dims)``; the
+    column linearization must match ``matricize``, of which this is the
+    inverse.
+    """
+    m = np.asarray(m)
+    dims = tuple(int(d) for d in dims)
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode {mode} out of range for order-{len(dims)} tensor")
+    rest = tuple(d for i, d in enumerate(dims) if i != mode)
+    expected = (dims[mode], int(np.prod(rest)) if rest else 1)
+    if m.shape != expected:
+        raise ValueError(f"matricization has shape {m.shape}, expected {expected}")
+    return np.moveaxis(np.reshape(m, (dims[mode], *rest), order="F"), 0, mode)
 
 
 def oracle_multilinear(mats, t):
@@ -117,6 +137,74 @@ def oracle_fiber_fraction(s):
         for row in fibers:
             worst = max(worst, np.count_nonzero(row) / s.shape[mode])
     return worst
+
+
+def l1inf_norm(m):
+    """Largest row 1-norm of a matrix."""
+    m = np.asarray(m)
+    if m.ndim != 2:
+        raise ValueError("l1inf_norm expects a matrix")
+    return float(np.abs(m).sum(axis=1).max())
+
+
+@dataclass
+class NormBoundsReport:
+    """Measured norms of a sparse matrix against their sparsity bounds.
+
+    Each pair is (measured value, bound); all ratios must be <= 1 for a
+    matrix whose rows and columns are alpha-fraction sparse.
+    """
+
+    op: tuple[float, float]
+    l2inf: tuple[float, float]
+    l1inf: tuple[float, float]
+
+    @staticmethod
+    def _ratio(pair):
+        val, bound = pair
+        if bound == 0.0:
+            return 0.0 if val == 0.0 else float("inf")
+        return val / bound
+
+    @property
+    def ratios(self) -> tuple[float, float, float]:
+        return (self._ratio(self.op), self._ratio(self.l2inf), self._ratio(self.l1inf))
+
+    @property
+    def all_hold(self) -> bool:
+        return all(r <= 1.0 + 1e-12 for r in self.ratios)
+
+
+def sparse_norm_bounds_check(m, alpha):
+    """Check the three operator-type norm bounds of an alpha-sparse matrix.
+
+    For an ``m x n`` matrix whose every row has at most ``alpha * n`` and
+    every column at most ``alpha * m`` nonzeros:
+
+        ||S||_op    <= alpha * sqrt(m * n) * ||S||_inf
+        ||S||_{2,inf} <= sqrt(alpha * n) * ||S||_inf
+        ||S||_{1,inf} <= alpha * n * ||S||_inf
+
+    Raises if the input is not alpha-fraction sparse in that sense.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a matrix")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    rows, cols = m.shape
+    mask = m != 0
+    tol = 1e-9
+    if mask.sum(axis=1).max(initial=0) > alpha * cols + tol:
+        raise ValueError("a row exceeds the alpha-fraction sparsity cap")
+    if mask.sum(axis=0).max(initial=0) > alpha * rows + tol:
+        raise ValueError("a column exceeds the alpha-fraction sparsity cap")
+    entry = inf_norm(m)
+    return NormBoundsReport(
+        op=(float(singular_values(m)[0]), alpha * np.sqrt(rows * cols) * entry),
+        l2inf=(l2inf_norm(m), np.sqrt(alpha * cols) * entry),
+        l1inf=(l1inf_norm(m), alpha * cols * entry),
+    )
 
 
 def descending_kron(mats, skip):

@@ -9,7 +9,7 @@ import pytest
 
 from trpca.cli import main
 from trpca.fileio import parse_sweep_spec, read_tensor, write_tensor
-from trpca.rpca import SolverConfig, solve, spectral_init
+from trpca.rpca import SolverConfig, make_schedule, solve, spectral_init
 from trpca.synth import SweepSpec, gen_truth, run_sweep
 from trpca.tucker import reconstruct
 
@@ -143,9 +143,22 @@ def test_decompose_zero_iters_is_spectral_init(capsys, tmp_path):
     assert summary["iterations"] == 0
     assert summary["rel_fro_error"] is None and summary["inf_error"] is None
     y = read_tensor(f"{prefix}-y.trpc")
-    state = spectral_init(y, SolverConfig(rank=(2, 2, 2)))
+    cfg = SolverConfig(rank=(2, 2, 2))
+    state = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
     assert np.array_equal(read_tensor(low), reconstruct(state.factors))
     assert np.array_equal(read_tensor(sparse), state.sparse)
+
+
+def test_decompose_builds_the_low_rank_tensor_only_to_write_it(capsys, tmp_path, monkeypatch):
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=8)
+
+    def forbidden(factors):
+        raise AssertionError("reconstruct called without --out-lowrank")
+
+    monkeypatch.setattr("trpca.cli.reconstruct", forbidden)
+    rc, _, _ = run_cli(capsys, "decompose", "--input", f"{prefix}-y.trpc", "--rank", "2,2,2",
+                       "--iters", 5, "--out-sparse", tmp_path / "sparse.trpc")
+    assert rc == 0
 
 
 def test_decompose_matches_library_run(capsys, tmp_path):
@@ -177,7 +190,8 @@ def test_decompose_selective_modes(capsys, tmp_path):
     )
     assert rc == 0
     y = read_tensor(f"{prefix}-y.trpc")
-    init = spectral_init(y, SolverConfig(rank=(2, 2, 2)))
+    cfg = SolverConfig(rank=(2, 2, 2))
+    init = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
     frozen = read_tensor(f"{fac}-factor1.trpc")
     assert np.array_equal(frozen, init.factors.factors[1])
     assert not np.array_equal(read_tensor(f"{fac}-factor0.trpc"),
@@ -238,6 +252,18 @@ def test_usage_errors(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "synth", "--dims", "10,10,10", "--rank", 2,
                          "--kappa", "inf", "--out-prefix", tmp_path / "inf")
     assert rc == 2 and strict_loads(err)["error"] == "usage"
+    # a truth whose sigma_min reads 0 gives no oracle zeta1
+    flat = tmp_path / "flat"
+    rc, _, _ = run_cli(capsys, "synth", "--dims", "20,20,20", "--rank", 2, "--kappa", "1e7",
+                       "--alpha", "0.1", "--out-prefix", flat)
+    assert rc == 0
+    argv = ("decompose", "--input", f"{flat}-y.trpc", "--truth", f"{flat}-xstar.trpc",
+            "--rank", "2,2,2", "--iters", 2)
+    rc, _, err = run_cli(capsys, *argv)
+    payload = strict_loads(err)
+    assert rc == 2 and payload["error"] == "usage"
+    assert "sigma_min" in payload["message"] and "--zeta1" in payload["message"]
+    assert run_cli(capsys, *argv, "--zeta1", "0.1")[0] == 0
 
 
 def test_synth_rejects_scales_that_are_not_finite_positive_numbers(capsys, tmp_path):

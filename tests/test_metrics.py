@@ -1,6 +1,4 @@
-"""Incoherence, condition numbers, sparsity measures, alignment, error reports."""
-
-import types
+"""Incoherence, condition numbers, sparsity measures, norm bounds and alignment."""
 
 import numpy as np
 import pytest
@@ -9,6 +7,7 @@ from oracles import (
     oracle_fiber_fraction,
     random_tucker,
     rel_diff,
+    sparse_norm_bounds_check,
     suite_condition_ordering,
     suite_sparse_norm_bounds,
     suite_x_star_inf_bound,
@@ -16,9 +15,7 @@ from oracles import (
 from trpca.metrics import (
     align_factors,
     condition_numbers,
-    error_report,
     incoherence,
-    sparse_norm_bounds_check,
     sparsity_fraction,
     tensor_diagnostics,
 )
@@ -305,40 +302,7 @@ def test_align_scales_across_the_float_range():
 
 
 # ---------------------------------------------------------------------------
-# error reports
-
-
-def test_error_report_exact_reconstruction():
-    truth = gen_truth((10, 10, 10), 2, kappa=4.0, alpha=0.1, seed=19)
-    report = error_report(truth.factors, truth)
-    assert (report.rel_fro, report.inf_error, report.inf_envelope_ratio) == (0.0, 0.0, 0.0)
-
-
-def test_error_report_single_entry_offset():
-    x = np.random.default_rng(20).standard_normal((3, 3, 3))
-    diag = types.SimpleNamespace(mu=2.0, sigma_min=0.5)
-    truth = types.SimpleNamespace(x_star=x, diagnostics=diag)
-    bumped = x.copy()
-    bumped[0, 0, 0] += 0.25
-    f = TuckerFactors([np.eye(3)] * 3, bumped)
-    report = error_report(f, truth)
-    assert report.rel_fro == pytest.approx(0.25 / fro_norm(x), rel=1e-12)
-    assert report.inf_error == pytest.approx(0.25, rel=1e-12)
-    scale = np.sqrt(2.0**3 * 27 / 27) * 0.5
-    assert report.inf_envelope_ratio == pytest.approx(0.25 / scale, rel=1e-12)
-
-
-def test_error_report_rel_fro_is_scale_free():
-    # at 2**-660 the squared entries underflow to 0, at 2**600 they overflow
-    truth = gen_truth((12, 12, 12), 2, kappa=3.0, alpha=0.0, seed=24)
-    f = truth.factors
-    rels = []
-    for c in (1.0, 2.0**-660, 2.0**600):
-        doubled = TuckerFactors(f.factors, 2.0 * c * f.core)
-        scaled = types.SimpleNamespace(x_star=c * truth.x_star, diagnostics=truth.diagnostics)
-        rels.append(error_report(doubled, scaled).rel_fro)
-    assert rels[0] == pytest.approx(1.0, rel=1e-12)
-    assert rels[1] == rels[0] and rels[2] == rels[0]
+# the entrywise bound of x_star
 
 
 def test_x_star_entry_bound():

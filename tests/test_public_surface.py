@@ -29,8 +29,18 @@ def test_tracer_plan_resolves(monkeypatch):
     tracer.Tracer()
 
 
+# Names only tests used; their oracles live in tests/oracles.py, or they are gone.
+TEST_ONLY = ("tensorize", "l1inf_norm", "op_norm", "sparse_norm_bounds_check",
+             "NormBoundsReport", "error_report", "ErrorReport")
+
+
 def test_all_resolves_and_holds_only_the_used_surface():
     for name in trpca.__all__:
         assert hasattr(trpca, name), name
-    for gone in ("solve_orderN", "update_sparse", "kron", "inner", "as_matrix"):
+    for gone in ("solve_orderN", "update_sparse", "kron", "inner", "as_matrix", *TEST_ONLY):
         assert gone not in trpca.__all__
+    modules = [importlib.import_module(f"trpca.{p.stem}")
+               for p in Path(trpca.__file__).parent.glob("*.py") if p.stem != "__main__"]
+    for module in (trpca, *modules):
+        for name in TEST_ONLY:
+            assert not hasattr(module, name), (module.__name__, name)

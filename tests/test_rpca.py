@@ -96,6 +96,10 @@ def test_config_validation():
     assert cfg.modes_mask(3) == (True, False, True)
     with pytest.raises(ValueError):
         cfg.modes_mask(4)
+    assert SolverConfig(rank=(2, 2, 2), active_modes=(1, 0, 1)).active_modes == (True, False, True)
+    for modes in ((1, 2, 0), (True, "no", True), (1, None, 1)):
+        with pytest.raises(ValueError, match="active_modes"):
+            SolverConfig(rank=(2, 2, 2), active_modes=modes)
 
 
 def test_make_schedule_explicit_passthrough():
@@ -113,6 +117,16 @@ def test_make_schedule_oracle_zeta1():
     ref = 8.0 * np.sqrt(d.mu**3 * 8 / 15**3) * d.sigma_min
     assert sched.zeta1 == pytest.approx(ref, rel=1e-9)
     assert sched.zeta0 == inf_norm(truth.x_star)
+    # a truth whose sigma_min reads 0 would give zeta1 = 0, a schedule under
+    # which every step vanishes: both entry points reject it
+    flat = gen_truth((20, 20, 20), 2, kappa=1e7, alpha=0.1, seed=0)
+    assert flat.diagnostics.sigma_min == 0.0
+    with pytest.raises(ValueError, match="sigma_min.*--zeta1"):
+        make_schedule(cfg, flat.y, reference=flat)
+    with pytest.raises(ValueError, match="sigma_min.*--zeta1"):
+        solve(flat.y, cfg, reference=flat)
+    explicit = SolverConfig(rank=(2, 2, 2), zeta1=0.1)
+    assert make_schedule(explicit, flat.y, reference=flat).zeta1 == 0.1
 
 
 def test_make_schedule_is_scale_exact_and_matches_solve():
@@ -173,7 +187,7 @@ def test_spectral_init_sparse_only():
 def test_spectral_init_error_level_regression():
     truth = gen_truth((30, 30, 30), 2, kappa=5.0, alpha=0.05, seed=6)
     cfg = SolverConfig(rank=(2, 2, 2))
-    state = spectral_init(truth.y, cfg, reference=truth)
+    state = spectral_init(truth.y, cfg, make_schedule(cfg, truth.y, truth).zeta0)
     rel = rel_diff(reconstruct(state.factors), truth.x_star)
     assert rel < 0.5
 
@@ -319,7 +333,8 @@ def test_solve_zero_iters_equals_init():
     truth = gen_truth((10, 10, 10), 2, kappa=3.0, alpha=0.1, seed=14)
     cfg = SolverConfig(rank=(2, 2, 2), max_iters=0)
     result = solve(truth.y, cfg, reference=truth)
-    state = spectral_init(truth.y, SolverConfig(rank=(2, 2, 2)), reference=truth)
+    cfg0 = SolverConfig(rank=(2, 2, 2))
+    state = spectral_init(truth.y, cfg0, make_schedule(cfg0, truth.y, truth).zeta0)
     assert np.array_equal(result.sparse, state.sparse)
     assert np.array_equal(reconstruct(result.factors), reconstruct(state.factors))
     assert len(result.trace) == 1 and result.trace.final.iteration == 0
@@ -406,7 +421,7 @@ def test_solve_selective_modes():
     frozen = SolverConfig(rank=(2, 2, 2), max_iters=25,
                           active_modes=(False, True, True))
     rc = solve(truth.y, frozen, reference=truth)
-    init = spectral_init(truth.y, base, reference=truth)
+    init = spectral_init(truth.y, base, make_schedule(base, truth.y, truth).zeta0)
     assert np.array_equal(rc.factors.factors[0], init.factors.factors[0])
     assert not np.array_equal(rc.factors.factors[1], init.factors.factors[1])
 

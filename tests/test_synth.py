@@ -212,6 +212,10 @@ def test_sweep_counts_infeasible_cells_as_failures():
     assert cell.failures == 3
     assert np.isnan(cell.median_rel_error)
     assert np.isnan(cell.median_iterations)
+    # an instance whose sigma_min reads 0 has no oracle schedule
+    spec = SweepSpec(n_grid=(20,), rank_grid=(2,), alpha_grid=(0.1,),
+                     kappa_grid=(1e7,), trials=1, max_iters=30)
+    assert run_sweep(spec)[0].failures == 1
 
 
 def test_sweep_cell_matches_direct_run():

@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     descending_kron,
     inner,
+    l1inf_norm,
     oracle_kron,
     oracle_matricize,
     oracle_multilinear_loops,
@@ -13,17 +14,16 @@ from oracles import (
     suite_inner_adjoint,
     suite_matricization_identities,
     suite_multilinear_composition,
+    tensorize,
 )
 from trpca.tensor_ops import (
     as_tensor,
     check_rank,
     fro_norm,
     inf_norm,
-    l1inf_norm,
     l2inf_norm,
     matricize,
     multilinear_mul,
-    tensorize,
 )
 
 

@@ -16,7 +16,6 @@ from trpca.tucker import (
     TuckerFactors,
     breve_factor,
     hosvd,
-    op_norm,
     reconstruct,
     singular_values,
     thin_svd,
@@ -91,6 +90,19 @@ def test_thin_svd_rank_deficient_padding_deterministic():
     assert s[0] == pytest.approx(1.0) and s[1] == 0.0 and s[2] == 0.0
     np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
+    # a rank-7 8-row matrix whose missing left direction has no entry above
+    # 0.5 in magnitude, so no canonical axis keeps a residual above 0.5; on
+    # the Gram path (46 columns) and the direct SVD (20)
+    for seed in (46, 112, 141, 142, 164):
+        for cols in (46, 20):
+            rng = np.random.default_rng(seed)
+            m = rng.standard_normal((8, 7)) @ rng.standard_normal((7, cols))
+            u, s, v = thin_svd(m, 8)
+            assert s[7] == 0.0
+            np.testing.assert_allclose(u.T @ u, np.eye(8), atol=1e-12)
+            np.testing.assert_allclose(v.T @ v, np.eye(8), atol=1e-12)
+            again = thin_svd(m, 8)
+            assert all(np.array_equal(a, b) for a, b in zip((u, s, v), again))
 
 
 def test_thin_svd_wide_path_matches_tall_on_rank_deficient_inputs():
@@ -126,21 +138,21 @@ def test_thin_svd_validation():
 
 
 def test_op_norm():
+    # the operator norm is the first entry of the descending spectrum of
+    # singular_values, which takes a wide matrix through its Gram matrix and
+    # every other one through an SVD; on both paths a numerically zero value
+    # reads exactly 0
     rng = np.random.default_rng(4)
     m = rng.standard_normal((5, 6))
-    assert op_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    assert singular_values(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
     wide = rng.standard_normal((2, 40))
-    assert op_norm(wide) == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
-    # op_norm reads the descending spectrum of singular_values, which takes
-    # a wide matrix through its Gram matrix and every other one through an
-    # SVD; on both paths a numerically zero value reads exactly 0
+    assert singular_values(wide)[0] == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
     one = np.outer(rng.standard_normal(3), rng.standard_normal(40))
     for a in (m, wide, wide.T, one, one.T):
         s = singular_values(a)
         assert s.shape == (min(a.shape),) and np.all(np.diff(s) <= 0)
         assert rel_diff(s, np.linalg.svd(a, compute_uv=False)) <= 1e-10
-        assert op_norm(a) == s[0]
-        assert op_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+        assert s[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     for a in (one, one.T):  # rank one: the Gram path and the direct SVD
         assert np.all(singular_values(a)[1:] == 0.0)
 
@@ -157,7 +169,8 @@ def test_spectra_scale_across_the_float_range(k):
     assert rel_diff(scaled.u, base.u) <= 1e-12
     assert rel_diff(scaled.v, base.v) <= 1e-12
     for a in (m, m.T):  # wide and tall
-        assert abs(op_norm(c * a) - c * op_norm(a)) <= 1e-12 * c * op_norm(a)
+        top, scaled_top = singular_values(a)[0], singular_values(c * a)[0]
+        assert abs(scaled_top - c * top) <= 1e-12 * c * top
     f, g = hosvd(y, (2, 2, 2)), hosvd(c * y, (2, 2, 2))
     for a, b in zip(g.factors, f.factors):
         assert rel_diff(a, b) <= 1e-12
@@ -251,7 +264,7 @@ def test_best_rank_r_matricization_residual():
         u = f.factors[k]
         resid = (np.eye(m.shape[0]) - u @ u.T) @ m
         s = np.linalg.svd(m, compute_uv=False)
-        assert op_norm(resid) == pytest.approx(s[r], abs=1e-9)
+        assert singular_values(resid)[0] == pytest.approx(s[r], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
