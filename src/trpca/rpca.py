@@ -29,7 +29,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _sumsq, as_tensor, check_rank, inf_norm, multilinear_mul
+from .tensor_ops import (
+    _mode_inner,
+    _mode_product,
+    _sumsq,
+    as_tensor,
+    check_rank,
+    inf_norm,
+    multilinear_mul,
+)
 from .tucker import TuckerFactors, hosvd, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
@@ -333,23 +341,22 @@ def _spd_solve(gram: np.ndarray, rhs: np.ndarray, mode: int, which: str) -> np.n
     return np.linalg.solve(gram, rhs)
 
 
-def _mode_dot(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` product of ``t`` with ``u.T`` (that mode shrinks to ``u.shape[1]``)."""
-    return np.moveaxis(np.tensordot(t, u, axes=(mode, 0)), -1, mode)
-
-
 def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
     """``unfold(t x_{j>=first, j!=k} mats_j.T, k) @ unfold(core, k).T`` for each ``k >= first``,
-    and ``t x_{j>=first} mats_j.T``; ``prefix`` shares the products before each ``k``."""
+    and ``t x_{j>=first} mats_j.T``; ``prefix`` shares the products before each ``k``.
+
+    Each mode product is one :func:`~trpca.tensor_ops._mode_product` and each
+    final contraction one :func:`~trpca.tensor_ops._mode_inner`, so every
+    intermediate stays C-contiguous and is read without a copy.
+    """
     order = core.ndim
     out, prefix = [], t
     for k in range(first, order):
         part = prefix
         for j in range(k + 1, order):
-            part = _mode_dot(part, mats[j], j)
-        others = [j for j in range(order) if j != k]
-        out.append(np.tensordot(part, core, axes=(others, others)))
-        prefix = _mode_dot(prefix, mats[k], k)
+            part = _mode_product(part, mats[j].T, j)
+        out.append(_mode_inner(part, core, k))
+        prefix = _mode_product(prefix, mats[k].T, k)
     return out, prefix
 
 
@@ -364,9 +371,8 @@ def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray, cfg) -> TuckerFa
     cograms, _ = _contractions(core, grams, core, 0)
     rhs, grad = _contractions(head, us, core, 1)  # grad = c x_all U_j.T
     for j in range(1, f.order - 1):  # R_0 from c x_{j!=0} U_j.T, from the last mode down
-        tail = _mode_dot(tail, us[j], j)
-    others = list(range(1, f.order))
-    rhs.insert(0, np.tensordot(tail, core, axes=(others, others)))
+        tail = _mode_product(tail, us[j].T, j)
+    rhs.insert(0, _mode_inner(tail, core, 0))
     mask = cfg.modes_mask(f.order)
     new_factors = tuple(
         u + eta * _spd_solve(cograms[k], rhs[k].T, k, "co-factor").T if mask[k] else u
@@ -399,20 +405,23 @@ def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> Tuc
     r-space without forming ``B_k``: ``c`` is read by two contractions only,
     ``c x_0 U_0.T`` and ``c x_{N-1} U_{N-1}.T``, both always formed, and
     every ``R_k`` and the core gradient come from small partial contractions
-    built on those two.  Each Gram is checked for singularity where it is
-    solved, so a frozen mode's ``C_k`` is never checked; the active modes'
-    ``C_k`` are checked first, then the ``M_j``, and a singular one raises
-    :class:`SingularGramError`.  All updates read the pre-step factors, so
-    the order of modes is irrelevant.  :func:`solve` takes the same step
-    without this function: it accumulates both contractions of ``c`` slab by
-    slab, in the pass that forms the residual.
+    built on those two.  Every contraction, of ``c`` and in r-space, is a
+    :func:`~trpca.tensor_ops._mode_product` or, for ``R_k`` and ``C_k``
+    themselves, a :func:`~trpca.tensor_ops._mode_inner`: one matrix product
+    each on a reshaped C-ordered view.  Each Gram is checked for singularity
+    where it is solved, so a frozen mode's ``C_k`` is never checked; the
+    active modes' ``C_k`` are checked first, then the ``M_j``, and a singular
+    one raises :class:`SingularGramError`.  All updates read the pre-step
+    factors, so the order of modes is irrelevant.  :func:`solve` takes the
+    same step without this function: it accumulates both contractions of
+    ``c`` slab by slab, in the pass that forms the residual.
     """
     c = np.asarray(c, dtype=np.float64)
     us = factors.factors
     if c.shape != factors.outer_dims:
         raise ValueError(f"residual has shape {c.shape}, factors expand to {factors.outer_dims}")
-    head = np.tensordot(us[0], c, axes=(0, 0))
-    tail = np.tensordot(c, us[-1], axes=(c.ndim - 1, 0))
+    head = _mode_product(c, us[0].T, 0)
+    tail = _mode_product(c, us[-1].T, c.ndim - 1)
     return _step(factors, head, tail, cfg)
 
 

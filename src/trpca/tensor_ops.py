@@ -10,6 +10,14 @@ product satisfies
 
 i.e. the Kronecker factors appear in descending mode order with mode ``k``
 skipped.  All routines in this module rely on that identity.
+
+Every mode product goes through one routine, :func:`_mode_product`, and every
+contraction over all modes but one through its partner :func:`_mode_inner`.
+Both read a C-contiguous tensor as ``(prod(dims before k), n_k, prod(dims
+after k))`` without copying it, so each is one matrix product, and the mode
+product's result is C-contiguous again: a chain of them, such as
+:func:`multilinear_mul`, never copies a strided view.  A tensor in any other
+layout gives the same result, after one copy.
 """
 
 from __future__ import annotations
@@ -77,12 +85,52 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
 
 
+def _mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
+    """The mode product ``t x_mode a``: mode ``mode`` of ``t`` is multiplied by
+    ``a``, which has ``t.shape[mode]`` columns, and grows to ``a.shape[0]``.
+
+    ``t`` is read as ``(prod(dims before mode), n_mode, prod(dims after
+    mode))``, a view when it is C-contiguous (else a copy).  Mode 0 and the
+    last mode are one 2-D ``@``, any other mode one ``np.matmul`` broadcast
+    over the leading dims; the result is C-contiguous either way.
+    """
+    shape = t.shape
+    n = shape[mode]
+    if mode == t.ndim - 1:
+        out = t.reshape(-1, n) @ a.T
+    elif mode == 0:
+        out = a @ t.reshape(n, -1)
+    else:
+        out = np.matmul(a, t.reshape(math.prod(shape[:mode]), n, -1))
+    return out.reshape(shape[:mode] + (a.shape[0],) + shape[mode + 1:])
+
+
+def _mode_inner(p: np.ndarray, q: np.ndarray, mode: int) -> np.ndarray:
+    """``matricize(p, mode) @ matricize(q, mode).T``, for tensors whose other dims agree.
+
+    The partner of :func:`_mode_product`, with the same ``(before, n_mode,
+    after)`` reading of both tensors: mode 0 and the last mode are one 2-D
+    ``@``, any other mode one broadcast ``np.matmul`` summed over the leading
+    dims.
+    """
+    n, m = p.shape[mode], q.shape[mode]
+    if mode == p.ndim - 1:
+        return p.reshape(-1, n).T @ q.reshape(-1, m)
+    if mode == 0:
+        return p.reshape(n, -1) @ q.reshape(m, -1).T
+    lead = math.prod(p.shape[:mode])
+    q3 = q.reshape(lead, m, -1)
+    return np.matmul(p.reshape(lead, n, -1), q3.transpose(0, 2, 1)).sum(axis=0)
+
+
 def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
     """Multilinear (Tucker) product ``(B1, ..., BN) . t``.
 
     ``mats[k]`` multiplies mode ``k``; a ``None`` entry leaves that mode
     untouched (an identity factor without materializing it).  Each ``mats[k]``
-    must have ``t.shape[k]`` columns.
+    must have ``t.shape[k]`` columns.  The modes are applied in ascending
+    order, each by :func:`_mode_product`, so unless every entry is None the
+    result is C-contiguous.
     """
     t = np.asarray(t)
     if len(mats) != t.ndim:
@@ -97,13 +145,7 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
                 f"factor for mode {mode} has shape {b.shape}, "
                 f"needs {out.shape[mode]} columns"
             )
-        if mode == t.ndim - 1:
-            # With the tensor first, the new axis lands last, where it
-            # belongs: a full expansion such as a reconstruction comes out
-            # C-contiguous instead of as a transposed view.
-            out = np.tensordot(out, b, axes=(mode, 1))
-        else:
-            out = np.moveaxis(np.tensordot(b, out, axes=(1, mode)), 0, mode)
+        out = _mode_product(out, b, mode)
     return out
 
 

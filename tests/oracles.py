@@ -81,19 +81,22 @@ def oracle_multilinear(mats, t):
 
 
 def oracle_multilinear_loops(mats, t):
-    """The naive nested-sum definition, for tiny order-3 cases only."""
+    """The naive nested-sum definition, for tiny cases of any order only:
+    ``out[i] = sum_p mats[0][i_0, p_0] * ... * mats[N-1][i_{N-1}, p_{N-1}] * t[p]``
+    over every multi-index ``p`` of ``t``; a ``None`` entry is the identity."""
     t = np.asarray(t)
-    a, b, c = (np.asarray(m) for m in mats)
-    out = np.zeros((a.shape[0], b.shape[0], c.shape[0]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            for k in range(c.shape[0]):
-                acc = 0.0
-                for p in range(t.shape[0]):
-                    for q in range(t.shape[1]):
-                        for s in range(t.shape[2]):
-                            acc += a[i, p] * b[j, q] * c[k, s] * t[p, q, s]
-                out[i, j, k] = acc
+    mats = [
+        np.eye(t.shape[k]) if m is None else np.asarray(m) for k, m in enumerate(mats)
+    ]
+    out = np.zeros(tuple(m.shape[0] for m in mats))
+    for i in np.ndindex(out.shape):
+        acc = 0.0
+        for p in np.ndindex(t.shape):
+            term = t[p]
+            for m, a, b in zip(mats, i, p):
+                term *= m[a, b]
+            acc += term
+        out[i] = acc
     return out
 
 

@@ -610,6 +610,35 @@ def test_solve_expands_each_iterate_once_through_the_module_binding(monkeypatch)
     assert iterations[0] == 25 and iterations[1] < 300 and iterations[2] == 0
 
 
+def test_solve_and_scaled_step_make_no_tensordot_call(monkeypatch):
+    # every mode product and contraction of the loop is a reshape and a matmul
+    rng = np.random.default_rng(25)
+    dims, rank = (4, 6, 5, 3), (2, 3, 2, 2)  # a case of test_scaled_step_matches_breve_oracle
+    f = random_tucker(rng, dims, rank)
+    y = rng.standard_normal(dims)
+    s_next = soft_shrink(rng.standard_normal(dims), 1.0)
+    c = y - reconstruct(f) - s_next
+    want_step = oracle_scaled_step(f, y, s_next, 0.2, (True,) * 4)
+    runs = []
+    for dims in ((12, 12, 12), (6, 6, 6, 6)):
+        truth = gen_truth(dims, 2, kappa=3.0, alpha=1 / 6, seed=len(dims))
+        cfg = SolverConfig(rank=(2,) * len(dims), max_iters=30)
+        runs.append((truth, cfg, solve(truth.y, cfg, reference=truth)))
+
+    def tensordot(*args, **kwargs):
+        raise AssertionError("np.tensordot called")
+
+    monkeypatch.setattr(np, "tensordot", tensordot)
+    got = scaled_step(f, c, SolverConfig(rank=rank, eta=0.2))
+    for u, a, b in zip(f.factors, got.factors, want_step.factors):
+        assert rel_diff(u - a, u - b) <= 1e-12
+    assert rel_diff(f.core - got.core, f.core - want_step.core) <= 1e-12
+    for truth, cfg, want in runs:
+        result = solve(truth.y, cfg, reference=truth)
+        assert np.array_equal(result.sparse, want.sparse)
+        assert np.array_equal(result.factors.core, want.factors.core)
+
+
 def test_solve_tiny_input_recovers_truth():
     # 1e-200 * y squares to below the float range inside every Gram matrix
     truth = gen_truth((30, 30, 30), 2, kappa=5.0, alpha=0.1, seed=27)

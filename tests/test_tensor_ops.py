@@ -17,6 +17,8 @@ from oracles import (
     tensorize,
 )
 from trpca.tensor_ops import (
+    _mode_inner,
+    _mode_product,
     as_tensor,
     check_rank,
     fro_norm,
@@ -100,6 +102,55 @@ def test_multilinear_matches_naive_sum():
     np.testing.assert_allclose(
         multilinear_mul(mats, g), oracle_multilinear_loops(mats, g), rtol=1e-12
     )
+
+
+# Orders 3-5 with size-1 dims (rank-1 factors in the expanding direction)
+# and factors with one row (in the contracting direction).
+_MODE_CASES = [
+    ((3, 2, 4), (2, 3, 1)),
+    ((2, 3, 1, 2), (3, 1, 2, 2)),
+    ((2, 1, 3, 2, 2), (1, 2, 2, 3, 1)),
+]
+
+
+def _layouts(t):
+    """``t`` in C order, as a view with permuted axes (neither C- nor
+    F-contiguous) and in Fortran order, all with the values of ``t``."""
+    permuted = np.moveaxis(np.ascontiguousarray(np.moveaxis(t, 0, -1)), -1, 0)
+    assert not (permuted.flags.c_contiguous or permuted.flags.f_contiguous)
+    return [t, permuted, np.asfortranarray(t)]
+
+
+@pytest.mark.parametrize("dims, rows", _MODE_CASES)
+def test_mode_product_matches_nested_sums(dims, rows):
+    rng = np.random.default_rng(len(dims))
+    t = rng.standard_normal(dims)
+    for k, m in enumerate(rows):
+        a = rng.standard_normal((m, dims[k]))
+        want = oracle_multilinear_loops([a if j == k else None for j in range(t.ndim)], t)
+        q = rng.standard_normal(dims[:k] + (m,) + dims[k + 1:])
+        want_inner = oracle_matricize(t, k) @ oracle_matricize(q, k).T
+        for view in _layouts(t):
+            got = _mode_product(view, a, k)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert rel_diff(got, want) <= 1e-12
+            assert rel_diff(_mode_inner(view, q, k), want_inner) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, rows", _MODE_CASES)
+def test_multilinear_mul_matches_nested_sums_with_none_slots(dims, rows):
+    rng = np.random.default_rng(10 + len(dims))
+    t = rng.standard_normal(dims)
+    full = [rng.standard_normal((m, n)) for m, n in zip(rows, dims)]
+    order = len(dims)
+    for keep in ([True] * order, [k % 2 == 0 for k in range(order)],
+                 [k % 2 == 1 for k in range(order)], [k == order - 1 for k in range(order)]):
+        mats = [a if kept else None for a, kept in zip(full, keep)]
+        want = oracle_multilinear_loops(mats, t)
+        for view in _layouts(t):
+            got = multilinear_mul(mats, view)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert rel_diff(got, want) <= 1e-12
 
 
 def test_multilinear_identity_placeholder():

@@ -254,6 +254,20 @@ def test_reconstruct_1x1x1():
     assert reconstruct(f)[0, 0, 0] == 120.0
 
 
+@pytest.mark.parametrize("dims, rank", [
+    ((5, 4, 3), (2, 3, 1)),
+    ((4, 3, 5, 2), (2, 2, 3, 1)),
+    ((3, 4, 2, 3, 2), (2, 1, 2, 2, 2)),
+])
+def test_reconstruct_is_c_contiguous(dims, rank):
+    # the solver slices the expansion into mode-0 slabs and turns each one
+    # into the residual in place, which copies nothing only in C order
+    f = random_tucker(np.random.default_rng(len(dims)), dims, rank)
+    for core in (f.core, np.asfortranarray(f.core)):
+        x = reconstruct(TuckerFactors(f.factors, core))
+        assert x.shape == dims and x.flags.c_contiguous
+
+
 def test_best_rank_r_matricization_residual():
     # ||(I - U U^T) M_k(t)||_op equals sigma_{r_k+1}(M_k(t))
     rng = np.random.default_rng(9)
