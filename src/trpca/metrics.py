@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
-from .rpca import GRAM_CONDITION_LIMIT, _spd_solve
+from .rpca import GRAM_CONDITION_LIMIT, _spd_inverses
 from .tucker import TuckerFactors, hosvd, singular_values
 
 _ORTHO_TOL = 1e-8
@@ -155,8 +155,10 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
 
     qs, inv_qs = [], []
     total = 0.0
-    for k, (u, u_star) in enumerate(zip(f.factors, f_star.factors)):
-        q = _spd_solve(u.T @ u, u.T @ u_star, k, "factor")
+    inv_grams = _spd_inverses([u.T @ u for u in f.factors],
+                              [(k, "factor") for k in range(f.order)])
+    for k, (u, u_star, inv_gram) in enumerate(zip(f.factors, f_star.factors, inv_grams)):
+        q = inv_gram @ (u.T @ u_star)
         if np.linalg.cond(q) > GRAM_CONDITION_LIMIT:
             raise ValueError(f"alignment matrix for mode {k} is numerically singular")
         qs.append(q)

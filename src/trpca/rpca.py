@@ -279,7 +279,8 @@ def _resolve_zeta0(cfg: SolverConfig, y: np.ndarray, ref: Reference | None) -> f
         return inf_norm(ref.x_star)
     if cfg.alpha_estimate == 0.0:
         return inf_norm(y)
-    return float(np.quantile(np.abs(y), 1.0 - cfg.alpha_estimate))
+    # one |y| buffer, partitioned in place: the same value as np.quantile(np.abs(y), q)
+    return float(np.quantile(np.abs(y), 1.0 - cfg.alpha_estimate, overwrite_input=True))
 
 
 def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | None:
@@ -332,22 +333,46 @@ def spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float) -> SolverState
     return SolverState(factors=f0, sparse=s0, zeta=zeta0, iteration=0)
 
 
-def _spd_solve(gram: np.ndarray, rhs: np.ndarray, mode: int, which: str) -> np.ndarray:
-    """``inv(gram) @ rhs`` for a Gram matrix, or raise if it is numerically singular."""
-    w = np.linalg.eigvalsh(gram)
-    if w[-1] <= 0.0 or w[0] <= 0.0 or w[-1] / w[0] > GRAM_CONDITION_LIMIT:
-        cond = np.inf if w[0] <= 0.0 else w[-1] / w[0]
-        raise SingularGramError(mode, cond, which)
-    return np.linalg.solve(gram, rhs)
+def _spd_inverses(grams, labels) -> list[np.ndarray]:
+    """``inv(g)`` for each Gram matrix ``g`` of ``grams``, or raise if one is numerically singular.
+
+    ``labels[i]`` is the ``(mode, which)`` of ``grams[i]``.  The first Gram in
+    list order whose condition estimate ``w_max / w_min`` (inf unless
+    ``w_min > 0``) exceeds :data:`GRAM_CONDITION_LIMIT` raises
+    :class:`SingularGramError` with its label.  Grams of one size are stacked,
+    so each distinct size takes one ``eigvalsh`` and one ``inv``: on r x r
+    matrices a linalg call costs its overhead, not its flops.
+    """
+    by_size: dict[int, list[int]] = {}
+    for i, g in enumerate(grams):
+        by_size.setdefault(len(g), []).append(i)
+    stacks = [(idx, np.array([grams[i] for i in idx])) for idx in by_size.values()]
+    first = None
+    for idx, stack in stacks:
+        w = np.linalg.eigvalsh(stack)
+        for i, (lo, hi) in zip(idx, w[:, [0, -1]].tolist()):
+            if hi <= 0.0 or lo <= 0.0 or hi / lo > GRAM_CONDITION_LIMIT:
+                if first is None or i < first[0]:
+                    first = i, math.inf if lo <= 0.0 else hi / lo
+                break
+    if first is not None:
+        mode, which = labels[first[0]]
+        raise SingularGramError(mode, first[1], which)
+    inverses = [None] * len(grams)
+    for idx, stack in stacks:
+        for i, m in zip(idx, np.linalg.inv(stack)):
+            inverses[i] = m
+    return inverses
 
 
 def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
     """``unfold(t x_{j>=first, j!=k} mats_j.T, k) @ unfold(core, k).T`` for each ``k >= first``,
-    and ``t x_{j>=first} mats_j.T``; ``prefix`` shares the products before each ``k``.
+    and ``t x_{first<=j<N-1} mats_j.T``; ``prefix`` shares the products before each ``k``.
 
     Each mode product is one :func:`~trpca.tensor_ops._mode_product` and each
     final contraction one :func:`~trpca.tensor_ops._mode_inner`, so every
-    intermediate stays C-contiguous and is read without a copy.
+    intermediate stays C-contiguous and is read without a copy.  The returned
+    prefix stops short of the last mode, whose product only one caller needs.
     """
     order = core.ndim
     out, prefix = [], t
@@ -356,7 +381,8 @@ def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
         for j in range(k + 1, order):
             part = _mode_product(part, mats[j].T, j)
         out.append(_mode_inner(part, core, k))
-        prefix = _mode_product(prefix, mats[k].T, k)
+        if k < order - 1:
+            prefix = _mode_product(prefix, mats[k].T, k)
     return out, prefix
 
 
@@ -364,22 +390,29 @@ def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray, cfg) -> TuckerFa
     """The r-space update of :func:`scaled_step` from two contractions of ``c``.
 
     ``head`` is ``c x_0 U_0.T`` and ``tail`` is ``c x_{N-1} U_{N-1}.T``.  Every
-    ``C_k`` and ``R_k`` is formed; a Gram is checked only where it is solved.
+    ``C_k`` and ``R_k`` is formed.  The Grams that are solved, the active
+    modes' ``C_k`` and every ``M_j``, are checked and inverted together by
+    :func:`_spd_inverses`, stacked by size: one ``eigvalsh`` and one ``inv``
+    per step when the ranks are equal.
     """
-    eta, us, core = cfg.eta, f.factors, f.core
+    eta, us, core, order = cfg.eta, f.factors, f.core, f.order
     grams = [u.T @ u for u in us]
     cograms, _ = _contractions(core, grams, core, 0)
-    rhs, grad = _contractions(head, us, core, 1)  # grad = c x_all U_j.T
-    for j in range(1, f.order - 1):  # R_0 from c x_{j!=0} U_j.T, from the last mode down
+    rhs, part = _contractions(head, us, core, 1)
+    grad = _mode_product(part, us[-1].T, order - 1)  # c x_all U_j.T
+    for j in range(1, order - 1):  # R_0: tail times U_j.T for modes 1..N-2, ascending
         tail = _mode_product(tail, us[j].T, j)
     rhs.insert(0, _mode_inner(tail, core, 0))
-    mask = cfg.modes_mask(f.order)
-    new_factors = tuple(
-        u + eta * _spd_solve(cograms[k], rhs[k].T, k, "co-factor").T if mask[k] else u
-        for k, u in enumerate(us)
+    active = [k for k, on in enumerate(cfg.modes_mask(order)) if on]
+    inverses = _spd_inverses(
+        [cograms[k] for k in active] + grams,
+        [(k, "co-factor") for k in active] + [(k, "factor") for k in range(order)],
     )
-    inv_grams = [_spd_solve(m, np.eye(len(m)), k, "factor") for k, m in enumerate(grams)]
-    return TuckerFactors(new_factors, core + eta * multilinear_mul(inv_grams, grad))
+    new_factors = list(us)
+    for k, inv_cogram in zip(active, inverses):
+        new_factors[k] = us[k] + eta * (rhs[k] @ inv_cogram)
+    inv_grams = inverses[len(active):]
+    return TuckerFactors(tuple(new_factors), core + eta * multilinear_mul(inv_grams, grad))
 
 
 def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> TuckerFactors:
@@ -408,10 +441,12 @@ def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> Tuc
     built on those two.  Every contraction, of ``c`` and in r-space, is a
     :func:`~trpca.tensor_ops._mode_product` or, for ``R_k`` and ``C_k``
     themselves, a :func:`~trpca.tensor_ops._mode_inner`: one matrix product
-    each on a reshaped C-ordered view.  Each Gram is checked for singularity
-    where it is solved, so a frozen mode's ``C_k`` is never checked; the
-    active modes' ``C_k`` are checked first, then the ``M_j``, and a singular
-    one raises :class:`SingularGramError`.  All updates read the pre-step
+    each on a reshaped C-ordered view.  Only the Grams that are solved are
+    checked for singularity, so a frozen mode's ``C_k`` is never checked.
+    They are stacked by size, then checked with one ``eigvalsh`` and inverted
+    with one ``inv`` per distinct size; the first singular one, in the order
+    active ``C_k`` by mode, then ``M_j`` by mode, raises
+    :class:`SingularGramError`.  All updates read the pre-step
     factors, so the order of modes is irrelevant.  :func:`solve` takes the
     same step without this function: it accumulates both contractions of
     ``c`` slab by slab, in the pass that forms the residual.

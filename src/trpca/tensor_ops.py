@@ -17,7 +17,10 @@ Both read a C-contiguous tensor as ``(prod(dims before k), n_k, prod(dims
 after k))`` without copying it, so each is one matrix product, and the mode
 product's result is C-contiguous again: a chain of them, such as
 :func:`multilinear_mul`, never copies a strided view.  A tensor in any other
-layout gives the same result, after one copy.
+layout gives the same result, after one copy.  :func:`multilinear_mul`
+orders its modes so that the largest product of the chain is the mode-0
+form ``a @ t.reshape(n_0, -1)``: last mode first when the product grows the
+tensor, first mode first otherwise.
 """
 
 from __future__ import annotations
@@ -128,23 +131,32 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
 
     ``mats[k]`` multiplies mode ``k``; a ``None`` entry leaves that mode
     untouched (an identity factor without materializing it).  Each ``mats[k]``
-    must have ``t.shape[k]`` columns.  The modes are applied in ascending
-    order, each by :func:`_mode_product`, so unless every entry is None the
-    result is C-contiguous.
+    must have ``t.shape[k]`` columns.  Each mode is applied by
+    :func:`_mode_product`, so unless every entry is None the result is
+    C-contiguous.  The order puts mode 0, the 2-D form ``a @ t.reshape(n,
+    -1)``, where the tensor is largest: a product that grows the tensor (as
+    :func:`~trpca.tucker.reconstruct` does) applies the last mode first and
+    mode 0 last, on the largest result; any other applies the modes in
+    ascending order, mode 0 first, on the largest input.
     """
     t = np.asarray(t)
     if len(mats) != t.ndim:
         raise ValueError(f"got {len(mats)} factor matrices for an order-{t.ndim} tensor")
-    out = t
+    steps = []
     for mode, b in enumerate(mats):
         if b is None:
             continue
         b = np.asarray(b)
-        if b.ndim != 2 or b.shape[1] != out.shape[mode]:
+        if b.ndim != 2 or b.shape[1] != t.shape[mode]:
             raise ValueError(
                 f"factor for mode {mode} has shape {b.shape}, "
-                f"needs {out.shape[mode]} columns"
+                f"needs {t.shape[mode]} columns"
             )
+        steps.append((mode, b))
+    if math.prod(m.shape[0] for _, m in steps) > math.prod(m.shape[1] for _, m in steps):
+        steps.reverse()  # the product grows the tensor
+    out = t
+    for mode, b in steps:
         out = _mode_product(out, b, mode)
     return out
 

@@ -158,6 +158,19 @@ def test_make_schedule_auto_rules():
     assert make_schedule(cfg0, y).zeta0 == inf_norm(y)
 
 
+def test_make_schedule_auto_zeta0_is_exactly_the_quantile():
+    # the automatic zeta0 is the same bits as np.quantile(np.abs(y), q), on
+    # an odd and an even number of entries, and leaves y untouched
+    rng = np.random.default_rng(4)
+    for dims in ((5, 7, 9), (4, 6, 8)):
+        y = rng.standard_normal(dims)
+        y_copy = y.copy()
+        for alpha in (1e-9, 0.05, 0.1, 0.5):
+            cfg = SolverConfig(rank=(2, 2, 2), zeta1=1.0, alpha_estimate=alpha)
+            assert make_schedule(cfg, y).zeta0 == np.quantile(np.abs(y), 1.0 - alpha)
+        assert np.array_equal(y, y_copy)
+
+
 # ---------------------------------------------------------------------------
 # spectral_init
 
@@ -315,6 +328,87 @@ def test_scaled_step_checks_only_the_grams_it_solves():
         scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
     assert exc.value.mode == 0
     assert "co-factor" in str(exc.value)
+
+
+@pytest.mark.parametrize("dims, rank, seed, core_mode, factor, mask, want", [
+    # equal mode-1 core slices and equal columns of U_0: the co-Grams of
+    # modes 1 and 2 and the factor Gram of mode 0 are singular
+    ((5, 4, 6), (2, 2, 2), 40, 1, (0, (0, 1)), None, (1, "co-factor")),
+    ((5, 4, 6), (2, 2, 2), 40, 1, (0, (0, 1)), (True, False, True), (2, "co-factor")),
+    ((5, 4, 6), (2, 2, 2), 40, 1, (0, (0, 1)), (True, False, False), (0, "factor")),
+    # two equal columns of U_1: its factor Gram alone is singular
+    ((5, 4, 6), (2, 2, 2), 41, None, (1, (0, 1)), None, (1, "factor")),
+    # unequal ranks, two Gram sizes: a singular 3x3 co-Gram (mode 1) comes
+    # before a singular 2x2 factor Gram (mode 0), and a singular 2x2 co-Gram
+    # (mode 2) before a singular 3x3 factor Gram (mode 1)
+    ((5, 6, 4), (2, 3, 2), 43, 1, (0, (0, 1)), None, (1, "co-factor")),
+    ((5, 6, 4), (2, 3, 2), 43, 1, (0, (0, 1)), (True, False, True), (0, "factor")),
+    ((5, 6, 4), (2, 3, 2), 42, 2, (1, (0, 2)), (True, False, True), (2, "co-factor")),
+])
+def test_scaled_step_raises_for_the_first_singular_gram(dims, rank, seed, core_mode, factor,
+                                                        mask, want):
+    # several singular Grams at once: the active co-Grams are checked first,
+    # by mode, then the factor Grams, by mode, whatever their sizes.  Slice 1
+    # of the core along core_mode is set equal to slice 0, and column b of
+    # factor `factor_mode` to column a.
+    f = random_tucker(np.random.default_rng(seed), dims, rank)
+    if core_mode is not None:
+        core = np.moveaxis(f.core, core_mode, 0)  # a view
+        core[1] = core[0]
+    factor_mode, (a, b) = factor
+    f.factors[factor_mode][:, b] = f.factors[factor_mode][:, a]
+    c = np.random.default_rng(5).standard_normal(dims)
+    with pytest.raises(SingularGramError) as exc:
+        scaled_step(f, c, SolverConfig(rank=rank, active_modes=mask))
+    mode, which = want
+    assert exc.value.mode == mode
+    assert str(exc.value).startswith(f"{which} Gram matrix for mode {mode} ")
+    assert exc.value.cond > trpca.rpca.GRAM_CONDITION_LIMIT
+
+
+def test_step_checks_and_inverts_its_grams_once_per_gram_size(monkeypatch):
+    # one stacked eigvalsh and one stacked solve or inverse per distinct Gram
+    # size and step, with results equal to the unpatched run
+    cases = []
+    for dims, rank in (((6, 5, 6, 4), (2, 2, 2, 2)), ((8, 9, 7), (2, 3, 2))):
+        rng = np.random.default_rng(sum(rank))
+        f = random_tucker(rng, dims, rank)
+        c = rng.standard_normal(dims)
+        truth = random_tucker(rng, dims, rank, orthonormal=True, scale=10.0)
+        y = reconstruct(truth) + soft_shrink(rng.standard_normal(dims), 2.0)
+        runs = {t: solve(y, SolverConfig(rank=rank, max_iters=t)) for t in (0, 6)}
+        cases.append((rank, f, c, y, scaled_step(f, c, SolverConfig(rank=rank)), runs))
+
+    calls = dict.fromkeys(("eigvalsh", "solve", "inv"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for rank, f, c, y, want_step, want_runs in cases:
+        sizes = len(set(rank))
+        calls.update(dict.fromkeys(calls, 0))
+        got = scaled_step(f, c, SolverConfig(rank=rank))
+        assert calls["eigvalsh"] <= sizes and calls["solve"] + calls["inv"] <= sizes
+        assert all(np.array_equal(a, b) for a, b in zip(got.factors, want_step.factors))
+        assert np.array_equal(got.core, want_step.core)
+        counts = {}
+        for t, want in want_runs.items():
+            calls.update(dict.fromkeys(calls, 0))
+            result = solve(y, SolverConfig(rank=rank, max_iters=t))
+            counts[t] = dict(calls)
+            assert np.array_equal(result.sparse, want.sparse)
+            assert np.array_equal(result.factors.core, want.factors.core)
+        # the spectral initialization is the same in both runs
+        steps = len(want_runs[6].trace) - 1
+        assert steps >= 1
+        per_step = {k: counts[6][k] - counts[0][k] for k in calls}
+        assert per_step["eigvalsh"] <= sizes * steps
+        assert per_step["solve"] + per_step["inv"] <= sizes * steps
 
 
 # ---------------------------------------------------------------------------
