@@ -9,7 +9,7 @@ import numpy as np
 
 from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
 from .rpca import GRAM_CONDITION_LIMIT, _spd_inverses
-from .tucker import TuckerFactors, hosvd, singular_values
+from .tucker import TuckerFactors, _unfolding, hosvd, singular_values
 
 _ORTHO_TOL = 1e-8
 
@@ -68,16 +68,19 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
 
     so ``kappa <= kappa_s`` always.  ``sigma_min`` is the denominator.
     Raises on an all-zero tensor.  The spectra come from
-    :func:`~trpca.tucker.singular_values`, which works at any scale and reads
-    0 for a numerically zero value, so a tensor that is rank-deficient at the
-    declared rank yields ``sigma_min`` 0 and infinite condition numbers, as
-    does one with ``sigma_min`` below ~1.5e-7 * s_max in a wide unfolding.
+    :func:`~trpca.tucker.singular_values` of the unfoldings that
+    :func:`~trpca.tucker.hosvd` reads: reshape views for mode 0 and the last
+    mode, whose columns are the matricization's in another order.  It works
+    at any scale and reads 0 for a numerically zero value, so a tensor that
+    is rank-deficient at the declared rank yields ``sigma_min`` 0 and
+    infinite condition numbers, as does one with ``sigma_min`` below
+    ~1.5e-7 * s_max in a wide unfolding.
     """
     x = np.asarray(x, dtype=np.float64)
     rank = check_rank(x.shape, rank)
     if fro_norm(x) == 0.0:
         raise ValueError("condition numbers are undefined for the zero tensor")
-    spectra = tuple(singular_values(matricize(x, k)) for k in range(x.ndim))
+    spectra = tuple(singular_values(_unfolding(x, k)) for k in range(x.ndim))
     tops = [s[0] for s in spectra]
     sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
     if sigma_min == 0.0:

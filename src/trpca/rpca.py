@@ -279,8 +279,29 @@ def _resolve_zeta0(cfg: SolverConfig, y: np.ndarray, ref: Reference | None) -> f
         return inf_norm(ref.x_star)
     if cfg.alpha_estimate == 0.0:
         return inf_norm(y)
-    # one |y| buffer, partitioned in place: the same value as np.quantile(np.abs(y), q)
-    return float(np.quantile(np.abs(y), 1.0 - cfg.alpha_estimate, overwrite_input=True))
+    return _abs_quantile(y, 1.0 - cfg.alpha_estimate)
+
+
+def _abs_quantile(y: np.ndarray, q: float) -> float:
+    """``np.quantile(np.abs(y), q)``, bit for bit, from one partition of one ``|y|`` buffer.
+
+    numpy's default (linear) rule reads the order statistics ``k`` and
+    ``k + 1`` of the ``n`` values, for ``k = floor(v)`` and ``v = (n - 1) * q``
+    (the largest value once ``v >= n - 1``), and takes ``lo + d * t`` for
+    ``t = v - k < 0.5``, else ``hi - d * (1 - t)``, with ``d = hi - lo``.
+    ``np.quantile`` partitions at four indices (0, k, k + 1, n - 1); here one
+    partition at ``k`` leaves statistic ``k + 1`` as the least value after it.
+    """
+    a = np.abs(y).reshape(-1)
+    n = a.size
+    v = (n - 1) * q
+    if v >= n - 1:
+        return float(a.max())
+    k = math.floor(v)
+    a.partition(k)
+    lo, hi = float(a[k]), float(a[k + 1:].min())
+    t, d = v - k, hi - lo
+    return lo + d * t if t < 0.5 else hi - d * (1.0 - t)
 
 
 def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | None:
@@ -310,9 +331,9 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
     ``8 * sqrt(mu^3 * prod(rank) / prod(dims)) * sigma_min`` when the
     reference carries diagnostics (a ValueError unless it is > 0, as for a
     reference whose ``sigma_min`` reads 0), else twice the sup-norm residual
-    of the spectral initialization.  Like :func:`solve`, this runs that
-    initialization on ``y`` divided by a power of two, so the schedule of
-    ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
+    of the spectral initialization.  Like :func:`solve`, this takes that
+    initialization's HOSVD on ``y`` divided by a power of two, so the schedule
+    of ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
     """
     y = as_tensor(y, min_order=3)
     st = _start(y, cfg, _as_reference(reference))
@@ -323,14 +344,22 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
 def spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float) -> SolverState:
     """Initial iterate: shrink ``y`` at zeta0, then rank-truncate the rest.
 
-    The sparse part is ``soft_shrink(y, zeta0)``; the factors are the
-    truncated higher-order SVD of ``y`` minus that sparse part.  The
-    threshold :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
+    The sparse part is ``s0 = soft_shrink(y, zeta0)``, bit for bit.  The
+    factors are the truncated higher-order SVD of ``clip(y, -zeta0, zeta0)``,
+    which equals ``y - s0`` up to rounding, taken on that clip divided by
+    ``2**e``, a power of two near ``||y||_inf``: this divides exactly, so the
+    init of ``2.0**k * y`` at ``2.0**k * zeta0`` is exactly ``2.0**k`` times
+    the init of ``y`` at ``zeta0``.  One buffer holds the clip for the HOSVD,
+    then ``s0``.  The threshold :func:`solve` would use is
+    ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
-    s0 = soft_shrink(y, zeta0)
-    f0 = hosvd(y - s0, cfg.rank)
-    return SolverState(factors=f0, sparse=s0, zeta=zeta0, iteration=0)
+    e = int(np.frexp(inf_norm(y))[1])
+    c = np.clip(y, -zeta0, zeta0)
+    f0 = hosvd(np.ldexp(c, -e, out=c), cfg.rank)
+    s0 = np.subtract(y, np.clip(y, -zeta0, zeta0, out=c), out=c)
+    return SolverState(factors=TuckerFactors(f0.factors, np.ldexp(f0.core, e)),
+                       sparse=s0, zeta=zeta0, iteration=0)
 
 
 def _spd_inverses(grams, labels) -> list[np.ndarray]:
@@ -478,8 +507,18 @@ class _Start(NamedTuple):
     el: int  # the loop's full tensors are in the units of y / 2**(e - el)
     sched: ThresholdSchedule
     factors: TuckerFactors
+    y: np.ndarray  # the observation, in the loop's units
     x: np.ndarray  # the initial iterate, in the loop's units
     loss: float  # 0.5 * ||y - x - s0||**2 / 4**e, for the initial sparse part s0
+
+
+def _slabs(shape: tuple[int, ...]):
+    """Mode-0 slices of a C-ordered tensor of ``shape``, each about
+    ``_SLAB_BYTES`` and at least one row, and a buffer that holds one."""
+    n0 = shape[0]
+    rows = max(1, _SLAB_BYTES // (8 * math.prod(shape[1:])))
+    slabs = [slice(a, min(a + rows, n0)) for a in range(0, n0, rows)]
+    return slabs, np.empty((min(rows, n0),) + shape[1:])
 
 
 def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
@@ -490,29 +529,38 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
     and Gram matrices and norms of tiny or huge inputs neither underflow nor
     overflow.  Explicit and oracle thresholds are resolved in the units of
     ``y`` and scaled; the automatic zeta1 comes from the scaled
-    initialization.  The initial iterate is expanded through ``reconstruct``
-    in the loop's units, like every later one.
+    initialization.  The initialization runs in the loop's units, on ``y``
+    itself unless the loop needs a copy of ``y / 2**e``; its factors are the
+    same either way, since :func:`spectral_init` takes its HOSVD in the units
+    of ``y / 2**e``.  The initial iterate is expanded through ``reconstruct``
+    in the loop's units, like every later one, and the gap ``y - x - s0``
+    that gives zeta1 and the row-0 loss is taken slab by slab.
     """
     e = int(np.frexp(inf_norm(y))[1])
     el = e if e <= _LOOP_EXP_LIMIT else 0
-    y_n = np.ldexp(y, -e)
-    zeta0 = _ldexp(_resolve_zeta0(cfg, y, ref), -e)
+    zeta0 = _resolve_zeta0(cfg, y, ref)
     zeta1 = cfg.zeta1
     if zeta1 is None and ref is not None:
         zeta1 = _oracle_zeta1(cfg, y, ref)
-    zeta1 = _ldexp(zeta1, -e)
-    init = spectral_init(y_n, cfg, zeta0=zeta0)
-    f, s = init.factors, init.sparse
-    x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
-    # the gap y_n - x - s0 in the buffer of y_n: y - x is taken in the loop's
-    # units, where it cannot overflow, and scaled to those of y_n
-    gap = np.subtract(y if el == e else y_n, x, out=y_n)
-    np.ldexp(gap, -el, out=gap)
-    gap -= s
+    y_l = y if el == e else np.ldexp(y, el - e)
+    init = spectral_init(y_l, cfg, zeta0=_ldexp(zeta0, el - e))
+    zeta0, zeta1 = _ldexp(zeta0, -e), _ldexp(zeta1, -e)
+    x = reconstruct(init.factors)
+    s0 = init.sparse
+    # the gap is taken in the loop's units, where y - x cannot overflow, and
+    # its sup norm and sum of squares are scaled to the units of y / 2**e
+    gap_inf = loss2 = 0.0
+    slabs, buf = _slabs(y.shape)
+    for sl in slabs:
+        gap = np.subtract(y_l[sl], x[sl], out=buf[: sl.stop - sl.start])
+        gap -= s0[sl]
+        gap_inf = max(gap_inf, inf_norm(gap))
+        loss2 += _sumsq(gap, el)
     if zeta1 is None:
-        zeta1 = 2.0 * inf_norm(gap)
+        zeta1 = 2.0 * _ldexp(gap_inf, -el)
     sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
-    return _Start(e, el, sched, f, x, 0.5 * _sumsq(gap, 0))
+    f = TuckerFactors(init.factors.factors, np.ldexp(init.factors.core, -el))
+    return _Start(e, el, sched, f, y_l, x, 0.5 * loss2)
 
 
 def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
@@ -565,11 +613,9 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # y_n = y / 2**e; every tensor the loop holds is in the units of
     # y_n * 2**el, which are those of y except near the top of the float
     # range (see _start), and every sum of squares is divided by 4**el.
-    e, el, sched, f, x, loss = _start(y, cfg, ref)
-    if el != e:
-        y = np.ldexp(y, el - e)
-        if x_star is not None:
-            x_star = np.ldexp(x_star, el - e)
+    e, el, sched, f, y, x, loss = _start(y, cfg, ref)
+    if el != e and x_star is not None:
+        x_star = np.ldexp(x_star, el - e)
     x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
     trace = IterationTrace()
 
@@ -591,11 +637,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # c = clip(r, -zeta, zeta) for the residual r = y - x, the next sparse
     # part is r - c and the loss gradient tensor x + s - y is -c, so the step
     # reads only c, and c lives only in the slab buffer.
-    n0 = y.shape[0]
-    row = y.size // n0
-    rows = max(1, _SLAB_BYTES // (y.itemsize * row))
-    slabs = [slice(a, min(a + rows, n0)) for a in range(0, n0, rows)]
-    buf = np.empty((min(rows, n0),) + y.shape[1:])
+    row = y.size // y.shape[0]
+    slabs, buf = _slabs(y.shape)
     head = np.empty((cfg.rank[0], row))
     part = np.empty_like(head)
     n_last, r_last = y.shape[-1], cfg.rank[-1]

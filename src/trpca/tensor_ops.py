@@ -177,7 +177,7 @@ def _scale_safe(t: np.ndarray, sq, e: int | None = None) -> tuple[float, int]:
     with np.errstate(over="ignore", under="ignore"):
         q = sq(t)
         if _FRO_TINY * _FRO_TINY < q < math.inf:
-            return (q, 0) if e is None else (float(np.ldexp(q, -2 * e)), e)
+            return (q, 0) if e is None else (_ldexp_up(q, -2 * e), e)
         if e is None:
             m = inf_norm(t)
             if not 0.0 < m < math.inf:
@@ -186,16 +186,23 @@ def _scale_safe(t: np.ndarray, sq, e: int | None = None) -> tuple[float, int]:
         return sq(np.ldexp(t, -e)), e
 
 
-def _root(q: float, e: int) -> float:
-    """``sqrt(q) * 2**e``, inf beyond the float range."""
+def _ldexp_up(q: float, n: int) -> float:
+    """``q * 2**n`` for a float ``q > 0``, inf beyond the float range."""
     try:
-        return math.ldexp(math.sqrt(q), e)
+        return math.ldexp(q, n)
     except OverflowError:
         return math.inf
 
 
+def _root(q: float, e: int) -> float:
+    """``sqrt(q) * 2**e``, inf beyond the float range."""
+    return _ldexp_up(math.sqrt(q), e)
+
+
 def _dot_self(v: np.ndarray) -> float:
-    return float(np.dot(v, v))
+    # np.vdot gives np.dot's bits, but unlike np.dot it does not read the
+    # floating-point flags: an overflow or underflow in it warns of nothing
+    return float(np.vdot(v, v))
 
 
 def _sumsq(t: np.ndarray, e: int) -> float:
@@ -203,8 +210,15 @@ def _sumsq(t: np.ndarray, e: int) -> float:
 
     The plain dot product when it lies in (``_FRO_TINY**2``, inf), else the
     dot product of the array divided by ``2**e`` (see :func:`_scale_safe`).
+    The plain case is taken here, without the ``np.errstate`` that
+    :func:`_dot_self` does not need: the solver loop calls this on every
+    slab, where a call's overhead is of the order of its dot product.
     """
-    return _scale_safe(t.reshape(-1), _dot_self, e)[0]
+    v = t.reshape(-1)
+    q = _dot_self(v)
+    if _FRO_TINY * _FRO_TINY < q < math.inf:
+        return _ldexp_up(q, -2 * e)
+    return _scale_safe(v, _dot_self, e)[0]
 
 
 def fro_norm(t: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,25 +73,38 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
                 v[:, j] = -v[:, j]
 
 
+def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``m.T @ u / s`` in one product, with a zero column wherever ``s`` is 0."""
+    live = s > 0.0
+    v = np.zeros((m.shape[1], len(s)))
+    v[:, live] = (m.T @ u[:, live]) / s[live]
+    return v
+
+
 def _spectrum(m: np.ndarray, rank: int | None = None):
     """Descending singular values of a matrix, 0 where numerically zero; with
-    ``rank``, the top-``rank`` triplets instead, as for :func:`thin_svd`.
+    ``rank``, the top-``rank`` triplets instead, as for :func:`thin_svd`,
+    except that ``v`` is None on the Gram path unless a triplet is zero.
 
     A matrix more than 4x wider than tall goes through its small Gram matrix
     ``a @ a.T`` of ``a = m / 2**e``: the singular values are
-    ``sqrt(w) * 2**e`` for its eigenvalues ``w``, its eigenvectors are the
-    left vectors, and each right vector is ``m.T @ u / s``.  ``e`` is 0 when
-    the plain ``m @ m.T`` is finite with a trace above ``_FRO_TINY**2``;
-    otherwise its squares may have overflowed, or underflowed enough to lose
-    bits, and ``2**e`` is a power of two near the largest entry, as in
-    :func:`~trpca.tensor_ops.fro_norm`.  Any other matrix goes to a direct
-    SVD.  A value is numerically zero unless the decomposition's output (an
+    ``sqrt(w) * 2**e`` for its eigenvalues ``w`` and its eigenvectors are the
+    left vectors.  ``e`` is 0 when the plain ``m @ m.T`` is finite with a
+    trace above ``_FRO_TINY**2``; otherwise its squares may have overflowed,
+    or underflowed enough to lose bits, and ``2**e`` is a power of two near
+    the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.  The right
+    vectors ``m.T @ u / s`` take one more pass over ``m``, so the Gram path
+    leaves them to the caller that wants them (:func:`thin_svd`; not
+    :func:`hosvd`), and forms them itself only when a zero triplet needs
+    them for its completion.  Any other matrix goes to a direct SVD.  A
+    value is numerically zero unless the decomposition's output (an
     eigenvalue, or a singular value) exceeds ``_RANK_TOL`` times the
     largest.  An eigenvalue is a square, whose rounding floor is a singular
     value of ~sqrt(eps) * s_max, so the Gram path resolves none below
     ~1.5e-7 * s_max.
     """
     rows, cols = m.shape
+    v = None
     if cols > 4 * rows:
         e = 0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -119,12 +133,9 @@ def _spectrum(m: np.ndarray, rank: int | None = None):
     if rank is None:
         return s
     s, dead = s[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
-    if cols > 4 * rows:
-        v = np.zeros((cols, rank))
-        for j in range(rank):
-            if s[j] > 0.0:
-                v[:, j] = m.T @ u[:, j] / s[j]
     if dead:
+        if v is None:
+            v = _right_vectors(m, u, s)
         _complete_columns(u, dead)
         _complete_columns(v, dead)
     _fix_signs(u, v)
@@ -150,7 +161,9 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         exactly 0 and a deterministic canonical-basis completion, so the
         output never depends on backend behavior for degenerate subspaces.
         :func:`_spectrum` computes them, at any scale; a very wide matrix
-        cannot resolve singular values below ~1.5e-7 * s_max.
+        cannot resolve singular values below ~1.5e-7 * s_max.  On its Gram
+        path the right vectors are ``m.T @ u / s``, formed here in one
+        product after the signs of ``u`` are fixed.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -158,7 +171,8 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     rank = check_rank(m.shape, (rank, rank))[0]
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return _spectrum(m, rank)
+    u, s, v = _spectrum(m, rank)
+    return SvdResult(u, s, _right_vectors(m, u, s) if v is None else v)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -209,17 +223,35 @@ class TuckerFactors:
         return TuckerFactors(tuple(u.copy() for u in self.factors), self.core.copy())
 
 
+def _unfolding(t: np.ndarray, mode: int) -> np.ndarray:
+    """A matrix with the left singular vectors and singular values of ``matricize(t, mode)``.
+
+    For mode 0 and the last mode that is a reshape of ``t`` (a view when
+    ``t`` is C-contiguous), whose columns are those of the matricization in
+    another order; any other mode is :func:`~trpca.tensor_ops.matricize`, a copy.
+    """
+    if mode == 0:
+        return t.reshape(t.shape[0], -1)
+    if mode == t.ndim - 1:
+        return t.reshape(-1, t.shape[-1]).T
+    return matricize(t, mode)
+
+
 def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     """Rank-truncated higher-order SVD.
 
     Each factor holds the top-``rank[k]`` left singular vectors of the mode-k
-    matricization; the core is the projection of ``t`` onto those subspaces.
-    A zero (or rank-deficient) tensor yields canonical-basis factors and a
-    zero core, so the output is deterministic for every input.
+    matricization, as :func:`thin_svd` gives them, read from
+    :func:`_unfolding` (no copy for mode 0 and the last mode) without
+    forming right vectors; the core is the projection of ``t`` onto those
+    subspaces.  A zero (or rank-deficient) tensor yields canonical-basis
+    factors and a zero core, so the output is deterministic for every input.
     """
     t = np.asarray(t, dtype=np.float64)
     rank = check_rank(t.shape, rank)
-    factors = tuple(thin_svd(matricize(t, k), rank[k]).u for k in range(t.ndim))
+    if not math.isfinite(inf_norm(t)):
+        raise ValueError("tensor entries must be finite")
+    factors = tuple(_spectrum(_unfolding(t, k), r).u for k, r in enumerate(rank))
     core = multilinear_mul([u.T for u in factors], t)
     return TuckerFactors(factors, core)
 

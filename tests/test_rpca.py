@@ -1,5 +1,6 @@
 """Shrinkage, threshold schedule, spectral init, and the scaled-gradient solver."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -159,16 +160,44 @@ def test_make_schedule_auto_rules():
 
 
 def test_make_schedule_auto_zeta0_is_exactly_the_quantile():
-    # the automatic zeta0 is the same bits as np.quantile(np.abs(y), q), on
-    # an odd and an even number of entries, and leaves y untouched
+    # the automatic zeta0 is the same bits as np.quantile(np.abs(y), q): on
+    # an odd and an even number of entries, on 1 to 4 entries (a single one
+    # is the largest-value case, where no entry follows statistic k), with
+    # ties, on both sides of numpy's interpolation rule, and y stays untouched
     rng = np.random.default_rng(4)
-    for dims in ((5, 7, 9), (4, 6, 8)):
-        y = rng.standard_normal(dims)
+    shapes = ((5, 7, 9), (4, 6, 8), (1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 2, 2))
+    cases = [rng.standard_normal(dims) for dims in shapes]
+    cases += [0.5 * rng.integers(-2, 3, size=dims) for dims in ((5, 7, 9), (1, 2, 2))]
+    cases.append(gen_truth((10, 10, 10), 2, kappa=3.0, alpha=0.1, seed=4).y)
+    seen = set()
+    for y in cases:
         y_copy = y.copy()
-        for alpha in (1e-9, 0.05, 0.1, 0.5):
-            cfg = SolverConfig(rank=(2, 2, 2), zeta1=1.0, alpha_estimate=alpha)
+        n = y.size
+        for alpha in (1e-9, 0.05, 0.1, 0.5, 0.999):
+            cfg = SolverConfig(rank=(1, 1, 1), zeta1=1.0, alpha_estimate=alpha)
             assert make_schedule(cfg, y).zeta0 == np.quantile(np.abs(y), 1.0 - alpha)
+            v = (n - 1) * (1.0 - alpha)
+            seen.add("largest" if v >= n - 1 else "hi - d * (1 - t)" if v % 1.0 >= 0.5
+                     else "lo + d * t")
         assert np.array_equal(y, y_copy)
+    assert seen == {"largest", "lo + d * t", "hi - d * (1 - t)"}
+
+
+def test_set_up_holds_at_most_two_and_a_half_tensors_beside_y():
+    # the quantile's |y| buffer, then the init's clip buffer with the HOSVD's
+    # copy of the middle-mode unfolding, then s0 with the first iterate and a
+    # slab of the gap (a quarter of a tensor here): y itself is never copied
+    truth = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33)
+    y = truth.y
+    cfg = SolverConfig(rank=(3, 3, 3), max_iters=0)
+    for run in (lambda: solve(y, cfg), lambda: make_schedule(cfg, y)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * y.nbytes
 
 
 # ---------------------------------------------------------------------------

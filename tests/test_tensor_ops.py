@@ -18,6 +18,7 @@ from oracles import (
 )
 from trpca.tensor_ops import (
     _mode_inner,
+    _sumsq,
     _mode_product,
     as_tensor,
     check_rank,
@@ -240,6 +241,24 @@ def test_fro_norm_across_the_float_range():
     assert fro_norm(np.zeros((2, 3))) == 0.0
     assert fro_norm(np.array([1.0, np.inf])) == np.inf
     assert np.isnan(fro_norm(np.array([1.0, np.nan, np.inf])))
+
+
+def test_sums_of_squares_raise_no_floating_point_error():
+    # the plain sum of squares that the norms and the solver's per-slab sums
+    # start from may overflow or underflow; that is caught by its range check
+    # and retaken on a rescaled copy, and never raises or warns, even where
+    # every floating-point error is made to raise
+    rng = np.random.default_rng(41)
+    t = rng.standard_normal((4, 5, 6))
+    v, m = t.reshape(-1), t.reshape(4, -1)
+    with np.errstate(all="raise"):
+        assert _sumsq(t, 3) == float(np.ldexp(np.dot(v, v), -6))
+        for k in (-600, 600):
+            scaled = np.ldexp(t, k)
+            assert _sumsq(scaled, k) == float(np.dot(v, v))
+            assert _sumsq(scaled, 0) == (0.0 if k < 0 else np.inf)
+            assert fro_norm(scaled) == np.ldexp(fro_norm(t), k)
+            assert l2inf_norm(np.ldexp(m, k)) == np.ldexp(l2inf_norm(m), k)
 
 
 def test_l2inf_norm_across_the_float_range():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import trpca.metrics
+import trpca.tucker
 from oracles import (
     descending_kron,
     random_tucker,
@@ -10,6 +12,7 @@ from oracles import (
     suite_all_orthogonal_core,
     suite_trunc_hosvd_identities,
 )
+from trpca.metrics import condition_numbers
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, matricize, multilinear_mul
 from trpca.tucker import (
@@ -126,6 +129,21 @@ def test_thin_svd_wide_path_matches_tall_on_rank_deficient_inputs():
             np.testing.assert_allclose(wide.v * signs, tall.u, atol=1e-10)
 
 
+def test_thin_svd_right_vectors_on_the_gram_path():
+    # a wide matrix's right vectors come from one product m.T @ u / s, taken
+    # after the signs of u are fixed: each live one is m.T @ u_j / s_j, as
+    # column by column, and a zero triplet's is a completion
+    rng = np.random.default_rng(12)
+    for rows, cols, true_rank, rank in [(4, 50, 4, 3), (6, 60, 6, 6), (6, 60, 2, 4),
+                                        (5, 40, 0, 2)]:
+        m = rng.standard_normal((rows, true_rank)) @ rng.standard_normal((true_rank, cols))
+        u, s, v = thin_svd(m, rank)
+        assert np.count_nonzero(s) == min(true_rank, rank)
+        for j in np.flatnonzero(s):
+            assert rel_diff(v[:, j], m.T @ u[:, j] / s[j]) <= 1e-12
+        np.testing.assert_allclose(v.T @ v, np.eye(rank), atol=1e-10)
+
+
 def test_thin_svd_validation():
     with pytest.raises(ValueError):
         thin_svd(np.zeros((3, 3)), 0)
@@ -237,6 +255,42 @@ def test_hosvd_rank_validation():
         hosvd(np.zeros((3, 3, 3)), (4, 2, 2))
     with pytest.raises(ValueError):
         hosvd(np.zeros((3, 3, 3)), (2, 2))
+    for bad in (np.nan, np.inf):
+        t = np.zeros((3, 3, 3))
+        t[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hosvd(t, (2, 2, 2))
+
+
+@pytest.mark.parametrize("dims, rank", [
+    ((8, 9, 10), (2, 3, 2)),
+    ((5, 6, 4, 7), (2, 2, 3, 2)),
+    ((30, 2, 3), (2, 2, 2)),  # mode 0 is tall: the direct SVD of a view
+    ((4, 3, 5, 2, 3), (2, 2, 2, 1, 2)),
+])
+def test_hosvd_and_condition_numbers_matricize_only_the_middle_modes(monkeypatch, dims, rank):
+    # mode 0 and the last mode are read as reshape views, whose columns are
+    # the matricization's in another order: the factors and spectra agree
+    # with the matricize route's
+    t = np.random.default_rng(len(dims)).standard_normal(dims)
+    middle = list(range(1, len(dims) - 1))
+    calls = []
+
+    def counting(a, mode):
+        calls.append(mode)
+        return matricize(a, mode)
+
+    for module in (trpca.tucker, trpca.metrics):
+        monkeypatch.setattr(module, "matricize", counting)
+    f = hosvd(t, rank)
+    assert calls == middle
+    calls.clear()
+    cond = condition_numbers(t, rank)
+    assert calls == middle
+    for k, r in enumerate(rank):
+        m = matricize(t, k)
+        assert rel_diff(f.factors[k], thin_svd(m, r).u) <= 1e-12
+        assert rel_diff(cond.singular_values[k], singular_values(m)) <= 1e-12
 
 
 def test_reconstruct_identity_factors():
