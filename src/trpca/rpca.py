@@ -15,9 +15,9 @@ well-scaled regardless of how ill-conditioned the underlying tensor is.
 :func:`solve` expands each iterate once and makes one pass over it in
 mode-0 slabs, which turns it into the next residual and clips that at the
 next threshold; the step reads only the clip.  The trace's loss is the loss
-at which each step is taken, the stop rule's relative change is the change of
-the residual, summed in the same pass, and the sparse part is formed once, at
-the end.
+at which each step is taken, the stop rule's relative change is taken from
+the factors and cores of the two iterates, in r-space, before the new one is
+expanded, and the sparse part is formed once, at the end.
 """
 
 from __future__ import annotations
@@ -272,13 +272,14 @@ def _as_reference(reference) -> Reference | None:
     return Reference(np.asarray(reference, dtype=np.float64), None)
 
 
-def _resolve_zeta0(cfg: SolverConfig, y: np.ndarray, ref: Reference | None) -> float:
+def _resolve_zeta0(cfg: SolverConfig, y: np.ndarray, y_inf: float, ref: Reference | None) -> float:
+    """zeta0 in the units of ``y``, whose sup norm is ``y_inf``."""
     if cfg.zeta0 is not None:
         return cfg.zeta0
     if ref is not None:
         return inf_norm(ref.x_star)
     if cfg.alpha_estimate == 0.0:
-        return inf_norm(y)
+        return y_inf
     return _abs_quantile(y, 1.0 - cfg.alpha_estimate)
 
 
@@ -354,7 +355,11 @@ def spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float) -> SolverState
     ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
-    e = int(np.frexp(inf_norm(y))[1])
+    return _spectral_init(y, cfg, zeta0, int(np.frexp(inf_norm(y))[1]))
+
+
+def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float, e: int) -> SolverState:
+    """:func:`spectral_init` for ``y`` whose sup norm has the binary exponent ``e``."""
     c = np.clip(y, -zeta0, zeta0)
     f0 = hosvd(np.ldexp(c, -e, out=c), cfg.rank)
     s0 = np.subtract(y, np.clip(y, -zeta0, zeta0, out=c), out=c)
@@ -442,6 +447,38 @@ def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray, cfg) -> TuckerFa
         new_factors[k] = us[k] + eta * (rhs[k] @ inv_cogram)
     inv_grams = inverses[len(active):]
     return TuckerFactors(tuple(new_factors), core + eta * multilinear_mul(inv_grams, grad))
+
+
+def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
+    """``||reconstruct(new) - reconstruct(old)||**2``, computed in r-space.
+
+    With ``U_j``, ``G`` the factors and core of ``old`` and ``V_j``, ``H``
+    those of ``new``, the difference is ``D x_j W_j`` for ``W_j = [U_j, V_j -
+    U_j]`` and the block core ``D`` whose block 0 is ``H - G`` and whose
+    other blocks are all ``H``: the sum of the ``2**N - 1`` terms of the
+    expansion, each first order in the increments.  Its squared norm is
+    ``vdot(D x_j W_j.T W_j, D)``, so every term of that sum is second order
+    and nothing cancels, which a difference of the two expansions cannot
+    avoid.  A factor that did not move (``new``'s is ``old``'s array, as
+    :func:`_step` leaves a frozen mode) keeps ``W_j = U_j`` and one block.
+    The result is in the units of the squared cores.
+    """
+    g, h = old.core, new.core
+    grams, blocks = [], []
+    for u, v in zip(old.factors, new.factors):
+        moved = v is not u
+        w = np.concatenate((u, v - u), axis=1) if moved else u
+        grams.append(w.T @ w)
+        blocks += (1 + moved, u.shape[1])
+    d = np.empty(blocks)  # mode j's index is (block, row of G or H)
+    d[...] = h.reshape([n for r in h.shape for n in (1, r)])
+    np.subtract(h, g, out=d[(0, slice(None)) * h.ndim])
+    d = d.reshape([len(m) for m in grams])
+    t = d
+    for k in range(h.ndim - 2):
+        t = _mode_product(t, grams[k], k)
+    # the Grams are symmetric: the last two modes are one broadcast product
+    return float(np.vdot(grams[-2] @ t @ grams[-1], d))
 
 
 def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> TuckerFactors:
@@ -536,14 +573,16 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
     in the loop's units, like every later one, and the gap ``y - x - s0``
     that gives zeta1 and the row-0 loss is taken slab by slab.
     """
-    e = int(np.frexp(inf_norm(y))[1])
+    y_inf = inf_norm(y)
+    e = int(np.frexp(y_inf)[1])
     el = e if e <= _LOOP_EXP_LIMIT else 0
-    zeta0 = _resolve_zeta0(cfg, y, ref)
+    zeta0 = _resolve_zeta0(cfg, y, y_inf, ref)
     zeta1 = cfg.zeta1
     if zeta1 is None and ref is not None:
         zeta1 = _oracle_zeta1(cfg, y, ref)
     y_l = y if el == e else np.ldexp(y, el - e)
-    init = spectral_init(y_l, cfg, zeta0=_ldexp(zeta0, el - e))
+    # the sup norm of y_l is ||y||_inf / 2**(e - el), whose exponent is el
+    init = _spectral_init(y_l, cfg, _ldexp(zeta0, el - e), el)
     zeta0, zeta1 = _ldexp(zeta0, -e), _ldexp(zeta1, -e)
     x = reconstruct(init.factors)
     s0 = init.sparse
@@ -574,11 +613,14 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     each slab's sum of squares is the divergence check and the iterate's
     norm, then the slab becomes the next residual in place, and its clip at
     the next threshold gives the loss and the next step's contractions.  With
-    a stop tolerance, the slab's difference from the previous residual adds
-    to the change ``||x_t - x_{t-1}||`` of the stop rule.  The sparse part is
-    formed once, at the end.  For ``||y||_inf`` above ``2**960`` the loop's
-    tensors are kept in the units of ``y / 2**e``, so that no residual
-    overflows.
+    a stop tolerance, the change ``||x_t - x_{t-1}||`` of the stop rule is
+    taken right after the step, in r-space from the two iterates' factors and
+    cores (no pass over the tensor), and the stop is decided before iterate
+    ``t`` is expanded: the pass over the last iterate of a run that stops
+    early, like that over iterate ``max_iters``, only sums its squares and
+    reference errors.  The sparse part is formed once, at the end.  For
+    ``||y||_inf`` above ``2**960`` the loop's tensors are kept in the units
+    of ``y / 2**e``, so that no residual overflows.
 
     Parameters
     ----------
@@ -637,24 +679,25 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # c = clip(r, -zeta, zeta) for the residual r = y - x, the next sparse
     # part is r - c and the loss gradient tensor x + s - y is -c, so the step
     # reads only c, and c lives only in the slab buffer.
+    # head, part and tail are the step's, allocated only when a step is taken.
     row = y.size // y.shape[0]
     slabs, buf = _slabs(y.shape)
-    head = np.empty((cfg.rank[0], row))
-    part = np.empty_like(head)
     n_last, r_last = y.shape[-1], cfg.rank[-1]
-    tail = np.empty(y.shape[:-1] + (r_last,))
+    if cfg.max_iters > 0:
+        head = np.empty((cfg.rank[0], row))
+        part = np.empty_like(head)
+        tail = np.empty(y.shape[:-1] + (r_last,))
 
-    def sweep(x, t, f, zeta, r_prev):
+    def sweep(x, t, f, zeta):
         """The pass over iterate ``t`` with factors ``f``.
 
         Returns its sum of squares and its reference errors; when the next
-        threshold ``zeta`` is given, also the loss ``0.5 * ||c||**2`` and,
-        when the previous residual ``r_prev`` is given too, the squared
-        change ``||r_prev - r||**2 = ||x - x_prev||**2``.  Then ``x`` holds
-        the residual and ``head`` and ``tail`` the contractions of ``c``
-        with ``U_0`` and ``U_{N-1}``, in the loop's units.
+        threshold ``zeta`` is given, also the loss ``0.5 * ||c||**2``, and
+        then ``x`` holds the residual and ``head`` and ``tail`` the
+        contractions of ``c`` with ``U_0`` and ``U_{N-1}``, in the loop's
+        units.
         """
-        x_sq = err2 = err_inf = loss2 = delta2 = 0.0
+        x_sq = err2 = err_inf = loss2 = 0.0
         u0, u_last = f.factors[0], f.factors[-1]
         z = _ldexp(zeta, el)
         for sl in slabs:
@@ -671,10 +714,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
             x_sq += q
             if z is None:
                 continue
-            r = np.subtract(y[sl], xb, out=xb)
-            if r_prev is not None:
-                delta2 += _sumsq(np.subtract(r_prev[sl], r, out=d), el)
-            c = np.clip(r, -z, z, out=d)
+            c = np.clip(np.subtract(y[sl], xb, out=xb), -z, z, out=d)
             loss2 += _sumsq(c, el)
             c_rows = c.reshape(c.shape[0], row)
             if sl.start == 0:
@@ -683,28 +723,31 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 np.add(head, np.matmul(u0[sl].T, c_rows, out=part), out=head)
             # a mode-0 slice of tail reshapes as a view
             np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
-        return x_sq, err2, err_inf, 0.5 * loss2, delta2
+        return x_sq, err2, err_inf, 0.5 * loss2
 
     # Besides y (and x_star), the loop holds two full tensors: r_prev and x,
     # the buffer of each iterate, which becomes its residual.  The last
-    # iterate is not turned into a residual; when the stop rule ends the run
-    # earlier, the clip of its last sweep goes unused.
+    # iterate, where the stop rule or the budget ends the run, is not turned
+    # into a residual.
     zeta = sched.value(1) if cfg.max_iters > 0 else None
-    x_sq, err2, err_inf, next_loss, _ = sweep(x, 0, f, zeta, None)
+    x_sq, err2, err_inf, next_loss = sweep(x, 0, f, zeta)
     record(0, err2, err_inf, loss)
     r_prev = None
     t = 0
     for t in range(1, cfg.max_iters + 1):
         np.ldexp(head, -el, out=head)
         np.ldexp(tail, -el, out=tail)
-        f = _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
-        zeta = sched.value(t + 1) if t < cfg.max_iters else None
-        loss, r_prev, denom = next_loss, x, max(math.sqrt(x_sq), 1e-300)
+        f_prev, f = f, _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+        # the change and ||x_{t-1}|| are both in the units of y_n
+        stop = t == cfg.max_iters or (
+            cfg.stop_tol > 0
+            and math.sqrt(_change_sq(f_prev, f)) / max(math.sqrt(x_sq), 1e-300) < cfg.stop_tol)
+        zeta = None if stop else sched.value(t + 1)
+        loss, r_prev = next_loss, x
         x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
-        x_sq, err2, err_inf, next_loss, delta2 = sweep(
-            x, t, f, zeta, r_prev if cfg.stop_tol > 0 else None)
+        x_sq, err2, err_inf, next_loss = sweep(x, t, f, zeta)
         record(t, err2, err_inf, loss)
-        if zeta is not None and math.sqrt(delta2) / denom < cfg.stop_tol:
+        if stop:
             break
     zeta = _ldexp(sched.value(t), el)
     if r_prev is None:

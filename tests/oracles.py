@@ -11,6 +11,7 @@ the full 1000 randomized cases per suite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,6 +347,30 @@ def fd_gradients(f, y, s_next, h=1e-6):
         minus[idx] -= h
         core_grad[idx] = (loss(f.factors, plus) - loss(f.factors, minus)) / (2 * h)
     return factor_grads, core_grad
+
+
+def oracle_change_sq(old, new):
+    """``||reconstruct(new) - reconstruct(old)||**2`` as the float64 sum of the
+    ``2**N - 1`` difference terms, each expanded on its own by einsum.
+
+    With ``U_j``, ``G`` the factors and core of ``old``, ``V_j``, ``H`` those of
+    ``new`` and ``D_j = V_j - U_j``, the difference is ``(H - G) x_j U_j``
+    plus ``H x_{j in S} D_j x_{j not in S} U_j`` over every nonempty set S of
+    modes.  No term is the difference of two expansions, so nothing cancels.
+    """
+    us, vs = old.factors, new.factors
+    order = len(us)
+    inner = [chr(ord("a") + k) for k in range(order)]
+    outer = [chr(ord("n") + k) for k in range(order)]
+    spec = ",".join(o + i for o, i in zip(outer, inner)) + "," + "".join(inner)
+    spec += "->" + "".join(outer)
+    deltas = [v - u for u, v in zip(us, vs)]
+    total = np.einsum(spec, *us, new.core - old.core)
+    for moved in itertools.product((False, True), repeat=order):
+        if any(moved):
+            mats = [d if m else u for m, u, d in zip(moved, us, deltas)]
+            total += np.einsum(spec, *mats, new.core)
+    return float(np.sum(total * total))
 
 
 def rel_diff(a, b):

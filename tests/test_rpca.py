@@ -9,6 +9,7 @@ import pytest
 import trpca.rpca
 from oracles import (
     fd_gradients,
+    oracle_change_sq,
     oracle_scaled_step,
     oracle_solve,
     random_tucker,
@@ -23,6 +24,7 @@ from trpca.rpca import (
     SolverConfig,
     SolverState,
     ThresholdSchedule,
+    _change_sq,
     make_schedule,
     scaled_step,
     soft_shrink,
@@ -31,7 +33,7 @@ from trpca.rpca import (
 )
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, inf_norm
-from trpca.tucker import hosvd, reconstruct
+from trpca.tucker import TuckerFactors, hosvd, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +192,7 @@ def test_set_up_holds_at_most_two_and_a_half_tensors_beside_y():
     truth = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33)
     y = truth.y
     cfg = SolverConfig(rank=(3, 3, 3), max_iters=0)
+    peaks = []
     for run in (lambda: solve(y, cfg), lambda: make_schedule(cfg, y)):
         tracemalloc.start()
         try:
@@ -198,6 +201,28 @@ def test_set_up_holds_at_most_two_and_a_half_tensors_beside_y():
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * y.nbytes
+        peaks.append(peak)
+    # with no step to take, solve allocates no buffer for one
+    assert peaks[0] <= peaks[1] + 0.01 * y.nbytes
+
+
+def test_set_up_takes_the_sup_norm_of_y_once(monkeypatch):
+    # _start passes its exponent to the spectral init; the gap's sup norm is
+    # taken slab by slab (four slabs here), and hosvd's own finiteness check
+    # goes through trpca.tucker
+    truth = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33)
+    y = truth.y
+    norm, sizes = trpca.rpca.inf_norm, []
+
+    def inf_norm(t):
+        sizes.append(np.size(t))
+        return norm(t)
+
+    monkeypatch.setattr(trpca.rpca, "inf_norm", inf_norm)
+    for alpha in (0.1, 0.0):  # 0: zeta0 is ||y||_inf itself
+        sizes.clear()
+        make_schedule(SolverConfig(rank=(3, 3, 3), alpha_estimate=alpha), y)
+        assert sizes.count(y.size) == 1 and len(sizes) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +713,35 @@ def test_streamed_loop_divergence_in_first_and_last_slab(monkeypatch, row):
             solve(truth.y, cfg, reference=ref)
 
 
+# ---------------------------------------------------------------------------
+# the stop rule
+
+
+@pytest.mark.parametrize("dims, rank", [
+    ((7, 6, 5), (2, 3, 1)),
+    ((5, 4, 6, 3), (2, 1, 3, 2)),
+    ((4, 3, 5, 3, 4), (2, 2, 1, 3, 2)),
+])
+def test_change_sq_matches_the_difference_terms(dims, rank):
+    rng = np.random.default_rng(sum(dims))
+    old = random_tucker(rng, dims, rank)
+    frozen = 1  # passed as old's own array, as _step leaves a frozen mode
+    for rel in (1e-2, 1e-6, 1e-10, 1e-13):
+        new = TuckerFactors(
+            tuple(u if k == frozen else u + rel * rng.standard_normal(u.shape)
+                  for k, u in enumerate(old.factors)),
+            old.core + rel * rng.standard_normal(rank))
+        want = oracle_change_sq(old, new)
+        assert want > 0.0
+        assert abs(_change_sq(old, new) - want) <= 1e-13 * want
+    same = TuckerFactors(tuple(u.copy() for u in old.factors), old.core.copy())
+    assert _change_sq(old, same) == 0.0 and _change_sq(old, old) == 0.0
+    got = _change_sq(old, new)
+    for k in (-100, 7, 100):
+        scaled = [TuckerFactors(f.factors, np.ldexp(f.core, k)) for f in (old, new)]
+        assert _change_sq(*scaled) == np.ldexp(got, 2 * k)
+
+
 @pytest.mark.parametrize("dims, seed, stop, to_1e6", [
     ((30, 30, 30), 0, 221, 122),
     ((30, 30, 30), 1, 227, 128),
@@ -697,7 +751,8 @@ def test_streamed_loop_divergence_in_first_and_last_slab(monkeypatch, row):
 ])
 def test_stop_rule_iterations_are_pinned(dims, seed, stop, to_1e6):
     # the default stop_tol ends these runs where it does with the relative
-    # change summed over whole tensors, as oracle_solve sums it
+    # change summed over whole tensors, as oracle_solve sums it; solve takes
+    # it from the factors
     truth = gen_truth(dims, 2, kappa=5.0, alpha=0.1, seed=seed)
     cfg = SolverConfig(rank=(2,) * len(dims), max_iters=300)
     trace = solve(truth.y, cfg, reference=truth).trace
@@ -775,10 +830,13 @@ def test_solve_tiny_input_recovers_truth():
 def test_solve_power_of_two_scaling_is_exact():
     truth = gen_truth((9, 9, 9), 2, kappa=3.0, alpha=1 / 9, seed=28)
     d = truth.diagnostics
-    kwargs = dict(rank=(2, 2, 2), max_iters=30, stop_tol=0.0)
     z0, z1 = inf_norm(truth.x_star), 0.05
 
-    def run(c, explicit):
+    def run(c, explicit, stop):
+        # stop: the default stop_tol ends the run, by the change and the
+        # norm it is divided by, both in the units of y / 2**e
+        kwargs = dict(rank=(2, 2, 2), max_iters=300) if stop else dict(
+            rank=(2, 2, 2), max_iters=30, stop_tol=0.0)
         if explicit:
             cfg = SolverConfig(zeta0=c * z0, zeta1=c * z1, **kwargs)
         else:
@@ -786,16 +844,17 @@ def test_solve_power_of_two_scaling_is_exact():
         diag = types.SimpleNamespace(mu=d.mu, sigma_min=c * d.sigma_min)
         return solve(c * truth.y, cfg, reference=Reference(c * truth.x_star, diag))
 
-    for explicit in (False, True):
-        base = run(1.0, explicit)
+    for explicit, stop in ((False, False), (True, False), (False, True)):
+        base = run(1.0, explicit, stop)
+        assert len(base.trace) < 301 if stop else len(base.trace) == 31
         for k in (100, -100, 600, -600):
             c = 2.0**k
-            scaled = run(c, explicit)
+            scaled = run(c, explicit, stop)
             assert all(np.array_equal(a, b)
                        for a, b in zip(base.factors.factors, scaled.factors.factors))
             assert np.array_equal(c * base.factors.core, scaled.factors.core)
             assert np.array_equal(c * base.sparse, scaled.sparse)
-            assert len(base.trace) == len(scaled.trace) == 31
+            assert len(scaled.trace) == len(base.trace)
             for p, q in zip(base.trace, scaled.trace):
                 assert (q.zeta, q.inf_error, q.rel_fro_error) == (
                     c * p.zeta, c * p.inf_error, p.rel_fro_error)
