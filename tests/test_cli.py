@@ -144,9 +144,9 @@ def test_decompose_zero_iters_is_spectral_init(capsys, tmp_path):
     assert summary["rel_fro_error"] is None and summary["inf_error"] is None
     y = read_tensor(f"{prefix}-y.trpc")
     cfg = SolverConfig(rank=(2, 2, 2))
-    state = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
-    assert np.array_equal(read_tensor(low), reconstruct(state.factors))
-    assert np.array_equal(read_tensor(sparse), state.sparse)
+    factors, s0 = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
+    assert np.array_equal(read_tensor(low), reconstruct(factors))
+    assert np.array_equal(read_tensor(sparse), s0)
 
 
 def test_decompose_builds_the_low_rank_tensor_only_to_write_it(capsys, tmp_path, monkeypatch):
@@ -191,11 +191,11 @@ def test_decompose_selective_modes(capsys, tmp_path):
     assert rc == 0
     y = read_tensor(f"{prefix}-y.trpc")
     cfg = SolverConfig(rank=(2, 2, 2))
-    init = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
+    init, _ = spectral_init(y, cfg, make_schedule(cfg, y).zeta0)
     frozen = read_tensor(f"{fac}-factor1.trpc")
-    assert np.array_equal(frozen, init.factors.factors[1])
+    assert np.array_equal(frozen, init.factors[1])
     assert not np.array_equal(read_tensor(f"{fac}-factor0.trpc"),
-                              init.factors.factors[0])
+                              init.factors[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     oracle_solve,
     random_tucker,
     rel_diff,
+    residual_step,
     suite_corrupt_iter,
     update_sparse,
 )
@@ -22,7 +23,6 @@ from trpca.rpca import (
     Reference,
     SingularGramError,
     SolverConfig,
-    SolverState,
     ThresholdSchedule,
     _change_sq,
     make_schedule,
@@ -53,8 +53,9 @@ def test_soft_shrink_support_and_inf_norm():
     out = soft_shrink(t, 0.7)
     assert not np.any((out != 0) & (t == 0))
     assert inf_norm(out) == pytest.approx(max(0.0, inf_norm(t) - 0.7), abs=1e-15)
-    with pytest.raises(ValueError):
-        soft_shrink(t, -0.1)
+    for zeta in (-0.1, np.nan):  # a NaN threshold would shrink to all NaN
+        with pytest.raises(ValueError, match="threshold"):
+            soft_shrink(t, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +69,9 @@ def test_schedule_geometric_sequence():
         sched.value(-1)
     with pytest.raises(ValueError):
         ThresholdSchedule(1.0, 1.0, rho=1.0)
+    for zeta0, zeta1 in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="thresholds"):
+            ThresholdSchedule(zeta0, zeta1, 0.5)
 
 
 def test_default_rho_from_eta():
@@ -153,8 +157,8 @@ def test_make_schedule_auto_rules():
     cfg = SolverConfig(rank=(2, 2, 2), alpha_estimate=0.2)
     sched = make_schedule(cfg, y)
     assert sched.zeta0 == pytest.approx(np.quantile(np.abs(y), 0.8))
-    state = spectral_init(y, cfg, zeta0=sched.zeta0)
-    ref = 2.0 * inf_norm(y - state.sparse - reconstruct(state.factors))
+    factors, sparse = spectral_init(y, cfg, zeta0=sched.zeta0)
+    ref = 2.0 * inf_norm(y - sparse - reconstruct(factors))
     assert sched.zeta1 == pytest.approx(ref, rel=1e-12)
     # alpha_estimate 0 falls back to the sup norm
     cfg0 = SolverConfig(rank=(2, 2, 2), alpha_estimate=0.0)
@@ -233,9 +237,9 @@ def test_spectral_init_exact_low_rank():
     truth = gen_truth((10, 10, 10), 2, kappa=3.0, alpha=0.0, seed=4)
     y = truth.y
     cfg = SolverConfig(rank=(2, 2, 2))
-    state = spectral_init(y, cfg, zeta0=inf_norm(y))
-    assert np.all(state.sparse == 0)
-    assert rel_diff(reconstruct(state.factors), y) < 1e-9
+    factors, sparse = spectral_init(y, cfg, zeta0=inf_norm(y))
+    assert np.all(sparse == 0)
+    assert rel_diff(reconstruct(factors), y) < 1e-9
 
 
 def test_spectral_init_sparse_only():
@@ -243,19 +247,19 @@ def test_spectral_init_sparse_only():
     y = np.where(rng.random((8, 8, 8)) < 0.05, rng.standard_normal((8, 8, 8)), 0.0)
     cfg = SolverConfig(rank=(2, 2, 2))
     # zeta0 = 0 absorbs everything into the sparse part: zero residual, zero core
-    state = spectral_init(y, cfg, zeta0=0.0)
-    assert np.array_equal(state.sparse, y)
-    assert fro_norm(state.factors.core) == 0.0
+    factors, sparse = spectral_init(y, cfg, zeta0=0.0)
+    assert np.array_equal(sparse, y)
+    assert fro_norm(factors.core) == 0.0
     # a threshold at the sup norm shrinks the sparse part away entirely instead
-    state = spectral_init(y, cfg, zeta0=inf_norm(y))
-    assert np.all(state.sparse == 0)
+    factors, sparse = spectral_init(y, cfg, zeta0=inf_norm(y))
+    assert np.all(sparse == 0)
 
 
 def test_spectral_init_error_level_regression():
     truth = gen_truth((30, 30, 30), 2, kappa=5.0, alpha=0.05, seed=6)
     cfg = SolverConfig(rank=(2, 2, 2))
-    state = spectral_init(truth.y, cfg, make_schedule(cfg, truth.y, truth).zeta0)
-    rel = rel_diff(reconstruct(state.factors), truth.x_star)
+    factors, _ = spectral_init(truth.y, cfg, make_schedule(cfg, truth.y, truth).zeta0)
+    rel = rel_diff(reconstruct(factors), truth.x_star)
     assert rel < 0.5
 
 
@@ -265,11 +269,10 @@ def test_spectral_init_error_level_regression():
 
 def test_update_sparse_exact_factors():
     truth = gen_truth((12, 12, 12), 2, kappa=2.0, alpha=1 / 12, seed=7)
-    state = SolverState(truth.factors, np.zeros_like(truth.s_star), 0.0, 0)
     nz = np.abs(truth.s_star[truth.s_star != 0])
-    s_next = update_sparse(state, truth.y, 0.5 * nz.min())
+    s_next = update_sparse(truth.factors, truth.y, 0.5 * nz.min())
     assert np.array_equal(s_next != 0, truth.s_star != 0)
-    assert np.all(update_sparse(state, truth.y, 1e6) == 0)
+    assert np.all(update_sparse(truth.factors, truth.y, 1e6) == 0)
 
 
 def test_update_sparse_containment_suite():
@@ -285,7 +288,7 @@ def test_scaled_step_stationary_at_truth():
         truth = gen_truth(dims, 2, kappa=4.0, alpha=1 / dims[0], seed=9)
         cfg = SolverConfig(rank=(2,) * len(dims))
         c = truth.y - reconstruct(truth.factors) - truth.s_star
-        f_next = scaled_step(truth.factors, c, cfg)
+        f_next = residual_step(truth.factors, c, cfg)
         for u_new, u_old in zip(f_next.factors, truth.factors.factors):
             assert np.abs(u_new - u_old).max() < 1e-10
         assert np.abs(f_next.core - truth.factors.core).max() < 1e-10
@@ -297,7 +300,7 @@ def test_scaled_step_zero_eta_is_identity():
     truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=10)
     cfg = types.SimpleNamespace(eta=0.0, modes_mask=lambda order: (True,) * order)
     c = truth.y - reconstruct(truth.factors) - np.zeros_like(truth.s_star)
-    f_next = scaled_step(truth.factors, c, cfg)
+    f_next = residual_step(truth.factors, c, cfg)
     assert all(
         np.array_equal(a, b) for a, b in zip(f_next.factors, truth.factors.factors)
     )
@@ -313,7 +316,7 @@ def test_scaled_step_matches_fd_gradient():
     s_next = soft_shrink(rng.standard_normal((3, 3, 3)), 1.0)
     eta = 0.25
     cfg = SolverConfig(rank=(2, 2, 2), eta=eta)
-    f_next = scaled_step(f, y - reconstruct(f) - s_next, cfg)
+    f_next = residual_step(f, y - reconstruct(f) - s_next, cfg)
     fd_factors, fd_core = fd_gradients(f, y, s_next)
     from trpca.tucker import breve_factor
 
@@ -349,7 +352,7 @@ def test_scaled_step_matches_breve_oracle():
             y = rng.standard_normal(dims)
             s_next = soft_shrink(rng.standard_normal(dims), 1.0)
             cfg = SolverConfig(rank=rank, eta=eta, active_modes=mask)
-            got = scaled_step(f, y - reconstruct(f) - s_next, cfg)
+            got = residual_step(f, y - reconstruct(f) - s_next, cfg)
             want = oracle_scaled_step(f, y, s_next, eta, mask)
             for k, u in enumerate(f.factors):
                 if mask[k]:
@@ -364,7 +367,7 @@ def test_scaled_step_singular_gram_reports_mode():
     f.core[:] = 0.0  # co-factors collapse
     c = np.zeros((4, 4, 4)) - reconstruct(f) - np.zeros((4, 4, 4))
     with pytest.raises(SingularGramError) as exc:
-        scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
+        residual_step(f, c, SolverConfig(rank=(2, 2, 2)))
     assert exc.value.mode == 0
     assert "co-factor" in str(exc.value)
 
@@ -375,11 +378,11 @@ def test_scaled_step_checks_only_the_grams_it_solves():
     f = random_tucker(np.random.default_rng(30), (5, 4, 6), (2, 2, 2))
     f.core[1] = f.core[0]
     c = np.random.default_rng(31).standard_normal((5, 4, 6))
-    frozen = scaled_step(f, c, SolverConfig(rank=(2, 2, 2), active_modes=(False, True, True)))
+    frozen = residual_step(f, c, SolverConfig(rank=(2, 2, 2), active_modes=(False, True, True)))
     assert np.array_equal(frozen.factors[0], f.factors[0])
     assert all(np.all(np.isfinite(u)) for u in frozen.factors)
     with pytest.raises(SingularGramError) as exc:
-        scaled_step(f, c, SolverConfig(rank=(2, 2, 2)))
+        residual_step(f, c, SolverConfig(rank=(2, 2, 2)))
     assert exc.value.mode == 0
     assert "co-factor" in str(exc.value)
 
@@ -413,7 +416,7 @@ def test_scaled_step_raises_for_the_first_singular_gram(dims, rank, seed, core_m
     f.factors[factor_mode][:, b] = f.factors[factor_mode][:, a]
     c = np.random.default_rng(5).standard_normal(dims)
     with pytest.raises(SingularGramError) as exc:
-        scaled_step(f, c, SolverConfig(rank=rank, active_modes=mask))
+        residual_step(f, c, SolverConfig(rank=rank, active_modes=mask))
     mode, which = want
     assert exc.value.mode == mode
     assert str(exc.value).startswith(f"{which} Gram matrix for mode {mode} ")
@@ -431,7 +434,7 @@ def test_step_checks_and_inverts_its_grams_once_per_gram_size(monkeypatch):
         truth = random_tucker(rng, dims, rank, orthonormal=True, scale=10.0)
         y = reconstruct(truth) + soft_shrink(rng.standard_normal(dims), 2.0)
         runs = {t: solve(y, SolverConfig(rank=rank, max_iters=t)) for t in (0, 6)}
-        cases.append((rank, f, c, y, scaled_step(f, c, SolverConfig(rank=rank)), runs))
+        cases.append((rank, f, c, y, residual_step(f, c, SolverConfig(rank=rank)), runs))
 
     calls = dict.fromkeys(("eigvalsh", "solve", "inv"), 0)
 
@@ -446,7 +449,7 @@ def test_step_checks_and_inverts_its_grams_once_per_gram_size(monkeypatch):
     for rank, f, c, y, want_step, want_runs in cases:
         sizes = len(set(rank))
         calls.update(dict.fromkeys(calls, 0))
-        got = scaled_step(f, c, SolverConfig(rank=rank))
+        got = residual_step(f, c, SolverConfig(rank=rank))
         assert calls["eigvalsh"] <= sizes and calls["solve"] + calls["inv"] <= sizes
         assert all(np.array_equal(a, b) for a, b in zip(got.factors, want_step.factors))
         assert np.array_equal(got.core, want_step.core)
@@ -482,9 +485,9 @@ def test_solve_zero_iters_equals_init():
     cfg = SolverConfig(rank=(2, 2, 2), max_iters=0)
     result = solve(truth.y, cfg, reference=truth)
     cfg0 = SolverConfig(rank=(2, 2, 2))
-    state = spectral_init(truth.y, cfg0, make_schedule(cfg0, truth.y, truth).zeta0)
-    assert np.array_equal(result.sparse, state.sparse)
-    assert np.array_equal(reconstruct(result.factors), reconstruct(state.factors))
+    factors, sparse = spectral_init(truth.y, cfg0, make_schedule(cfg0, truth.y, truth).zeta0)
+    assert np.array_equal(result.sparse, sparse)
+    assert np.array_equal(reconstruct(result.factors), reconstruct(factors))
     assert len(result.trace) == 1 and result.trace.final.iteration == 0
 
 
@@ -539,18 +542,17 @@ def test_solve_support_containment_along_run():
     truth = gen_truth((12, 12, 12), 2, kappa=3.0, alpha=1 / 12, seed=19)
     cfg = SolverConfig(rank=(2, 2, 2))
     sched = make_schedule(cfg, truth.y, reference=truth)
-    state = spectral_init(truth.y, cfg, zeta0=sched.zeta0)
+    factors, _ = spectral_init(truth.y, cfg, zeta0=sched.zeta0)
     star_supp = truth.s_star != 0
     held = 0
     for t in range(60):
         zeta = sched.value(t + 1)
-        x_t = reconstruct(state.factors)
-        s_next = update_sparse(state, truth.y, zeta)
+        x_t = reconstruct(factors)
+        s_next = update_sparse(factors, truth.y, zeta)
         if inf_norm(x_t - truth.x_star) <= zeta:
             held += 1
             assert not np.any((s_next != 0) & ~star_supp)
-        f_next = scaled_step(state.factors, truth.y - x_t - s_next, cfg)
-        state = SolverState(f_next, s_next, zeta, t + 1)
+        factors = residual_step(factors, truth.y - x_t - s_next, cfg)
     assert held > 30  # the containment precondition holds for most of the run
 
 
@@ -569,9 +571,9 @@ def test_solve_selective_modes():
     frozen = SolverConfig(rank=(2, 2, 2), max_iters=25,
                           active_modes=(False, True, True))
     rc = solve(truth.y, frozen, reference=truth)
-    init = spectral_init(truth.y, base, make_schedule(base, truth.y, truth).zeta0)
-    assert np.array_equal(rc.factors.factors[0], init.factors.factors[0])
-    assert not np.array_equal(rc.factors.factors[1], init.factors.factors[1])
+    init, _ = spectral_init(truth.y, base, make_schedule(base, truth.y, truth).zeta0)
+    assert np.array_equal(rc.factors.factors[0], init.factors[0])
+    assert not np.array_equal(rc.factors.factors[1], init.factors[1])
 
 
 def test_solve_permutation_equivariance():
@@ -609,6 +611,42 @@ def test_solve_input_validation():
         solve(np.ones((3, 3, 3)), SolverConfig(rank=(4, 2, 2)))
     with pytest.raises(ValueError):
         solve(np.ones((3, 3, 3)), SolverConfig(rank=(2, 2, 2), active_modes=(True, True)))
+
+
+@pytest.mark.parametrize("defect", ["shape", "inf", "nan"])
+def test_one_set_up_validates_the_reference(defect):
+    # solve and make_schedule share one set-up, so each rejects a reference of
+    # the wrong shape or with a non-finite entry, with automatic, oracle and
+    # explicit thresholds alike (an inf entry used to make zeta0 inf, a NaN
+    # one every reference error NaN)
+    truth = gen_truth((6, 6, 6), 2, kappa=2.0, alpha=1 / 6, seed=32)
+    x_star = truth.x_star[:5] if defect == "shape" else truth.x_star.copy()
+    if defect != "shape":
+        x_star[1, 2, 3] = np.inf if defect == "inf" else np.nan
+    match = "shape" if defect == "shape" else "finite"
+    for cfg in (SolverConfig(rank=(2, 2, 2), max_iters=3),
+                SolverConfig(rank=(2, 2, 2), zeta0=1.0, zeta1=0.5, max_iters=3)):
+        for reference in (x_star, Reference(x_star, truth.diagnostics)):
+            with pytest.raises(ValueError, match=match):
+                solve(truth.y, cfg, reference)
+            with pytest.raises(ValueError, match=match):
+                make_schedule(cfg, truth.y, reference)
+
+
+def test_scaled_step_checks_the_shapes_of_its_contractions():
+    rng = np.random.default_rng(34)
+    f = random_tucker(rng, (5, 4, 6), (2, 3, 2))
+    c = rng.standard_normal((5, 4, 6))
+    head = np.einsum("ia,ijk->ajk", f.factors[0], c)  # (2, 4, 6)
+    tail = np.einsum("kc,ijk->ijc", f.factors[2], c)  # (5, 4, 2)
+    cfg = SolverConfig(rank=(2, 3, 2))
+    got = scaled_step(f, head, tail, cfg)
+    want = residual_step(f, c, cfg)
+    assert all(rel_diff(a, b) <= 1e-14 for a, b in zip(got.factors, want.factors))
+    for bad_head, bad_tail in ((head[:1], tail), (head, tail[..., :1]),
+                               (head.transpose(0, 2, 1), tail), (tail, head)):
+        with pytest.raises(ValueError, match="contractions"):
+            scaled_step(f, bad_head, bad_tail, cfg)
 
 
 def test_solve_zero_tensor_raises_singular_gram():
@@ -807,7 +845,7 @@ def test_solve_and_scaled_step_make_no_tensordot_call(monkeypatch):
         raise AssertionError("np.tensordot called")
 
     monkeypatch.setattr(np, "tensordot", tensordot)
-    got = scaled_step(f, c, SolverConfig(rank=rank, eta=0.2))
+    got = residual_step(f, c, SolverConfig(rank=rank, eta=0.2))
     for u, a, b in zip(f.factors, got.factors, want_step.factors):
         assert rel_diff(u - a, u - b) <= 1e-12
     assert rel_diff(f.core - got.core, f.core - want_step.core) <= 1e-12
