@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -9,9 +10,10 @@ import numpy as np
 
 from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
 from .rpca import GRAM_CONDITION_LIMIT, _spd_inverses
-from .tucker import TuckerFactors, _unfolding, hosvd, singular_values
+from .tucker import TuckerFactors, _spectrum, _unfolding, singular_values
 
 _ORTHO_TOL = 1e-8
+_ZERO_TENSOR = "condition numbers are undefined for the zero tensor"
 
 
 @dataclass
@@ -20,10 +22,12 @@ class Diagnostics:
 
     ``mu`` is the factor incoherence, ``kappa``/``kappa_s`` the joint and
     worst-case condition numbers, ``sigma_min`` the smallest matricization
-    singular value read at the declared rank, ``alpha`` the measured
-    per-fiber sparsity fraction of the sparse part, and
-    ``singular_values`` the per-mode matricization spectra, exactly 0 where
-    numerically zero (see :func:`~trpca.tucker.singular_values`).
+    singular value read at the declared rank, ``alpha`` the per-fiber
+    sparsity fraction of the sparse part, and ``singular_values`` the
+    per-mode matricization spectra, exactly 0 where numerically zero (see
+    :func:`~trpca.tucker.singular_values`).  :func:`tensor_diagnostics`
+    measures them on a tensor; :func:`~trpca.synth.gen_truth` reports the
+    values its construction fixes.
     """
 
     mu: float
@@ -47,8 +51,13 @@ def incoherence(f: TuckerFactors) -> float:
     1 for perfectly spread factors, n_k / r_k for a spiky one.  Raises if any
     factor is not orthonormal to 1e-8.
     """
+    return _incoherence(f.factors)
+
+
+def _incoherence(factors) -> float:
+    """:func:`incoherence` of the factor matrices alone."""
     worst = 0.0
-    for k, u in enumerate(f.factors):
+    for k, u in enumerate(factors):
         gram = u.T @ u
         if np.abs(gram - np.eye(u.shape[1])).max() > _ORTHO_TOL:
             raise ValueError(f"factor {k} is not orthonormal (tolerance {_ORTHO_TOL})")
@@ -79,8 +88,12 @@ def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
     x = np.asarray(x, dtype=np.float64)
     rank = check_rank(x.shape, rank)
     if fro_norm(x) == 0.0:
-        raise ValueError("condition numbers are undefined for the zero tensor")
-    spectra = tuple(singular_values(_unfolding(x, k)) for k in range(x.ndim))
+        raise ValueError(_ZERO_TENSOR)
+    return _conditions(tuple(singular_values(_unfolding(x, k)) for k in range(x.ndim)), rank)
+
+
+def _conditions(spectra: tuple[np.ndarray, ...], rank) -> ConditionNumbers:
+    """:func:`condition_numbers` from the per-mode spectra."""
     tops = [s[0] for s in spectra]
     sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
     if sigma_min == 0.0:
@@ -96,12 +109,13 @@ def sparsity_fraction(s: np.ndarray) -> float:
 
     A fiber along mode k fixes every other index and varies the mode-k one;
     the mode-k fraction is the worst fiber's nonzero count over ``n_k``.
-    Returns 0 for the all-zero tensor.
+    Returns 0 for the all-zero tensor.  A boolean array is read as the
+    support itself, without a copy.
     """
     s = np.asarray(s)
     if s.ndim < 1:
         raise ValueError("expected an array of order >= 1")
-    mask = s != 0
+    mask = s if s.dtype == bool else s != 0
     if not mask.any():
         return 0.0
     worst = 0.0
@@ -172,17 +186,32 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
 
 
 def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) -> Diagnostics:
-    """Full diagnostics of a tensor at a declared rank.
+    """Full diagnostics of a tensor at a declared rank, measured on the tensor.
 
-    The incoherence is measured on the truncated-HOSVD factors of ``x``;
-    ``alpha`` is the per-fiber sparsity fraction of ``sparse`` when given,
-    else 0.
+    ``kappa``, ``kappa_s``, ``sigma_min`` and the spectra are those of
+    :func:`condition_numbers`, with its floor: a wide unfolding reads
+    singular values below ~1.5e-7 * s_max as 0.  ``mu`` is the incoherence
+    of the truncated-HOSVD factors of ``x``, as :func:`~trpca.tucker.hosvd`
+    gives them.  Both are read bit for bit from one unfolding and one
+    :func:`~trpca.tucker._spectrum` per mode: on the Gram path one Gram
+    matrix gives the spectrum and the factors, and the HOSVD core, which
+    ``mu`` does not read, is never formed.  ``alpha`` is the per-fiber
+    sparsity fraction of ``sparse`` when given, else 0.  Raises on an
+    all-zero or non-finite tensor.
     """
-    cond = condition_numbers(x, rank)
-    mu = incoherence(hosvd(x, rank))
+    x = np.asarray(x, dtype=np.float64)
+    rank = check_rank(x.shape, rank)
+    top = inf_norm(x)
+    if top == 0.0:
+        raise ValueError(_ZERO_TENSOR)
+    if not math.isfinite(top):
+        raise ValueError("tensor entries must be finite")
+    spectra, svds = zip(*(_spectrum(_unfolding(x, k), r, values=True)
+                          for k, r in enumerate(rank)))
+    cond = _conditions(spectra, rank)
     alpha = sparsity_fraction(sparse) if sparse is not None else 0.0
     return Diagnostics(
-        mu=float(mu),
+        mu=float(_incoherence(svd.u for svd in svds)),
         kappa=cond.kappa,
         kappa_s=cond.kappa_s,
         sigma_min=cond.sigma_min,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import Diagnostics, condition_numbers, incoherence, sparsity_fraction
+from .metrics import Diagnostics, incoherence, sparsity_fraction
 from .rpca import SolverConfig, solve
 from .tensor_ops import check_rank
 from .tucker import TuckerFactors, _fix_signs, reconstruct
@@ -42,13 +42,21 @@ from .tucker import TuckerFactors, _fix_signs, reconstruct
 
 @dataclass
 class GroundTruth:
-    """A generated instance: truth tensors, factors, and measured statistics.
+    """A generated instance: truth tensors, factors, and their statistics.
+
+    ``diagnostics`` holds the statistics the construction fixes, not a
+    measurement: every spectrum is the core diagonal padded with zeros, so
+    ``kappa = kappa_s`` is its first entry over its last and ``sigma_min``
+    its last, exactly, at any kappa.  ``mu`` is the incoherence of the
+    orthonormal factors and ``alpha`` the per-fiber sparsity fraction of the
+    drawn support.  A measurement of ``x_star``
+    (:func:`~trpca.metrics.tensor_diagnostics`) agrees to rounding while the
+    spectra are resolved, and reads ``sigma_min`` 0 below its floor.
 
     ``entry_fraction`` is the achieved fraction of corrupted entries,
     exactly ``min_k floor(alpha * n_k) / n_k``: the requested alpha when
     every ``alpha * n_k`` is an integer, below it when a cap rounds down
-    (see the module docstring).  ``diagnostics.alpha`` holds the measured
-    per-fiber sparsity fraction.
+    (see the module docstring).
     """
 
     x_star: np.ndarray
@@ -140,6 +148,9 @@ def gen_truth(
 ) -> GroundTruth:
     """Generate a random low-rank + sparse instance with known statistics.
 
+    The statistics on the result are the constructed ones (see
+    :class:`GroundTruth`); none is measured on the dense tensors.
+
     Parameters
     ----------
     dims : sequence of int
@@ -190,14 +201,16 @@ def gen_truth(
             m = float(corruption_scale)
         s_star[mask] = rng.uniform(-m, m, size=count)
 
-    cond = condition_numbers(x_star, (r,) * len(dims))
+    # every unfolding's spectrum is the core diagonal, padded with zeros to
+    # the unfolding's rank bound
+    cond = float(diag[0] / diag[-1])
     diagnostics = Diagnostics(
         mu=float(incoherence(f_star)),
-        kappa=cond.kappa,
-        kappa_s=cond.kappa_s,
-        sigma_min=cond.sigma_min,
-        alpha=sparsity_fraction(s_star),
-        singular_values=cond.singular_values,
+        kappa=cond,
+        kappa_s=cond,
+        sigma_min=float(diag[-1]),
+        alpha=sparsity_fraction(mask),
+        singular_values=tuple(np.pad(diag, (0, min(d, x_star.size // d) - r)) for d in dims),
     )
     return GroundTruth(
         x_star=x_star,

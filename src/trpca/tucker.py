@@ -81,10 +81,22 @@ def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v
 
 
-def _spectrum(m: np.ndarray, rank: int | None = None):
+def _values(raw: np.ndarray, e: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values from a decomposition's descending output ``raw``, and
+    the mask of the numerically zero ones, which read 0 (see :func:`_spectrum`).
+    ``raw`` holds Gram eigenvalues ``w``, read as ``sqrt(w) * 2**e``, when
+    ``e`` is set, else singular values."""
+    dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
+    s = raw.copy() if e is None else np.ldexp(np.sqrt(np.maximum(raw, 0.0)), e)
+    s[dead] = 0.0
+    return s, dead
+
+
+def _spectrum(m: np.ndarray, rank: int | None = None, values: bool = False):
     """Descending singular values of a matrix, 0 where numerically zero; with
     ``rank``, the top-``rank`` triplets instead, as for :func:`thin_svd`,
-    except that ``v`` is None on the Gram path unless a triplet is zero.
+    except that ``v`` is None on the Gram path unless a triplet is zero; with
+    ``rank`` and ``values``, the pair (values, triplets).
 
     A matrix more than 4x wider than tall goes through its small Gram matrix
     ``a @ a.T`` of ``a = m / 2**e``: the singular values are
@@ -102,9 +114,14 @@ def _spectrum(m: np.ndarray, rank: int | None = None):
     largest.  An eigenvalue is a square, whose rounding floor is a singular
     value of ~sqrt(eps) * s_max, so the Gram path resolves none below
     ~1.5e-7 * s_max.
+
+    The values come from ``eigvalsh`` of the Gram matrix, or an SVD without
+    vectors, and the triplets from ``eigh`` of the same Gram matrix, or an
+    SVD with vectors; so the pair holds the bits of the two separate calls,
+    for one Gram matrix (one pass over ``m``) where it is formed.
     """
     rows, cols = m.shape
-    v = None
+    v = e = None
     if cols > 4 * rows:
         e = 0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -113,25 +130,22 @@ def _spectrum(m: np.ndarray, rank: int | None = None):
                 e = int(np.frexp(inf_norm(m))[1])
                 a = np.ldexp(m, -e)
                 g = a @ a.T
-        if rank is None:
+        if rank is None or values:
             raw = np.linalg.eigvalsh(g)[::-1]
-        else:
+        if rank is not None:
             w, vecs = np.linalg.eigh(g)
             order = np.argsort(w)[::-1]
-            raw = w[order]
+            top = w[order]
             u = vecs[:, order[:rank]].copy()
-        s = np.maximum(raw, 0.0)
-        np.sqrt(s, out=s)
-        np.ldexp(s, e, out=s)
-    elif rank is None:
-        raw = s = np.linalg.svd(m, compute_uv=False)
     else:
-        uu, raw, vt = np.linalg.svd(m, full_matrices=False)
-        u, s, v = uu[:, :rank].copy(), raw.copy(), vt[:rank].T.copy()
-    dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
-    s[dead] = 0.0
+        if rank is None or values:
+            raw = np.linalg.svd(m, compute_uv=False)
+        if rank is not None:
+            uu, top, vt = np.linalg.svd(m, full_matrices=False)
+            u, v = uu[:, :rank].copy(), vt[:rank].T.copy()
     if rank is None:
-        return s
+        return _values(raw, e)[0]
+    s, dead = _values(top, e)
     s, dead = s[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
     if dead:
         if v is None:
@@ -139,7 +153,8 @@ def _spectrum(m: np.ndarray, rank: int | None = None):
         _complete_columns(u, dead)
         _complete_columns(v, dead)
     _fix_signs(u, v)
-    return SvdResult(u, s, v)
+    triplets = SvdResult(u, s, v)
+    return (_values(raw, e)[0], triplets) if values else triplets
 
 
 def thin_svd(m: np.ndarray, rank: int) -> SvdResult:

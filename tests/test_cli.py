@@ -59,6 +59,16 @@ def test_synth_writes_instance(capsys, tmp_path):
     assert on_disk == meta
 
 
+def test_synth_meta_reports_the_constructed_kappa(capsys, tmp_path):
+    # kappa = 1e7 lies below the floor of a measured spectrum, which would
+    # read it as inf (null in strict JSON); the meta file holds the value
+    prefix, meta = synth_instance(capsys, tmp_path, n=20, kappa=1e7, seed=0)
+    on_disk = strict_loads(open(f"{prefix}-meta.json").read())
+    assert on_disk["kappa"] == on_disk["kappa_s"] == 1e7
+    assert on_disk["sigma_min"] == 1e-7
+    assert on_disk == meta
+
+
 def test_synth_deterministic_across_runs(capsys, tmp_path):
     dirs = [tmp_path / name for name in ("a", "b", "c")]
     for d in dirs:

@@ -77,7 +77,7 @@ def test_condition_numbers_match_construction():
     assert truth.diagnostics.kappa == pytest.approx(7.0, rel=1e-6)
     for kappa in (1e5, 1e6):  # still resolved by the Gram path's spectrum
         truth = gen_truth((20, 20, 20), 2, kappa=kappa, alpha=0.0, seed=0)
-        assert truth.diagnostics.kappa == pytest.approx(kappa, rel=1e-4)
+        assert condition_numbers(truth.x_star, (2, 2, 2)).kappa == pytest.approx(kappa, rel=1e-4)
 
 
 def test_condition_numbers_equal_superdiagonal():
@@ -326,3 +326,37 @@ def test_tensor_diagnostics_combines_measures():
     assert d.kappa <= d.kappa_s * (1 + 1e-12)
     d2 = tensor_diagnostics(truth.x_star, (2, 2, 2))
     assert d2.alpha == 0.0
+
+
+@pytest.mark.parametrize("dims, rank, true_rank", [
+    ((10, 11, 12), (2, 2, 2), 3),  # wide unfoldings: the Gram path
+    ((3, 4, 40), (2, 2, 3), 40),  # mode 2 is tall: the direct SVD
+    ((8, 6, 7, 9), (2, 2, 2, 2), 3),
+    ((10, 11, 12), (2, 3, 2), 1),  # rank one at the declared rank: zero triplets
+    ((3, 4, 40), (3, 2, 2), 1),
+])
+def test_tensor_diagnostics_bit_identical_to_the_separate_measures(dims, rank, true_rank):
+    # one unfolding and one spectrum per mode give the spectra and the
+    # HOSVD factors with the bits of condition_numbers and hosvd
+    rng = np.random.default_rng(sum(dims))
+    r = min(true_rank, *dims)
+    x = multilinear_mul([rng.standard_normal((n, min(r, n))) for n in dims],
+                        rng.standard_normal(tuple(min(r, n) for n in dims)))
+    for scale in (1.0, 2.0**-700):
+        d = tensor_diagnostics(scale * x, rank)
+        cond = condition_numbers(scale * x, rank)
+        assert (d.kappa, d.kappa_s, d.sigma_min) == (cond.kappa, cond.kappa_s, cond.sigma_min)
+        assert all(np.array_equal(a, b) for a, b in zip(d.singular_values, cond.singular_values))
+        assert d.mu == incoherence(hosvd(scale * x, rank))
+    if true_rank == 1:
+        assert d.sigma_min == 0.0 and d.kappa == np.inf
+
+
+def test_tensor_diagnostics_rejects_zero_and_non_finite_tensors():
+    with pytest.raises(ValueError, match="zero tensor"):
+        tensor_diagnostics(np.zeros((3, 4, 5)), (1, 1, 1))
+    for bad in (np.nan, np.inf):
+        x = np.ones((3, 4, 5))
+        x[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tensor_diagnostics(x, (1, 1, 1))

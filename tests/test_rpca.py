@@ -31,6 +31,7 @@ from trpca.rpca import (
     solve,
     spectral_init,
 )
+from trpca.metrics import tensor_diagnostics
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, inf_norm
 from trpca.tucker import TuckerFactors, hosvd, reconstruct
@@ -124,16 +125,19 @@ def test_make_schedule_oracle_zeta1():
     ref = 8.0 * np.sqrt(d.mu**3 * 8 / 15**3) * d.sigma_min
     assert sched.zeta1 == pytest.approx(ref, rel=1e-9)
     assert sched.zeta0 == inf_norm(truth.x_star)
-    # a truth whose sigma_min reads 0 would give zeta1 = 0, a schedule under
-    # which every step vanishes: both entry points reject it
-    flat = gen_truth((20, 20, 20), 2, kappa=1e7, alpha=0.1, seed=0)
+    # a reference whose sigma_min reads 0 would give zeta1 = 0, a schedule
+    # under which every step vanishes: both entry points reject it.  The
+    # dense measurement of a kappa = 1e7 truth reads 0 below the Gram path's
+    # floor, though the truth itself reports its constructed 1e-7
+    truth = gen_truth((20, 20, 20), 2, kappa=1e7, alpha=0.1, seed=0)
+    flat = Reference(truth.x_star, tensor_diagnostics(truth.x_star, (2, 2, 2)))
     assert flat.diagnostics.sigma_min == 0.0
     with pytest.raises(ValueError, match="sigma_min.*--zeta1"):
-        make_schedule(cfg, flat.y, reference=flat)
+        make_schedule(cfg, truth.y, reference=flat)
     with pytest.raises(ValueError, match="sigma_min.*--zeta1"):
-        solve(flat.y, cfg, reference=flat)
+        solve(truth.y, cfg, reference=flat)
     explicit = SolverConfig(rank=(2, 2, 2), zeta1=0.1)
-    assert make_schedule(explicit, flat.y, reference=flat).zeta1 == 0.1
+    assert make_schedule(explicit, truth.y, reference=flat).zeta1 == 0.1
 
 
 def test_make_schedule_is_scale_exact_and_matches_solve():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_fiber_fraction
+from trpca.metrics import tensor_diagnostics
 from trpca.rpca import SolverConfig, solve
 from trpca.synth import SweepCell, SweepSpec, gen_truth, run_sweep, sample_support
 from trpca.tucker import reconstruct
@@ -35,6 +36,34 @@ def test_requested_parameters_are_realized():
     # n=30, alpha=0.1 saturates every per-fiber cap, so the fraction is exact
     counts = (truth.s_star != 0).sum(axis=0)
     assert counts.min() == counts.max() == 3
+
+
+@pytest.mark.parametrize("dims, rank", [((12, 13, 14), 2), ((7, 8, 6, 9), 3), ((9, 10, 11), 1)])
+@pytest.mark.parametrize("kappa", [1.0, 5.0, 1e3])
+def test_constructed_diagnostics_match_the_measured_ones(dims, rank, kappa):
+    # the reported statistics are the construction's; a dense measurement of
+    # the same tensors agrees to rounding while its spectra are resolved
+    truth = gen_truth(dims, rank, kappa, 0.2, seed=4)
+    d = truth.diagnostics
+    m = tensor_diagnostics(truth.x_star, (rank,) * len(dims), truth.s_star)
+    for name in ("mu", "kappa", "kappa_s", "sigma_min", "alpha"):
+        assert getattr(d, name) == pytest.approx(getattr(m, name), rel=1e-10, abs=0.0), name
+    for built, measured in zip(d.singular_values, m.singular_values):
+        assert built.shape == measured.shape
+        assert np.abs(built - measured).max() <= 1e-10 * measured[0]
+        assert np.all(built[rank:] == 0.0)
+
+
+def test_constructed_kappa_is_exact_beyond_the_measured_floor():
+    # the dense measurement reads sigma_min 0 at kappa = 1e7 (the Gram
+    # path's floor); the construction reports the requested value exactly
+    for kappa in (1e7, 1e12):
+        truth = gen_truth((20, 20, 20), 2, kappa, 0.1, seed=0)
+        d = truth.diagnostics
+        assert d.kappa == d.kappa_s == kappa
+        assert d.sigma_min == truth.factors.core[1, 1, 1] == 1.0 / kappa
+        assert all(s[0] == 1.0 and s[1] == 1.0 / kappa for s in d.singular_values)
+        assert tensor_diagnostics(truth.x_star, (2, 2, 2)).sigma_min == 0.0
 
 
 def test_factors_orthonormal_and_reconstruction_consistent():
@@ -212,10 +241,28 @@ def test_sweep_counts_infeasible_cells_as_failures():
     assert cell.failures == 3
     assert np.isnan(cell.median_rel_error)
     assert np.isnan(cell.median_iterations)
-    # an instance whose sigma_min reads 0 has no oracle schedule
+    # a kappa = 1e7 instance reports its constructed sigma_min, beyond the
+    # floor of a measured spectrum, so its oracle schedule exists and it runs
     spec = SweepSpec(n_grid=(20,), rank_grid=(2,), alpha_grid=(0.1,),
                      kappa_grid=(1e7,), trials=1, max_iters=30)
-    assert run_sweep(spec)[0].failures == 1
+    cell = run_sweep(spec)[0]
+    assert cell.failures == 0
+    assert np.isfinite(cell.median_rel_error)
+
+
+def test_recovery_boundary_cells_at_seed_0():
+    # two cells on either side of the (kappa, alpha) recovery boundary at
+    # 30^3, rank 2, oracle thresholds: a change that moves the boundary shows
+    # here.  At alpha 0.1 the init's radius ||x_0 - x*||_F / sigma_min passes
+    # at kappa 100 and fails at 1e3, which stops through stop_tol short of
+    # recovery
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=400)
+    errors = []
+    for kappa in (100.0, 1e3):
+        truth = gen_truth((30, 30, 30), 2, kappa, 0.1, seed=0)
+        errors.append(solve(truth.y, cfg, reference=truth).trace.final.rel_fro_error)
+    assert errors[0] <= 1e-10
+    assert errors[1] > 1e-4
 
 
 def test_sweep_cell_matches_direct_run():

@@ -12,7 +12,7 @@ from oracles import (
     suite_all_orthogonal_core,
     suite_trunc_hosvd_identities,
 )
-from trpca.metrics import condition_numbers
+from trpca.metrics import condition_numbers, tensor_diagnostics
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, matricize, multilinear_mul
 from trpca.tucker import (
@@ -142,6 +142,20 @@ def test_thin_svd_right_vectors_on_the_gram_path():
         for j in np.flatnonzero(s):
             assert rel_diff(v[:, j], m.T @ u[:, j] / s[j]) <= 1e-12
         np.testing.assert_allclose(v.T @ v, np.eye(rank), atol=1e-10)
+
+
+def test_thin_svd_kappa_1e7_resolved_directly_floored_on_the_gram_path():
+    # the Gram path squares the singular values, so a wide matrix reads one
+    # of 1e-7 * s_max as 0; the direct SVD of its transpose resolves it
+    rng = np.random.default_rng(11)
+    u = np.linalg.qr(rng.standard_normal((10, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((60, 2)))[0]
+    m = (u * np.array([1.0, 1e-7])) @ v.T  # 10 x 60: more than 4x wider than tall
+    assert thin_svd(m, 2).s[1] == 0.0
+    assert singular_values(m)[1] == 0.0
+    tall = thin_svd(m.T, 2)  # 60 x 10: the direct SVD
+    assert tall.s[1] == pytest.approx(1e-7, rel=1e-6)
+    assert singular_values(m.T)[1] == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_thin_svd_validation():
@@ -286,6 +300,9 @@ def test_hosvd_and_condition_numbers_matricize_only_the_middle_modes(monkeypatch
     assert calls == middle
     calls.clear()
     cond = condition_numbers(t, rank)
+    assert calls == middle
+    calls.clear()
+    tensor_diagnostics(t, rank)  # one copy per middle mode, for both measures
     assert calls == middle
     for k, r in enumerate(rank):
         m = matricize(t, k)
