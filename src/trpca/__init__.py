@@ -38,10 +38,8 @@ from .rpca import (
 )
 from .metrics import (
     AlignmentResult,
-    ConditionNumbers,
     Diagnostics,
     align_factors,
-    condition_numbers,
     incoherence,
     sparsity_fraction,
     tensor_diagnostics,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentResult",
-    "ConditionNumbers",
     "Diagnostics",
     "DivergenceError",
     "GroundTruth",
@@ -89,7 +86,6 @@ __all__ = [
     "align_factors",
     "as_tensor",
     "breve_factor",
-    "condition_numbers",
     "fro_norm",
     "gen_truth",
     "hosvd",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -70,7 +71,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, fileio.json_line({"error": "usage", "message": message}) + "\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: parsing reads it and never
+    changes it, and each parse fills a fresh namespace."""
     parser = _Parser(
         prog="trpca",
         description="Low-multilinear-rank + sparse tensor decomposition",

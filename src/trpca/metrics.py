@@ -1,19 +1,18 @@
-"""Diagnostics: incoherence, condition numbers, sparsity, and factor alignment."""
+"""Diagnostics: incoherence, sparsity, factor alignment, and the one measure of
+a tensor at a declared rank, :func:`tensor_diagnostics`."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
 from .rpca import GRAM_CONDITION_LIMIT, _spd_inverses
-from .tucker import TuckerFactors, _spectrum, _unfolding, singular_values
+from .tucker import TuckerFactors, _spectrum, _unfolding
 
 _ORTHO_TOL = 1e-8
-_ZERO_TENSOR = "condition numbers are undefined for the zero tensor"
 
 
 @dataclass
@@ -24,10 +23,10 @@ class Diagnostics:
     worst-case condition numbers, ``sigma_min`` the smallest matricization
     singular value read at the declared rank, ``alpha`` the per-fiber
     sparsity fraction of the sparse part, and ``singular_values`` the
-    per-mode matricization spectra, exactly 0 where numerically zero (see
-    :func:`~trpca.tucker.singular_values`).  :func:`tensor_diagnostics`
-    measures them on a tensor; :func:`~trpca.synth.gen_truth` reports the
-    values its construction fixes.
+    per-mode matricization spectra, exactly 0 where numerically zero.
+    :func:`tensor_diagnostics` measures them on a tensor;
+    :func:`~trpca.synth.gen_truth` reports the values its construction
+    fixes.
     """
 
     mu: float
@@ -35,13 +34,6 @@ class Diagnostics:
     kappa_s: float
     sigma_min: float
     alpha: float
-    singular_values: tuple[np.ndarray, ...]
-
-
-class ConditionNumbers(NamedTuple):
-    kappa: float
-    kappa_s: float
-    sigma_min: float
     singular_values: tuple[np.ndarray, ...]
 
 
@@ -64,44 +56,6 @@ def _incoherence(factors) -> float:
         n, r = u.shape
         worst = max(worst, n / r * l2inf_norm(u) ** 2)
     return worst
-
-
-def condition_numbers(x: np.ndarray, rank) -> ConditionNumbers:
-    """Joint and worst-case condition numbers of a tensor at a declared rank.
-
-    With ``s_k`` the mode-k matricization spectrum, the smallest relevant
-    singular value per mode is ``s_k[rank[k] - 1]``.  Then
-
-        kappa   = min_k s_k[0] / min_k s_k[rank[k] - 1]
-        kappa_s = max_k s_k[0] / min_k s_k[rank[k] - 1]
-
-    so ``kappa <= kappa_s`` always.  ``sigma_min`` is the denominator.
-    Raises on an all-zero tensor.  The spectra come from
-    :func:`~trpca.tucker.singular_values` of the unfoldings that
-    :func:`~trpca.tucker.hosvd` reads: reshape views for mode 0 and the last
-    mode, whose columns are the matricization's in another order.  It works
-    at any scale and reads 0 for a numerically zero value, so a tensor that
-    is rank-deficient at the declared rank yields ``sigma_min`` 0 and
-    infinite condition numbers, as does one with ``sigma_min`` below
-    ~1.5e-7 * s_max in a wide unfolding.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    rank = check_rank(x.shape, rank)
-    if fro_norm(x) == 0.0:
-        raise ValueError(_ZERO_TENSOR)
-    return _conditions(tuple(singular_values(_unfolding(x, k)) for k in range(x.ndim)), rank)
-
-
-def _conditions(spectra: tuple[np.ndarray, ...], rank) -> ConditionNumbers:
-    """:func:`condition_numbers` from the per-mode spectra."""
-    tops = [s[0] for s in spectra]
-    sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
-    if sigma_min == 0.0:
-        kappa = kappa_s = float("inf")
-    else:
-        kappa = min(tops) / sigma_min
-        kappa_s = max(tops) / sigma_min
-    return ConditionNumbers(float(kappa), float(kappa_s), float(sigma_min), spectra)
 
 
 def sparsity_fraction(s: np.ndarray) -> float:
@@ -188,14 +142,24 @@ def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
 def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) -> Diagnostics:
     """Full diagnostics of a tensor at a declared rank, measured on the tensor.
 
-    ``kappa``, ``kappa_s``, ``sigma_min`` and the spectra are those of
-    :func:`condition_numbers`, with its floor: a wide unfolding reads
-    singular values below ~1.5e-7 * s_max as 0.  ``mu`` is the incoherence
-    of the truncated-HOSVD factors of ``x``, as :func:`~trpca.tucker.hosvd`
-    gives them.  Both are read bit for bit from one unfolding and one
-    :func:`~trpca.tucker._spectrum` per mode: on the Gram path one Gram
-    matrix gives the spectrum and the factors, and the HOSVD core, which
-    ``mu`` does not read, is never formed.  ``alpha`` is the per-fiber
+    With ``s_k`` the mode-k matricization spectrum, the smallest relevant
+    singular value per mode is ``s_k[rank[k] - 1]``.  Then
+
+        sigma_min = min_k s_k[rank[k] - 1]
+        kappa     = min_k s_k[0] / sigma_min
+        kappa_s   = max_k s_k[0] / sigma_min
+
+    so ``kappa <= kappa_s`` always.  ``mu`` is the incoherence of the
+    truncated-HOSVD factors of ``x``, with the bits of
+    :func:`~trpca.tucker.hosvd`'s.  Each mode's spectrum and factor come
+    from one decomposition, :func:`~trpca.tucker._spectrum` of the
+    unfolding that ``hosvd`` reads (a reshape view for mode 0 and the last
+    mode, whose columns are the matricization's in another order); the
+    HOSVD core, which ``mu`` does not read, is never formed.  The spectra
+    are exact at any scale and read 0 where numerically zero, so a tensor
+    that is rank-deficient at the declared rank yields ``sigma_min`` 0 and
+    infinite condition numbers, as does one with ``sigma_min`` below
+    ~1.5e-7 * s_max in a wide unfolding.  ``alpha`` is the per-fiber
     sparsity fraction of ``sparse`` when given, else 0.  Raises on an
     all-zero or non-finite tensor.
     """
@@ -203,18 +167,22 @@ def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) ->
     rank = check_rank(x.shape, rank)
     top = inf_norm(x)
     if top == 0.0:
-        raise ValueError(_ZERO_TENSOR)
+        raise ValueError("condition numbers are undefined for the zero tensor")
     if not math.isfinite(top):
         raise ValueError("tensor entries must be finite")
-    spectra, svds = zip(*(_spectrum(_unfolding(x, k), r, values=True)
-                          for k, r in enumerate(rank)))
-    cond = _conditions(spectra, rank)
+    spectra, svds = zip(*(_spectrum(_unfolding(x, k), r) for k, r in enumerate(rank)))
+    tops = [s[0] for s in spectra]
+    sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
+    if sigma_min == 0.0:
+        kappa = kappa_s = math.inf
+    else:
+        kappa, kappa_s = min(tops) / sigma_min, max(tops) / sigma_min
     alpha = sparsity_fraction(sparse) if sparse is not None else 0.0
     return Diagnostics(
         mu=float(_incoherence(svd.u for svd in svds)),
-        kappa=cond.kappa,
-        kappa_s=cond.kappa_s,
-        sigma_min=cond.sigma_min,
+        kappa=float(kappa),
+        kappa_s=float(kappa_s),
+        sigma_min=float(sigma_min),
         alpha=float(alpha),
-        singular_values=cond.singular_values,
+        singular_values=spectra,
     )

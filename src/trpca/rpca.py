@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor_ops import (
+    _ldexp_up,
     _mode_inner,
     _mode_product,
     _sumsq,
@@ -343,7 +344,8 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
     """
     st = _start(y, cfg, reference)
     sched = st.sched
-    return ThresholdSchedule(_ldexp(sched.zeta0, st.e), _ldexp(sched.zeta1, st.e), sched.rho)
+    return ThresholdSchedule(_ldexp_up(sched.zeta0, st.e), _ldexp_up(sched.zeta1, st.e),
+                             sched.rho)
 
 
 def spectral_init(y: np.ndarray, cfg: SolverConfig,
@@ -517,11 +519,6 @@ def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
     return float(np.vdot(grams[-2] @ t @ grams[-1], d))
 
 
-def _ldexp(v, e: int):
-    """``v * 2**e`` as a float, passing None through."""
-    return None if v is None else float(np.ldexp(v, e))
-
-
 # The loop keeps its full tensors in the units of y, unless ||y||_inf is
 # above 2**960, where a residual or a reference error could overflow; there
 # they are kept in the units of y / 2**e instead.
@@ -581,8 +578,8 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
         zeta1 = _oracle_zeta1(cfg, y, ref)
     y_l = y if el == e else np.ldexp(y, el - e)
     # the sup norm of y_l is ||y||_inf / 2**(e - el), whose exponent is el
-    f0, s0 = _spectral_init(y_l, cfg, _ldexp(zeta0, el - e), el)
-    zeta0, zeta1 = _ldexp(zeta0, -e), _ldexp(zeta1, -e)
+    f0, s0 = _spectral_init(y_l, cfg, _ldexp_up(zeta0, el - e), el)
+    zeta0, zeta1 = _ldexp_up(zeta0, -e), _ldexp_up(zeta1, -e)
     x = reconstruct(f0)
     # the gap is taken in the loop's units, where y - x cannot overflow, and
     # its sup norm and sum of squares are scaled to the units of y / 2**e
@@ -595,7 +592,7 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
         loss2 += _sumsq(gap, el)
     del s0  # before a scaled copy of the reference is made
     if zeta1 is None:
-        zeta1 = 2.0 * _ldexp(gap_inf, -el)
+        zeta1 = 2.0 * _ldexp_up(gap_inf, -el)
     sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
     f = TuckerFactors(f0.factors, np.ldexp(f0.core, -el))
     x_star = None if ref is None else ref.x_star if el == e else np.ldexp(ref.x_star, el - e)
@@ -660,12 +657,11 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         # loss, a squared norm, may overflow to inf, and so may the early
         # thresholds and errors of an input near the float maximum.
         errs = (None, None)
-        with np.errstate(over="ignore"):
-            if x_star is not None:
-                err = math.sqrt(err2)
-                errs = (err / x_star_fro if x_star_fro > 0 else _ldexp(err, e),
-                        _ldexp(err_inf, e - el))
-            values = (_ldexp(sched.value(t), e), *errs, _ldexp(loss, 2 * e))
+        if x_star is not None:
+            err = math.sqrt(err2)
+            errs = (err / x_star_fro if x_star_fro > 0 else _ldexp_up(err, e),
+                    _ldexp_up(err_inf, e - el))
+        values = (_ldexp_up(sched.value(t), e), *errs, _ldexp_up(loss, 2 * e))
         trace.rows.append(TraceRow(t, *values, time.perf_counter() - start))
 
     # One pass per iterate over mode-0 slabs of about _SLAB_BYTES, so that
@@ -693,7 +689,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         """
         x_sq = err2 = err_inf = loss2 = 0.0
         u0, u_last = f.factors[0], f.factors[-1]
-        z = _ldexp(zeta, el)
+        z = _ldexp_up(zeta, el)
         for sl in slabs:
             xb = x[sl]
             d = buf[: sl.stop - sl.start]
@@ -745,7 +741,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         if stop:
             break
     del x  # the last iterate's buffer, released before the shrink allocates s
-    s = soft_shrink(r_prev, _ldexp(sched.value(t), el))
+    s = soft_shrink(r_prev, _ldexp_up(sched.value(t), el))
     if el != e:
         np.ldexp(s, e - el, out=s)
     return SolveResult(TuckerFactors(f.factors, np.ldexp(f.core, e)), s, trace)

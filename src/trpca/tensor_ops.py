@@ -161,33 +161,33 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
     return out
 
 
-def _scale_safe(t: np.ndarray, sq, e: int | None = None) -> tuple[float, int]:
+def _scale_safe(t: np.ndarray, sq) -> tuple[float, int]:
     """``sq(t)`` as a pair ``(q, e)`` with ``sq(t) == q * 4**e``, accurate for
     finite entries anywhere in the float range.
 
     ``sq`` is a sum of squared entries, or the largest of several such sums.
-    Its plain value is used when it lies in (``_FRO_TINY**2``, inf).
-    Otherwise the squares may have overflowed, or underflowed enough to lose
-    bits, and ``sq`` is taken again on ``t`` divided by ``2**e``.  Without
-    ``e`` the plain value comes back with e = 0, and the retake divides by a
-    power of two near the largest entry.  With ``e`` the plain value is
-    divided by ``4**e`` too, so the result is always in the units of
-    ``2**e``.  Non-finite entries give inf or nan.
+    Its plain value comes back with e = 0 when it lies in
+    (``_FRO_TINY**2``, inf).  Otherwise the squares may have overflowed, or
+    underflowed enough to lose bits, and ``sq`` is taken again on ``t``
+    divided by ``2**e``, a power of two near the largest entry.  Non-finite
+    entries give inf or nan.
     """
     with np.errstate(over="ignore", under="ignore"):
         q = sq(t)
         if _FRO_TINY * _FRO_TINY < q < math.inf:
-            return (q, 0) if e is None else (_ldexp_up(q, -2 * e), e)
-        if e is None:
-            m = inf_norm(t)
-            if not 0.0 < m < math.inf:
-                return m * m, 0
-            e = int(np.frexp(m)[1])
+            return q, 0
+        m = inf_norm(t)
+        if not 0.0 < m < math.inf:
+            return m * m, 0
+        e = int(np.frexp(m)[1])
         return sq(np.ldexp(t, -e)), e
 
 
-def _ldexp_up(q: float, n: int) -> float:
-    """``q * 2**n`` for a float ``q > 0``, inf beyond the float range."""
+def _ldexp_up(q: float | None, n: int) -> float | None:
+    """``q * 2**n`` for a float ``q >= 0``, inf beyond the float range; None
+    for None."""
+    if q is None:
+        return None
     try:
         return math.ldexp(q, n)
     except OverflowError:
@@ -209,8 +209,9 @@ def _sumsq(t: np.ndarray, e: int) -> float:
     """Sum of squares of a contiguous array's entries, divided by ``4**e``.
 
     The plain dot product when it lies in (``_FRO_TINY**2``, inf), else the
-    dot product of the array divided by ``2**e`` (see :func:`_scale_safe`).
-    The plain case is taken here, without the ``np.errstate`` that
+    dot product of the array divided by ``2**e``, where the squares neither
+    overflow nor lose bits to underflow (see :func:`_scale_safe`).  The
+    plain case is taken here, without the ``np.errstate`` that
     :func:`_dot_self` does not need: the solver loop calls this on every
     slab, where a call's overhead is of the order of its dot product.
     """
@@ -218,7 +219,8 @@ def _sumsq(t: np.ndarray, e: int) -> float:
     q = _dot_self(v)
     if _FRO_TINY * _FRO_TINY < q < math.inf:
         return _ldexp_up(q, -2 * e)
-    return _scale_safe(v, _dot_self, e)[0]
+    with np.errstate(over="ignore", under="ignore"):
+        return _dot_self(np.ldexp(v, -e))
 
 
 def fro_norm(t: np.ndarray) -> float:

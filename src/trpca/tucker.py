@@ -81,44 +81,28 @@ def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v
 
 
-def _values(raw: np.ndarray, e: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values from a decomposition's descending output ``raw``, and
-    the mask of the numerically zero ones, which read 0 (see :func:`_spectrum`).
-    ``raw`` holds Gram eigenvalues ``w``, read as ``sqrt(w) * 2**e``, when
-    ``e`` is set, else singular values."""
-    dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
-    s = raw.copy() if e is None else np.ldexp(np.sqrt(np.maximum(raw, 0.0)), e)
-    s[dead] = 0.0
-    return s, dead
+def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, SvdResult]:
+    """Descending singular values of a matrix, 0 where numerically zero, and
+    its top-``rank`` triplets as :func:`thin_svd` gives them, except that
+    ``v`` is None on the Gram path unless a triplet is zero; both from one
+    decomposition.
 
-
-def _spectrum(m: np.ndarray, rank: int | None = None, values: bool = False):
-    """Descending singular values of a matrix, 0 where numerically zero; with
-    ``rank``, the top-``rank`` triplets instead, as for :func:`thin_svd`,
-    except that ``v`` is None on the Gram path unless a triplet is zero; with
-    ``rank`` and ``values``, the pair (values, triplets).
-
-    A matrix more than 4x wider than tall goes through its small Gram matrix
-    ``a @ a.T`` of ``a = m / 2**e``: the singular values are
-    ``sqrt(w) * 2**e`` for its eigenvalues ``w`` and its eigenvectors are the
-    left vectors.  ``e`` is 0 when the plain ``m @ m.T`` is finite with a
+    A matrix more than 4x wider than tall goes through one ``eigh`` of its
+    small Gram matrix ``a @ a.T`` of ``a = m / 2**e``: the singular values
+    are ``sqrt(w) * 2**e`` for its eigenvalues ``w`` and its eigenvectors are
+    the left vectors.  ``e`` is 0 when the plain ``m @ m.T`` is finite with a
     trace above ``_FRO_TINY**2``; otherwise its squares may have overflowed,
     or underflowed enough to lose bits, and ``2**e`` is a power of two near
     the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.  The right
     vectors ``m.T @ u / s`` take one more pass over ``m``, so the Gram path
     leaves them to the caller that wants them (:func:`thin_svd`; not
     :func:`hosvd`), and forms them itself only when a zero triplet needs
-    them for its completion.  Any other matrix goes to a direct SVD.  A
+    them for its completion.  Any other matrix goes to one direct SVD.  A
     value is numerically zero unless the decomposition's output (an
     eigenvalue, or a singular value) exceeds ``_RANK_TOL`` times the
     largest.  An eigenvalue is a square, whose rounding floor is a singular
     value of ~sqrt(eps) * s_max, so the Gram path resolves none below
     ~1.5e-7 * s_max.
-
-    The values come from ``eigvalsh`` of the Gram matrix, or an SVD without
-    vectors, and the triplets from ``eigh`` of the same Gram matrix, or an
-    SVD with vectors; so the pair holds the bits of the two separate calls,
-    for one Gram matrix (one pass over ``m``) where it is formed.
     """
     rows, cols = m.shape
     v = e = None
@@ -130,31 +114,24 @@ def _spectrum(m: np.ndarray, rank: int | None = None, values: bool = False):
                 e = int(np.frexp(inf_norm(m))[1])
                 a = np.ldexp(m, -e)
                 g = a @ a.T
-        if rank is None or values:
-            raw = np.linalg.eigvalsh(g)[::-1]
-        if rank is not None:
-            w, vecs = np.linalg.eigh(g)
-            order = np.argsort(w)[::-1]
-            top = w[order]
-            u = vecs[:, order[:rank]].copy()
+        w, vecs = np.linalg.eigh(g)
+        order = np.argsort(w)[::-1]
+        raw = w[order]
+        u = vecs[:, order[:rank]].copy()
     else:
-        if rank is None or values:
-            raw = np.linalg.svd(m, compute_uv=False)
-        if rank is not None:
-            uu, top, vt = np.linalg.svd(m, full_matrices=False)
-            u, v = uu[:, :rank].copy(), vt[:rank].T.copy()
-    if rank is None:
-        return _values(raw, e)[0]
-    s, dead = _values(top, e)
-    s, dead = s[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
+        uu, raw, vt = np.linalg.svd(m, full_matrices=False)
+        u, v = uu[:, :rank].copy(), vt[:rank].T.copy()
+    dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
+    values = raw if e is None else np.ldexp(np.sqrt(np.maximum(raw, 0.0)), e)
+    values[dead] = 0.0
+    s, dead = values[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
     if dead:
         if v is None:
             v = _right_vectors(m, u, s)
         _complete_columns(u, dead)
         _complete_columns(v, dead)
     _fix_signs(u, v)
-    triplets = SvdResult(u, s, v)
-    return (_values(raw, e)[0], triplets) if values else triplets
+    return values, SvdResult(u, s, v)
 
 
 def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
@@ -175,10 +152,11 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         (ties to the lowest index).  Numerically zero triplets have ``s``
         exactly 0 and a deterministic canonical-basis completion, so the
         output never depends on backend behavior for degenerate subspaces.
-        :func:`_spectrum` computes them, at any scale; a very wide matrix
-        cannot resolve singular values below ~1.5e-7 * s_max.  On its Gram
-        path the right vectors are ``m.T @ u / s``, formed here in one
-        product after the signs of ``u`` are fixed.
+        :func:`_spectrum` computes them from one ``eigh`` or one SVD, at
+        any scale; a very wide matrix cannot resolve singular values below
+        ~1.5e-7 * s_max.  On its Gram path the right vectors are
+        ``m.T @ u / s``, formed here in one product after the signs of
+        ``u`` are fixed.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -186,15 +164,8 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     rank = check_rank(m.shape, (rank, rank))[0]
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    u, s, v = _spectrum(m, rank)
+    u, s, v = _spectrum(m, rank)[1]
     return SvdResult(u, s, _right_vectors(m, u, s) if v is None else v)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values, exactly 0 where numerically zero (see
-    :func:`_spectrum`): on the Gram path of a matrix more than 4x wider than
-    tall, every value below ~1.5e-7 * s_max."""
-    return _spectrum(m)
 
 
 @dataclass
@@ -266,7 +237,7 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     rank = check_rank(t.shape, rank)
     if not math.isfinite(inf_norm(t)):
         raise ValueError("tensor entries must be finite")
-    factors = tuple(_spectrum(_unfolding(t, k), r).u for k, r in enumerate(rank))
+    factors = tuple(_spectrum(_unfolding(t, k), r)[1].u for k, r in enumerate(rank))
     core = multilinear_mul([u.T for u in factors], t)
     return TuckerFactors(factors, core)
 

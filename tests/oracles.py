@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trpca.metrics import condition_numbers
+from trpca.metrics import tensor_diagnostics
 from trpca.rpca import scaled_step, soft_shrink, spectral_init
 from trpca.synth import gen_truth
 from trpca.tensor_ops import (
@@ -28,7 +28,7 @@ from trpca.tensor_ops import (
     matricize,
     multilinear_mul,
 )
-from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct, singular_values
+from trpca.tucker import TuckerFactors, breve_factor, hosvd, reconstruct
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def sparse_norm_bounds_check(m, alpha):
         raise ValueError("a column exceeds the alpha-fraction sparsity cap")
     entry = inf_norm(m)
     return NormBoundsReport(
-        op=(float(singular_values(m)[0]), alpha * np.sqrt(rows * cols) * entry),
+        op=(float(np.linalg.norm(m, 2)), alpha * np.sqrt(rows * cols) * entry),
         l2inf=(l2inf_norm(m), np.sqrt(alpha * cols) * entry),
         l1inf=(l1inf_norm(m), alpha * cols * entry),
     )
@@ -582,16 +582,16 @@ def suite_condition_ordering(rng, cases):
         else:
             t = rng.standard_normal(dims) * float(rng.uniform(0.1, 10))
             rank = tuple(int(rng.integers(1, min(min(dims), 4) + 1)) for _ in dims)
-        cond = condition_numbers(t, rank)
-        assert cond.kappa <= cond.kappa_s * (1 + 1e-12)
-        assert cond.sigma_min > 0
+        diag = tensor_diagnostics(t, rank)
+        assert diag.kappa <= diag.kappa_s * (1 + 1e-12)
+        assert diag.sigma_min > 0
         # spectra agree with a plain SVD of the index-oracle unfolding down
         # to the declared rank (the tail below that may sit at the Gram
         # noise floor ~sqrt(eps) and is never read)
         k = int(rng.integers(3))
         ref = np.linalg.svd(oracle_matricize(t, k), compute_uv=False)
         head = rank[k]
-        assert np.allclose(cond.singular_values[k][:head], ref[:head],
+        assert np.allclose(diag.singular_values[k][:head], ref[:head],
                            rtol=1e-9, atol=1e-9 * (ref[0] + 1.0))
 
 

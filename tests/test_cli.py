@@ -1,5 +1,6 @@
 """End-to-end command line tests; everything runs in process except one smoke test."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -274,6 +275,26 @@ def test_usage_errors(capsys, tmp_path):
     assert rc == 2 and payload["error"] == "usage"
     assert "sigma_min" in payload["message"] and "--zeta1" in payload["message"]
     assert run_cli(capsys, *argv, "--zeta1", "0.1")[0] == 0
+
+
+def test_main_builds_its_parser_once(capsys, tmp_path, monkeypatch):
+    # a second main call adds no argument to the parser, and a flag given in
+    # one call does not carry over into the next
+    prefix, _ = synth_instance(capsys, tmp_path)
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    argv = ("decompose", "--input", f"{prefix}-y.trpc", "--rank", "2,2,2", "--iters", 0)
+    rc, out, _ = run_cli(capsys, *argv, "--zeta1", 0.5)
+    assert rc == 0 and strict_loads(out)["zeta1"] == 0.5
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and strict_loads(out)["zeta1"] is None
+    assert added == []
 
 
 def test_synth_rejects_scales_that_are_not_finite_positive_numbers(capsys, tmp_path):

@@ -14,14 +14,13 @@ from oracles import (
 )
 from trpca.metrics import (
     align_factors,
-    condition_numbers,
     incoherence,
     sparsity_fraction,
     tensor_diagnostics,
 )
 from trpca.rpca import soft_shrink
 from trpca.synth import gen_truth
-from trpca.tensor_ops import fro_norm, multilinear_mul
+from trpca.tensor_ops import fro_norm, matricize, multilinear_mul
 from trpca.tucker import TuckerFactors, hosvd, reconstruct
 
 
@@ -70,14 +69,14 @@ def test_incoherence_rejects_non_orthonormal():
 
 def test_condition_numbers_match_construction():
     truth = gen_truth((14, 14, 14), 2, kappa=7.0, alpha=0.0, seed=3)
-    cond = condition_numbers(truth.x_star, (2, 2, 2))
-    assert cond.kappa == pytest.approx(7.0, rel=1e-8)
-    assert cond.kappa_s == pytest.approx(7.0, rel=1e-8)  # equal mode spectra
-    assert cond.sigma_min == pytest.approx(1.0 / 7.0, rel=1e-8)
+    d = tensor_diagnostics(truth.x_star, (2, 2, 2))
+    assert d.kappa == pytest.approx(7.0, rel=1e-8)
+    assert d.kappa_s == pytest.approx(7.0, rel=1e-8)  # equal mode spectra
+    assert d.sigma_min == pytest.approx(1.0 / 7.0, rel=1e-8)
     assert truth.diagnostics.kappa == pytest.approx(7.0, rel=1e-6)
     for kappa in (1e5, 1e6):  # still resolved by the Gram path's spectrum
         truth = gen_truth((20, 20, 20), 2, kappa=kappa, alpha=0.0, seed=0)
-        assert condition_numbers(truth.x_star, (2, 2, 2)).kappa == pytest.approx(kappa, rel=1e-4)
+        assert tensor_diagnostics(truth.x_star, (2, 2, 2)).kappa == pytest.approx(kappa, rel=1e-4)
 
 
 def test_condition_numbers_equal_superdiagonal():
@@ -85,42 +84,42 @@ def test_condition_numbers_equal_superdiagonal():
     core[0, 0, 0] = core[1, 1, 1] = 3.0
     x = reconstruct(_factors([np.eye(5)[:, :2]] * 3, (2, 2, 2)))
     x = multilinear_mul([np.eye(5)[:, :2]] * 3, core)
-    cond = condition_numbers(x, (2, 2, 2))
-    assert cond.kappa == pytest.approx(1.0, abs=1e-12)
-    assert cond.kappa_s == pytest.approx(1.0, abs=1e-12)
-    assert cond.sigma_min == pytest.approx(3.0, rel=1e-12)
+    d = tensor_diagnostics(x, (2, 2, 2))
+    assert d.kappa == pytest.approx(1.0, abs=1e-12)
+    assert d.kappa_s == pytest.approx(1.0, abs=1e-12)
+    assert d.sigma_min == pytest.approx(3.0, rel=1e-12)
 
 
 def test_condition_numbers_edge_cases():
     with pytest.raises(ValueError):
-        condition_numbers(np.zeros((3, 3, 3)), (1, 1, 1))
+        tensor_diagnostics(np.zeros((3, 3, 3)), (1, 1, 1))
     a = np.zeros((4, 4, 4))  # single entry: exactly rank one per mode
     a[0, 0, 0] = 2.0
-    assert condition_numbers(a, (2, 2, 2)).kappa == np.inf
+    assert tensor_diagnostics(a, (2, 2, 2)).kappa == np.inf
     # rank one at declared rank 2: the second singular value is numerically
     # zero on the Gram path (10^3) and on the direct SVD (4x5x6)
     rng = np.random.default_rng(0)
     for dims in ((10, 10, 10), (4, 5, 6)):
         x = multilinear_mul([rng.standard_normal((n, 1)) for n in dims], np.ones((1, 1, 1)))
-        cond = condition_numbers(x, (2, 2, 2))
-        assert cond.kappa == cond.kappa_s == np.inf and cond.sigma_min == 0.0
+        d = tensor_diagnostics(x, (2, 2, 2))
+        assert d.kappa == d.kappa_s == np.inf and d.sigma_min == 0.0
     with pytest.raises(ValueError):
-        condition_numbers(a, (2, 2))
+        tensor_diagnostics(a, (2, 2))
     with pytest.raises(ValueError):
-        condition_numbers(a, (5, 2, 2))
+        tensor_diagnostics(a, (5, 2, 2))
 
 
 def test_condition_numbers_scale_across_the_float_range():
     # the squares in a Gram matrix underflow at 2**-660 and overflow at 2**600
     truth = gen_truth((12, 12, 12), 2, kappa=5.0, alpha=0.1, seed=29)
-    base = condition_numbers(truth.x_star, (2, 2, 2))
+    base = tensor_diagnostics(truth.x_star, (2, 2, 2))
     assert base.kappa == pytest.approx(5.0, rel=1e-9)
     for c in (2.0**-660, 2.0**600):
-        cond = condition_numbers(c * truth.x_star, (2, 2, 2))
-        assert cond.kappa == pytest.approx(base.kappa, rel=1e-12)
-        assert cond.kappa_s == pytest.approx(base.kappa_s, rel=1e-12)
-        assert cond.sigma_min == pytest.approx(c * base.sigma_min, rel=1e-12)
-        for s, s_base in zip(cond.singular_values, base.singular_values):
+        d = tensor_diagnostics(c * truth.x_star, (2, 2, 2))
+        assert d.kappa == pytest.approx(base.kappa, rel=1e-12)
+        assert d.kappa_s == pytest.approx(base.kappa_s, rel=1e-12)
+        assert d.sigma_min == pytest.approx(c * base.sigma_min, rel=1e-12)
+        for s, s_base in zip(d.singular_values, base.singular_values):
             assert rel_diff(s, c * s_base) <= 1e-12
 
 
@@ -336,17 +335,22 @@ def test_tensor_diagnostics_combines_measures():
     ((3, 4, 40), (3, 2, 2), 1),
 ])
 def test_tensor_diagnostics_bit_identical_to_the_separate_measures(dims, rank, true_rank):
-    # one unfolding and one spectrum per mode give the spectra and the
-    # HOSVD factors with the bits of condition_numbers and hosvd
+    # one unfolding and one decomposition per mode give spectra that match a
+    # plain SVD of the matricization, condition numbers read from them, and
+    # HOSVD factors with the bits of hosvd
     rng = np.random.default_rng(sum(dims))
     r = min(true_rank, *dims)
     x = multilinear_mul([rng.standard_normal((n, min(r, n))) for n in dims],
                         rng.standard_normal(tuple(min(r, n) for n in dims)))
     for scale in (1.0, 2.0**-700):
         d = tensor_diagnostics(scale * x, rank)
-        cond = condition_numbers(scale * x, rank)
-        assert (d.kappa, d.kappa_s, d.sigma_min) == (cond.kappa, cond.kappa_s, cond.sigma_min)
-        assert all(np.array_equal(a, b) for a, b in zip(d.singular_values, cond.singular_values))
+        for k, s in enumerate(d.singular_values):
+            ref = scale * np.linalg.svd(matricize(x, k), compute_uv=False)
+            assert s.shape == ref.shape and rel_diff(s, ref) <= 1e-12
+        tops = [s[0] for s in d.singular_values]
+        assert d.sigma_min == min(s[r - 1] for s, r in zip(d.singular_values, rank))
+        if d.sigma_min > 0:
+            assert (d.kappa, d.kappa_s) == (min(tops) / d.sigma_min, max(tops) / d.sigma_min)
         assert d.mu == incoherence(hosvd(scale * x, rank))
     if true_rank == 1:
         assert d.sigma_min == 0.0 and d.kappa == np.inf

@@ -45,9 +45,11 @@ def test_a_traced_solve_goes_through_its_public_layers(monkeypatch):
     assert calls == [5, 6, 2]
 
 
-# Names only tests used; their oracles live in tests/oracles.py, or they are gone.
+# Names only tests used; their oracles live in tests/oracles.py, or they are
+# gone.  The last three measured what tensor_diagnostics measures.
 TEST_ONLY = ("tensorize", "l1inf_norm", "op_norm", "sparse_norm_bounds_check",
-             "NormBoundsReport", "error_report", "ErrorReport", "SolverState")
+             "NormBoundsReport", "error_report", "ErrorReport", "SolverState",
+             "condition_numbers", "ConditionNumbers", "singular_values")
 
 
 def test_all_resolves_and_holds_only_the_used_surface():

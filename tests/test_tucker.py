@@ -12,17 +12,22 @@ from oracles import (
     suite_all_orthogonal_core,
     suite_trunc_hosvd_identities,
 )
-from trpca.metrics import condition_numbers, tensor_diagnostics
+from trpca.metrics import tensor_diagnostics
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, matricize, multilinear_mul
 from trpca.tucker import (
     TuckerFactors,
+    _spectrum,
     breve_factor,
     hosvd,
     reconstruct,
-    singular_values,
     thin_svd,
 )
+
+
+def spectrum(m):
+    """The full descending spectrum that ``_spectrum`` reads with the triplets."""
+    return _spectrum(m, 1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,10 @@ def test_thin_svd_kappa_1e7_resolved_directly_floored_on_the_gram_path():
     v = np.linalg.qr(rng.standard_normal((60, 2)))[0]
     m = (u * np.array([1.0, 1e-7])) @ v.T  # 10 x 60: more than 4x wider than tall
     assert thin_svd(m, 2).s[1] == 0.0
-    assert singular_values(m)[1] == 0.0
+    assert spectrum(m)[1] == 0.0
     tall = thin_svd(m.T, 2)  # 60 x 10: the direct SVD
     assert tall.s[1] == pytest.approx(1e-7, rel=1e-6)
-    assert singular_values(m.T)[1] == pytest.approx(1e-7, rel=1e-6)
+    assert spectrum(m.T)[1] == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_thin_svd_validation():
@@ -171,22 +176,22 @@ def test_thin_svd_validation():
 
 def test_op_norm():
     # the operator norm is the first entry of the descending spectrum of
-    # singular_values, which takes a wide matrix through its Gram matrix and
+    # _spectrum, which takes a wide matrix through its Gram matrix and
     # every other one through an SVD; on both paths a numerically zero value
     # reads exactly 0
     rng = np.random.default_rng(4)
     m = rng.standard_normal((5, 6))
-    assert singular_values(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+    assert spectrum(m)[0] == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
     wide = rng.standard_normal((2, 40))
-    assert singular_values(wide)[0] == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
+    assert spectrum(wide)[0] == pytest.approx(np.linalg.norm(wide, 2), rel=1e-10)
     one = np.outer(rng.standard_normal(3), rng.standard_normal(40))
     for a in (m, wide, wide.T, one, one.T):
-        s = singular_values(a)
+        s = spectrum(a)
         assert s.shape == (min(a.shape),) and np.all(np.diff(s) <= 0)
         assert rel_diff(s, np.linalg.svd(a, compute_uv=False)) <= 1e-10
         assert s[0] == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
     for a in (one, one.T):  # rank one: the Gram path and the direct SVD
-        assert np.all(singular_values(a)[1:] == 0.0)
+        assert np.all(spectrum(a)[1:] == 0.0)
 
 
 @pytest.mark.parametrize("k", [-660, 600])
@@ -201,7 +206,7 @@ def test_spectra_scale_across_the_float_range(k):
     assert rel_diff(scaled.u, base.u) <= 1e-12
     assert rel_diff(scaled.v, base.v) <= 1e-12
     for a in (m, m.T):  # wide and tall
-        top, scaled_top = singular_values(a)[0], singular_values(c * a)[0]
+        top, scaled_top = spectrum(a)[0], spectrum(c * a)[0]
         assert abs(scaled_top - c * top) <= 1e-12 * c * top
     f, g = hosvd(y, (2, 2, 2)), hosvd(c * y, (2, 2, 2))
     for a, b in zip(g.factors, f.factors):
@@ -299,15 +304,44 @@ def test_hosvd_and_condition_numbers_matricize_only_the_middle_modes(monkeypatch
     f = hosvd(t, rank)
     assert calls == middle
     calls.clear()
-    cond = condition_numbers(t, rank)
-    assert calls == middle
-    calls.clear()
-    tensor_diagnostics(t, rank)  # one copy per middle mode, for both measures
+    d = tensor_diagnostics(t, rank)  # one copy per middle mode, for both measures
     assert calls == middle
     for k, r in enumerate(rank):
         m = matricize(t, k)
         assert rel_diff(f.factors[k], thin_svd(m, r).u) <= 1e-12
-        assert rel_diff(cond.singular_values[k], singular_values(m)) <= 1e-12
+        assert rel_diff(d.singular_values[k], spectrum(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, rank, true_rank, gram_modes", [
+    ((10, 11, 12), (2, 2, 2), 3, 3),  # every unfolding wide: the Gram path
+    ((3, 4, 40), (2, 2, 3), 3, 2),  # mode 2 is tall: one direct SVD
+    ((8, 6, 7, 9), (2, 2, 2, 2), 3, 4),
+    ((10, 11, 12), (2, 3, 2), 1, 3),  # rank one: zero triplets completed
+])
+def test_hosvd_and_tensor_diagnostics_decompose_each_unfolding_once(
+        monkeypatch, dims, rank, true_rank, gram_modes):
+    # the spectrum and the factor of a mode come from one eigh of its Gram
+    # matrix or one SVD of the unfolding, never from a second decomposition
+    rng = np.random.default_rng(sum(dims))
+    x = multilinear_mul([rng.standard_normal((n, true_rank)) for n in dims],
+                        rng.standard_normal((true_rank,) * len(dims)))
+    calls = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    want = {"eigh": gram_modes, "eigvalsh": 0, "svd": len(dims) - gram_modes}
+    for measure in (tensor_diagnostics, hosvd):
+        calls.update(dict.fromkeys(calls, 0))
+        measure(x, rank)
+        assert calls == want, measure.__name__
 
 
 def test_reconstruct_identity_factors():
@@ -349,7 +383,7 @@ def test_best_rank_r_matricization_residual():
         u = f.factors[k]
         resid = (np.eye(m.shape[0]) - u @ u.T) @ m
         s = np.linalg.svd(m, compute_uv=False)
-        assert singular_values(resid)[0] == pytest.approx(s[r], abs=1e-9)
+        assert spectrum(resid)[0] == pytest.approx(s[r], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
