@@ -163,23 +163,24 @@ def _diagnosed(path, rank):
             raise InputError(str(exc)) from None
 
 
+# Each ``decompose`` flag that sets a SolverConfig field, by its argparse
+# name, and that field: one table builds both the config and the report's
+# ``run`` record, so the record carries every setting of the solve.
+_CONFIG_FIELDS = {
+    "rank": "rank", "eta": "eta", "rho": "rho", "zeta0": "zeta0", "zeta1": "zeta1",
+    "iters": "max_iters", "stop_tol": "stop_tol", "modes": "active_modes",
+    "alpha_estimate": "alpha_estimate",
+}
+
+
 def _cmd_decompose(args) -> dict:
     y = _read(args.input)
     reference = None
     if args.truth is not None:
         reference = Reference(*_diagnosed(args.truth, args.rank))
 
-    cfg = SolverConfig(
-        rank=args.rank,
-        eta=args.eta,
-        rho=args.rho,
-        zeta0=args.zeta0,
-        zeta1=args.zeta1,
-        max_iters=args.iters,
-        stop_tol=args.stop_tol,
-        active_modes=args.modes,
-        alpha_estimate=args.alpha_estimate,
-    )
+    settings = {flag: getattr(args, flag) for flag in _CONFIG_FIELDS}
+    cfg = SolverConfig(**{_CONFIG_FIELDS[flag]: value for flag, value in settings.items()})
     factors, sparse, trace = solve(y, cfg, reference=reference)
 
     if args.out_lowrank:
@@ -211,14 +212,7 @@ def _cmd_decompose(args) -> dict:
                 "record": "run",
                 "command": "decompose",
                 "input": str(args.input),
-                "rank": list(args.rank),
-                "eta": args.eta,
-                "rho": args.rho,
-                "zeta0": args.zeta0,
-                "zeta1": args.zeta1,
-                "iters": args.iters,
-                "stop_tol": args.stop_tol,
-                "modes": None if args.modes is None else list(args.modes),
+                **settings,
                 "truth": args.truth,
             },
             {"record": "final", **{k: v for k, v in summary.items() if k != "input"}},

@@ -38,6 +38,7 @@ from .tensor_ops import (
     _ldexp_up,
     _mode_inner,
     _mode_product,
+    _rank_entries,
     _sumsq,
     as_tensor,
     check_rank,
@@ -139,7 +140,7 @@ class SolverConfig:
     alpha_estimate: float = 0.1
 
     def __post_init__(self):
-        self.rank = tuple(int(r) for r in np.atleast_1d(self.rank))
+        self.rank = _rank_entries(self.rank)
         if any(r < 1 for r in self.rank):
             raise ValueError(f"rank entries must be >= 1, got {self.rank}")
         if not 0.0 < self.eta <= 0.25:

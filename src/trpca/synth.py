@@ -36,7 +36,7 @@ import numpy as np
 
 from .metrics import Diagnostics, incoherence, sparsity_fraction
 from .rpca import SolverConfig, solve
-from .tensor_ops import check_rank
+from .tensor_ops import _rank_entries, check_rank
 from .tucker import TuckerFactors, _fix_signs, reconstruct
 
 
@@ -246,7 +246,7 @@ class SweepSpec:
 
     def __post_init__(self):
         self.n_grid = tuple(int(v) for v in np.atleast_1d(self.n_grid))
-        self.rank_grid = tuple(int(v) for v in np.atleast_1d(self.rank_grid))
+        self.rank_grid = _rank_entries(self.rank_grid)
         self.alpha_grid = tuple(float(v) for v in np.atleast_1d(self.alpha_grid))
         self.kappa_grid = tuple(float(v) for v in np.atleast_1d(self.kappa_grid))
         for name in ("n_grid", "rank_grid", "alpha_grid", "kappa_grid"):

@@ -52,14 +52,24 @@ def as_tensor(values, min_order: int = 1) -> np.ndarray:
     return a
 
 
+def _rank_entries(values) -> tuple[int, ...]:
+    """The entries of a rank as ints; ValueError for one with a fractional part."""
+    values = np.atleast_1d(values)
+    ints = tuple(int(v) for v in values)
+    if any(i != v for i, v in zip(ints, values)):
+        raise ValueError(f"rank entries must be integers, got {tuple(values.tolist())}")
+    return ints
+
+
 def check_rank(shape: Sequence[int], rank) -> tuple[int, ...]:
     """The multilinear rank ``rank`` of a tensor of ``shape``, as a tuple of ints.
 
-    Raises ValueError unless it has one entry per mode and each entry is
-    ``1 <= r_k <= min(n_k, prod(n) // n_k)``, at most the rank the mode-k
-    matricization can have.  The one rank rule of every entry point.
+    Raises ValueError unless it has one entry per mode and each entry is an
+    integer (of any numeric type) with ``1 <= r_k <= min(n_k, prod(n) // n_k)``,
+    at most the rank the mode-k matricization can have.  The one rank rule
+    of every entry point.
     """
-    rank = tuple(int(r) for r in np.atleast_1d(rank))
+    rank = _rank_entries(rank)
     if len(rank) != len(shape):
         raise ValueError(f"rank {rank} does not match tensor order {len(shape)}")
     size = math.prod(shape)

@@ -23,40 +23,27 @@ class SvdResult(NamedTuple):
     v: np.ndarray
 
 
-def _axis_residual(basis: list[np.ndarray], axis: int, n: int) -> np.ndarray:
-    """The canonical axis ``e_axis`` of R^n, orthogonalized against ``basis``."""
-    cand = np.zeros(n)
-    cand[axis] = 1.0
-    for b in basis:
-        cand -= np.dot(b, cand) * b
-    return cand
-
-
 def _complete_columns(u: np.ndarray, cols: list[int]) -> None:
     """Fill the listed columns of ``u`` with canonical-basis completions.
 
-    Walks e_0, e_1, ... in order, orthogonalizes against all current columns,
-    and accepts the first candidate with a residual above 0.5.  Once no axis
-    is left, each remaining column takes the axis with the largest residual
-    against the current columns, the lowest on a tie; with ``d`` directions
-    missing from R^n that residual is at least ``sqrt(d / n)``.
-    Deterministic, so rank-deficient inputs always produce the same basis.
+    With ``B`` the orthonormal columns so far, the residual of the canonical
+    axis ``e_i`` against them has squared norm ``1 - ||B[i, :]||**2``.  Each
+    listed column takes the axis with the smallest row norm of ``B`` (the
+    largest residual), the lowest index on a tie: ``e_i - B @ B[i, :]``,
+    orthogonalized against ``B`` once more, normalized and appended to
+    ``B``.  With ``d`` directions missing from R^n that residual is at least
+    ``sqrt(d / n)``.  Deterministic, so rank-deficient inputs always produce
+    the same basis.
     """
-    n = u.shape[0]
-    keep = [j for j in range(u.shape[1]) if j not in cols]
-    basis = [u[:, j] for j in keep]
-    next_axis = 0
+    basis = u[:, [j for j in range(u.shape[1]) if j not in cols]]
     for j in cols:
-        while next_axis < n:
-            cand = _axis_residual(basis, next_axis, n)
-            next_axis += 1
-            if np.linalg.norm(cand) > 0.5:
-                break
-        else:
-            cand = max((_axis_residual(basis, i, n) for i in range(n)), key=np.linalg.norm)
+        i = int(np.argmin(np.einsum("ij,ij->i", basis, basis)))
+        cand = -(basis @ basis[i])
+        cand[i] += 1.0
+        cand -= basis @ (basis.T @ cand)
         cand /= np.linalg.norm(cand)
         u[:, j] = cand
-        basis.append(cand)
+        basis = np.column_stack((basis, cand))
 
 
 def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
@@ -65,12 +52,10 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
     Ties break to the lowest index (argmax order).  ``v`` columns flip in step
     so u @ diag(s) @ v.T is unchanged.
     """
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            if v is not None:
-                v[:, j] = -v[:, j]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    if v is not None:
+        v[:, flip] = -v[:, flip]
 
 
 def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -150,7 +135,9 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         ``u`` and ``v`` have orthonormal columns; ``s`` is nonincreasing and
         nonnegative.  Each left vector's largest-magnitude entry is positive
         (ties to the lowest index).  Numerically zero triplets have ``s``
-        exactly 0 and a deterministic canonical-basis completion, so the
+        exactly 0, and each of their ``u`` and ``v`` columns is the canonical
+        axis the columns before it cover least (the lowest index on a tie),
+        orthogonalized against them (:func:`_complete_columns`), so the
         output never depends on backend behavior for degenerate subspaces.
         :func:`_spectrum` computes them from one ``eigh`` or one SVD, at
         any scale; a very wide matrix cannot resolve singular values below
@@ -230,8 +217,10 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     matricization, as :func:`thin_svd` gives them, read from
     :func:`_unfolding` (no copy for mode 0 and the last mode) without
     forming right vectors; the core is the projection of ``t`` onto those
-    subspaces.  A zero (or rank-deficient) tensor yields canonical-basis
-    factors and a zero core, so the output is deterministic for every input.
+    subspaces.  A factor column whose singular value is numerically zero is
+    the canonical axis the columns before it cover least, orthogonalized
+    against them, so a zero tensor yields the leading canonical axes and a
+    zero core, and the output is deterministic for every input.
     """
     t = np.asarray(t, dtype=np.float64)
     rank = check_rank(t.shape, rank)

@@ -142,6 +142,26 @@ def test_decompose_recovers_truth_and_reports(capsys, tmp_path):
     assert len(trace_rows) == summary["iterations"] + 2  # header + row per state
 
 
+def test_report_run_record_reproduces_the_solve(capsys, tmp_path):
+    # the run record carries every solver setting, --alpha-estimate included:
+    # a config built from it alone repeats the run's zeta0
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=7)
+    report = tmp_path / "run.jsonl"
+    rc, out, _ = run_cli(capsys, "decompose", "--input", f"{prefix}-y.trpc",
+                         "--rank", "2,2,2", "--iters", 3, "--alpha-estimate", "0.2",
+                         "--modes", "1,0,1", "--report", report)
+    assert rc == 0
+    run = strict_loads(report.read_text().splitlines()[1])
+    assert run["alpha_estimate"] == 0.2
+    fields = {"iters": "max_iters", "modes": "active_modes"}
+    settings = {k: v for k, v in run.items() if k not in ("record", "command", "input", "truth")}
+    cfg = SolverConfig(**{fields.get(k, k): v for k, v in settings.items()})
+    trace = solve(read_tensor(f"{prefix}-y.trpc"), cfg).trace
+    assert trace.rows[0].zeta == strict_loads(out)["zeta0"]
+    assert trace.rows[0].zeta != solve(read_tensor(f"{prefix}-y.trpc"),
+                                       SolverConfig(rank=(2, 2, 2), max_iters=0)).trace.rows[0].zeta
+
+
 def test_decompose_zero_iters_is_spectral_init(capsys, tmp_path):
     prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=6)
     low, sparse = tmp_path / "low.trpc", tmp_path / "sparse.trpc"

@@ -85,6 +85,10 @@ def test_default_rho_from_eta():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(rank=(2, 0, 2))
+    for rank in ((2.7, 2, 2), (2, 2, 1.5)):  # a fractional rank is not truncated
+        with pytest.raises(ValueError, match="integers"):
+            SolverConfig(rank=rank)
+    assert SolverConfig(rank=(2.0, np.int64(3), np.uint8(2))).rank == (2, 3, 2)
     with pytest.raises(ValueError):
         SolverConfig(rank=(2, 2, 2), eta=0.3)
     with pytest.raises(ValueError):

@@ -291,8 +291,9 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError, match=name):
             SweepSpec(**grids, **{name: value})
     # so is every grid value that no instance accepts, by gen_truth's rules
-    bad = [("n_grid", 0), ("rank_grid", 0), ("alpha_grid", 1.5), ("alpha_grid", -0.1),
-           ("kappa_grid", 0.5), ("kappa_grid", float("inf"))]
+    bad = [("n_grid", 0), ("rank_grid", 0), ("rank_grid", 2.5), ("alpha_grid", 1.5),
+           ("alpha_grid", -0.1), ("kappa_grid", 0.5), ("kappa_grid", float("inf"))]
     for name, value in bad:
         with pytest.raises(ValueError):
             SweepSpec(**{**grids, name: (value,)})
+    assert SweepSpec(**{**grids, "rank_grid": (2.0, np.int64(3))}).rank_grid == (2, 3)

@@ -216,9 +216,13 @@ def test_check_rank():
     assert check_rank((2, 3, 20), (2, 3, 6)) == (2, 3, 6)  # r_k <= prod(n) // n_k
     for shape, rank in [((4, 5, 6), (2, 2)), ((4, 5, 6), (0, 2, 2)),
                         ((4, 5, 6), (5, 2, 2)), ((2, 3, 20), (2, 3, 7)),
-                        ((0, 3, 3), (1, 1, 1))]:
+                        ((0, 3, 3), (1, 1, 1)), ((5, 5, 5), (2.9, 2, 1.5)),
+                        ((5, 5, 5), (2, 2, 1.0000001))]:
         with pytest.raises(ValueError):
             check_rank(shape, rank)
+    # integer values of any numeric type pass, as ints
+    rank = check_rank((5, 5, 5), (2.0, np.int32(3), np.float64(1.0)))
+    assert rank == (2, 3, 1) and all(type(r) is int for r in rank)
 
 
 def test_inf_norm_values():

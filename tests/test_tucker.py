@@ -99,8 +99,9 @@ def test_thin_svd_rank_deficient_padding_deterministic():
     np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(v.T @ v, np.eye(3), atol=1e-12)
     # a rank-7 8-row matrix whose missing left direction has no entry above
-    # 0.5 in magnitude, so no canonical axis keeps a residual above 0.5; on
-    # the Gram path (46 columns) and the direct SVD (20)
+    # 0.5 in magnitude, so every canonical axis keeps a residual below 0.5
+    # and the completion is the axis with the largest; on the Gram path (46
+    # columns) and the direct SVD (20)
     for seed in (46, 112, 141, 142, 164):
         for cols in (46, 20):
             rng = np.random.default_rng(seed)
@@ -132,6 +133,45 @@ def test_thin_svd_wide_path_matches_tall_on_rank_deficient_inputs():
             signs = np.sign(np.sum(wide.u * tall.v, axis=0))
             np.testing.assert_allclose(wide.u * signs, tall.v, atol=1e-10)
             np.testing.assert_allclose(wide.v * signs, tall.u, atol=1e-10)
+
+
+def test_completion_takes_the_axis_the_basis_covers_least():
+    # e_0 keeps a residual of norm just above 0.5 against b, e_1 one of
+    # sqrt(0.74) and e_2 all of it: the completion is e_2, then e_1
+    b = np.array([np.sqrt(0.74), np.sqrt(0.26), 0.0])
+    u = np.column_stack((b, np.full(3, np.nan)))
+    trpca.tucker._complete_columns(u, [1])
+    assert np.array_equal(u[:, 1], [0.0, 0.0, 1.0])
+    u = np.column_stack((b, np.full((3, 2), np.nan)))
+    trpca.tucker._complete_columns(u, [1, 2])
+    np.testing.assert_allclose(u[:, 2], [-np.sqrt(0.26), np.sqrt(0.74), 0.0], atol=1e-15)
+    # through thin_svd, the left vector of a rank-one matrix is b
+    u, s, v = thin_svd(np.outer(b, [1.0, 0.0, 0.0]), 2)
+    assert s[1] == 0.0
+    np.testing.assert_allclose(u[:, 1], [0.0, 0.0, 1.0], atol=1e-15)
+
+
+def test_completion_cost_per_column_does_not_grow_with_n(monkeypatch):
+    # one norm per completed column, whatever the dimension: the axis comes
+    # from the row norms of the basis, not from a walk over the axes
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    counts = []
+    for n in (100, 400):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+        calls.clear()
+        u, s, v = thin_svd(m, n)
+        counts.append(len(calls))
+        assert s[-1] == 0.0 and np.all(s[:-1] > 0.0)
+        for a in (u, v):
+            np.testing.assert_allclose(a.T @ a, np.eye(n), atol=1e-12)
+    assert counts[0] == counts[1]
 
 
 def test_thin_svd_right_vectors_on_the_gram_path():
@@ -274,6 +314,8 @@ def test_hosvd_rank_validation():
         hosvd(np.zeros((3, 3, 3)), (4, 2, 2))
     with pytest.raises(ValueError):
         hosvd(np.zeros((3, 3, 3)), (2, 2))
+    with pytest.raises(ValueError, match="integers"):  # not run at rank 1
+        hosvd(np.ones((3, 3, 3)), (1.5, 1, 1))
     for bad in (np.nan, np.inf):
         t = np.zeros((3, 3, 3))
         t[1, 2, 0] = bad
