@@ -17,12 +17,15 @@ share one set-up, which validates the inputs, runs the spectral
 initialization and resolves the thresholds.  :func:`scaled_step` is the
 step the loop takes, from two contractions of the clipped residual, and
 :func:`soft_shrink` forms every sparse part: the initialization's and the
-returned one.  :func:`solve` expands each iterate once and makes one pass
-over it in mode-0 slabs, which turns it into the next residual and clips
-that at the next threshold; the step reads only the clip.  The trace's loss
-is the loss at which each step is taken, the stop rule's relative change is
-taken from the factors and cores of the two iterates, in r-space, before
-the new one is expanded, and the sparse part is formed once, at the end.
+returned one, slab by slab.  :func:`solve` expands each iterate once (the
+last one only when a reference needs its errors) and makes one pass over it
+in mode-0 slabs, which turns it into the next residual and clips that at the
+next threshold; the step reads only the clip, and gives the iterate's norm
+from its own Grams.  The trace's loss is the loss at which each step is
+taken, the stop rule's relative change is taken from the factors and cores
+of the two iterates, in r-space, before the new one is expanded, and the
+sparse part is formed once, at the end, in the last residual's buffer: every
+phase holds one full tensor besides ``y``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 from .tensor_ops import (
     _ldexp_up,
+    _matricize_clip,
     _mode_inner,
     _mode_product,
     _rank_entries,
@@ -45,7 +49,7 @@ from .tensor_ops import (
     inf_norm,
     multilinear_mul,
 )
-from .tucker import TuckerFactors, hosvd, reconstruct
+from .tucker import TuckerFactors, _outer_factors, _project_rest, _spectrum, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
 # numerically singular instead of being inverted.
@@ -358,21 +362,35 @@ def spectral_init(y: np.ndarray, cfg: SolverConfig,
     ``y - s0`` up to rounding, taken on that clip divided by ``2**e``, a
     power of two near ``||y||_inf``: this divides exactly, so the init of
     ``2.0**k * y`` at ``2.0**k * zeta0`` is exactly ``2.0**k`` times the init
-    of ``y`` at ``zeta0``.  The clip's buffer is released before ``s0`` is
-    formed, so at most one of the two is held.  The threshold :func:`solve`
-    would use is ``make_schedule(cfg, y, reference).zeta0``.
+    of ``y`` at ``zeta0``.  The HOSVD holds one full tensor at a time (see
+    :func:`_spectral_init`), and ``s0`` is formed after it.  The threshold
+    :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
-    return _spectral_init(y, cfg, zeta0, int(np.frexp(inf_norm(y))[1]))
+    return _spectral_init(y, cfg, zeta0, int(np.frexp(inf_norm(y))[1])), soft_shrink(y, zeta0)
 
 
-def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float,
-                   e: int) -> tuple[TuckerFactors, np.ndarray]:
-    """:func:`spectral_init` for ``y`` whose sup norm has the binary exponent ``e``."""
+def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float, e: int) -> TuckerFactors:
+    """The factors of :func:`spectral_init` for ``y`` whose sup norm has the binary exponent ``e``.
+
+    This is ``hosvd(clip(y, -zeta0, zeta0) / 2**e, cfg.rank)`` with the core
+    times ``2**e``, bit for bit, holding one full tensor at a time besides
+    ``y``.  The clip serves mode 0 and the last mode from views, and the
+    core's first product, and is released; each middle mode's unfolding is
+    then clipped from ``y`` straight into the matricization's layout,
+    scaled, decomposed and released in turn.
+    """
+    rank = cfg.rank
     c = np.clip(y, -zeta0, zeta0)
-    f0 = hosvd(np.ldexp(c, -e, out=c), cfg.rank)
+    u0, u_last, p = _outer_factors(np.ldexp(c, -e, out=c), rank)
     del c
-    return TuckerFactors(f0.factors, np.ldexp(f0.core, e)), soft_shrink(y, zeta0)
+    middle = []
+    for k in range(1, y.ndim - 1):
+        m = _matricize_clip(y, k, zeta0)
+        middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1].u)
+        del m
+    factors = (u0, *middle, u_last)
+    return TuckerFactors(factors, np.ldexp(_project_rest(p, factors), e))
 
 
 def _spd_inverses(grams, labels) -> list[np.ndarray]:
@@ -428,9 +446,28 @@ def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
     return out, prefix
 
 
+def _grams(f: TuckerFactors) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """The factor Grams ``M_j = U_j.T @ U_j``, the co-factor Grams ``C_k``
+    (see :func:`scaled_step`) and ``||reconstruct(f)||**2 = vdot(C_0, M_0)``.
+
+    The norm is exact in r-space: with ``B_0`` the co-factor of mode 0,
+    ``matricize(x, 0) = U_0 @ B_0.T``, so ``||x||**2 = trace(M_0 @ C_0)`` for
+    ``C_0 = B_0.T @ B_0``, in the units of the squared core.
+    """
+    grams = [u.T @ u for u in f.factors]
+    cograms, _ = _contractions(f.core, grams, f.core, 0)
+    return grams, cograms, float(np.vdot(cograms[0], grams[0]))
+
+
 def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
-                cfg: SolverConfig) -> TuckerFactors:
+                cfg: SolverConfig) -> tuple[TuckerFactors, float]:
     """One preconditioned gradient step on the factors and core, from two contractions of ``c``.
+
+    Returns the new factors and core, and ``||reconstruct(factors)||**2``,
+    the squared norm of the iterate the step is taken from, which the
+    step's own Grams give for free (see :func:`_grams`).  When that norm is
+    not finite, a factor or the core is not, and the step raises
+    :class:`DivergenceError` before it inverts a Gram.
 
     ``c = y - reconstruct(factors) - s_next`` is the residual left by the
     new sparse part, and the loss gradient tensor is ``x + s_next - y = -c``;
@@ -469,8 +506,9 @@ def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
     if head.shape != core.shape[:1] + dims[1:] or tail.shape != dims[:-1] + core.shape[-1:]:
         raise ValueError(f"contractions of shapes {head.shape} and {tail.shape} do not "
                          f"match factors of outer dims {dims} and rank {core.shape}")
-    grams = [u.T @ u for u in us]
-    cograms, _ = _contractions(core, grams, core, 0)
+    grams, cograms, x_sq = _grams(factors)
+    if not math.isfinite(x_sq):
+        raise DivergenceError("non-finite factors or core")
     rhs, part = _contractions(head, us, core, 1)
     grad = _mode_product(part, us[-1].T, order - 1)  # c x_all U_j.T
     for j in range(1, order - 1):  # R_0: tail times U_j.T for modes 1..N-2, ascending
@@ -485,7 +523,7 @@ def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
     for k, inv_cogram in zip(active, inverses):
         new_factors[k] = us[k] + eta * (rhs[k] @ inv_cogram)
     inv_grams = inverses[len(active):]
-    return TuckerFactors(tuple(new_factors), core + eta * multilinear_mul(inv_grams, grad))
+    return TuckerFactors(tuple(new_factors), core + eta * multilinear_mul(inv_grams, grad)), x_sq
 
 
 def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
@@ -564,7 +602,13 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     same either way, since :func:`spectral_init` takes its HOSVD in the units
     of ``y / 2**e``.  The initial iterate is expanded through ``reconstruct``
     in the loop's units, like every later one, and the gap ``y - x - s0``
-    that gives zeta1 and the row-0 loss is taken slab by slab.
+    that gives zeta1 and the row-0 loss is taken slab by slab, each slab of
+    ``s0 = soft_shrink(y, zeta0)`` formed on its own.
+
+    Besides ``y``, at most one full tensor is held at a time: the ``|y|``
+    buffer of the automatic zeta0, then the clip and the middle-mode
+    unfoldings of the HOSVD, one after the other (see
+    :func:`_spectral_init`), then the initial iterate, which is returned.
     """
     y = as_tensor(y, min_order=3)
     check_rank(y.shape, cfg.rank)
@@ -579,7 +623,8 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
         zeta1 = _oracle_zeta1(cfg, y, ref)
     y_l = y if el == e else np.ldexp(y, el - e)
     # the sup norm of y_l is ||y||_inf / 2**(e - el), whose exponent is el
-    f0, s0 = _spectral_init(y_l, cfg, _ldexp_up(zeta0, el - e), el)
+    zeta0_l = _ldexp_up(zeta0, el - e)
+    f0 = _spectral_init(y_l, cfg, zeta0_l, el)
     zeta0, zeta1 = _ldexp_up(zeta0, -e), _ldexp_up(zeta1, -e)
     x = reconstruct(f0)
     # the gap is taken in the loop's units, where y - x cannot overflow, and
@@ -588,10 +633,9 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     slabs, buf = _slabs(y.shape)
     for sl in slabs:
         gap = np.subtract(y_l[sl], x[sl], out=buf[: sl.stop - sl.start])
-        gap -= s0[sl]
+        gap -= soft_shrink(y_l[sl], zeta0_l)
         gap_inf = max(gap_inf, inf_norm(gap))
         loss2 += _sumsq(gap, el)
-    del s0  # before a scaled copy of the reference is made
     if zeta1 is None:
         zeta1 = 2.0 * _ldexp_up(gap_inf, -el)
     sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
@@ -606,21 +650,39 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     The iteration runs on ``y`` divided by a power of two near its largest
     entry (see :func:`make_schedule`), so ``solve(2.0**k * y)`` is exactly
     ``2.0**k * solve(y)``.  Each iteration calls :func:`scaled_step` on the
-    two contractions of the clipped residual, expands the new iterate
-    once through ``reconstruct`` and streams once through its mode-0 slabs:
-    each slab's sum of squares is the divergence check and the iterate's
-    norm, then the slab becomes the next residual in place, and its clip at
-    the next threshold gives the loss and the next step's contractions.  With
-    a stop tolerance, the change ``||x_t - x_{t-1}||`` of the stop rule is
-    taken right after the step, in r-space from the two iterates' factors and
-    cores (no pass over the tensor), and the stop is decided before iterate
-    ``t`` is expanded: the pass over the last iterate of a run that stops
-    early, like that over iterate ``max_iters``, only sums its squares and
-    reference errors.  The sparse part is formed once, at the end, by
-    :func:`soft_shrink` of the last residual (of ``y`` itself when no step
-    was taken), after the last iterate's buffer is released.  For
-    ``||y||_inf`` above ``2**960`` the loop's tensors are kept in the units
-    of ``y / 2**e``, so that no residual overflows.
+    two contractions of the clipped residual; the step also gives the norm
+    of the iterate it starts from, from its own Grams.  With a stop
+    tolerance, the change ``||x_t - x_{t-1}||`` of the stop rule is taken
+    right after the step, in r-space from the two iterates' factors and
+    cores, and divided by that norm.  The stop is decided before iterate
+    ``t`` is expanded.  When the run goes on, the new iterate is expanded
+    once through ``reconstruct`` and streamed once through its mode-0
+    slabs: each slab becomes the next residual in place, and its clip at the
+    next threshold gives the loss and the next step's contractions.  The
+    last iterate, where the stop rule or ``max_iters`` ends the run, takes no
+    step and is expanded only when a reference needs its errors.  The sparse
+    part is formed once, at the end: :func:`soft_shrink` of the last
+    residual (of ``y`` itself when no step was taken), written slab by slab
+    into that residual's buffer.  For ``||y||_inf`` above ``2**960`` the
+    loop's tensors are kept in the units of ``y / 2**e``, so that no
+    residual overflows.
+
+    Memory: besides ``y`` (and the reference), every phase holds at most one
+    full tensor, plus buffers of a mode-0 slab and of ``r_k / n_k`` of the
+    tensor.  The set-up holds one at a time (see :func:`_start`); the loop
+    holds the buffer that is each iterate and then its residual, released
+    before the next iterate is expanded; the end shrinks the last residual
+    in place.  A solve with a reference also expands the last iterate beside
+    the sparse part, two tensors at the end.
+
+    Divergence: :class:`DivergenceError` names the iterate ``t`` at fault.
+    A NaN in an expanded iterate shows in the sum of its clipped residual,
+    or in that of its reference error.  A non-finite factor or core makes
+    the iterate's norm ``||x_t||`` from the Grams non-finite, which is
+    checked when the step from it is taken, or, for the last iterate,
+    without a step; the same check fails an iterate whose norm, in the
+    loop's units, reaches ``2**1022``, where its expansion or residual could
+    overflow.  No other pass over the tensor looks for non-finite values.
 
     Parameters
     ----------
@@ -651,7 +713,14 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # range (see _start), and every sum of squares is divided by 4**el.
     e, el, sched, f, y, x, loss, x_star = _start(y, cfg, reference)
     x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
+    # an iterate with ||x_n||**2 below this is below 2**1022 in the loop's
+    # units, so it, its residual and its clip stay finite
+    x_sq_limit = _ldexp_up(1.0, 2 * (1022 - el))
     trace = IterationTrace()
+
+    def check(t, x_sq):
+        if not x_sq < x_sq_limit:
+            raise DivergenceError(f"non-finite iterate at iteration {t}")
 
     def record(t, err2, err_inf, loss):
         # err2 and loss are in the units of y_n, err_inf in the loop's.  The
@@ -665,32 +734,33 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         values = (_ldexp_up(sched.value(t), e), *errs, _ldexp_up(loss, 2 * e))
         trace.rows.append(TraceRow(t, *values, time.perf_counter() - start))
 
-    # One pass per iterate over mode-0 slabs of about _SLAB_BYTES, so that
-    # every slab stays in cache between the ops applied to it.  With
+    # One pass per expanded iterate over mode-0 slabs of about _SLAB_BYTES,
+    # so that every slab stays in cache between the ops applied to it.  With
     # c = clip(r, -zeta, zeta) for the residual r = y - x, the next sparse
     # part is r - c and the loss gradient tensor x + s - y is -c, so the step
     # reads only c, and c lives only in the slab buffer.
-    # head, part and tail are the step's, allocated only when a step is taken.
+    # head and tail are the step's, allocated only when a step is taken.
     row = y.size // y.shape[0]
     slabs, buf = _slabs(y.shape)
     n_last, r_last = y.shape[-1], cfg.rank[-1]
     if cfg.max_iters > 0:
         head = np.empty((cfg.rank[0], row))
-        part = np.empty_like(head)
         tail = np.empty(y.shape[:-1] + (r_last,))
 
     def sweep(x, t, f, zeta):
         """The pass over iterate ``t`` with factors ``f``.
 
-        Returns its sum of squares and its reference errors; when the next
-        threshold ``zeta`` is given, also the loss ``0.5 * ||c||**2``, and
-        then ``x`` holds the residual and ``head`` and ``tail`` the
-        contractions of ``c`` with ``U_0`` and ``U_{N-1}``, in the loop's
-        units.
+        Returns its reference errors and, when the next threshold ``zeta``
+        is given, the loss ``0.5 * ||c||**2``; then ``x`` holds the residual
+        and ``head`` and ``tail`` the contractions of ``c`` with ``U_0`` and
+        ``U_{N-1}``, in the loop's units.  A NaN in ``x`` raises.
         """
-        x_sq = err2 = err_inf = loss2 = 0.0
+        err2 = err_inf = loss2 = 0.0
         u0, u_last = f.factors[0], f.factors[-1]
         z = _ldexp_up(zeta, el)
+        # each slab's term of head, allocated per pass so that it is not
+        # held beside the next expansion
+        part = None if z is None else np.empty_like(head)
         for sl in slabs:
             xb = x[sl]
             d = buf[: sl.stop - sl.start]
@@ -698,11 +768,6 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 np.subtract(xb, x_star[sl], out=d)
                 err2 += _sumsq(d, el)
                 err_inf = max(err_inf, inf_norm(d))
-            q = _sumsq(xb, el)
-            # A finite sum proves every entry finite; look closer only otherwise.
-            if not math.isfinite(q) and not np.all(np.isfinite(xb)):
-                raise DivergenceError(f"non-finite iterate at iteration {t}")
-            x_sq += q
             if z is None:
                 continue
             c = np.clip(np.subtract(y[sl], xb, out=xb), -z, z, out=d)
@@ -714,35 +779,53 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 np.add(head, np.matmul(u0[sl].T, c_rows, out=part), out=head)
             # a mode-0 slice of tail reshapes as a view
             np.matmul(c.reshape(-1, n_last), u_last, out=tail[sl].reshape(-1, r_last))
-        return x_sq, err2, err_inf, 0.5 * loss2
+        # the clip keeps a NaN, and the sums of squares are never -inf
+        if math.isnan(err2 + loss2):
+            raise DivergenceError(f"non-finite iterate at iteration {t}")
+        return err2, err_inf, 0.5 * loss2
 
-    # Besides y (and x_star), the loop holds two full tensors: r_prev and x,
-    # the buffer of each iterate, which becomes its residual.  The last
-    # iterate, where the stop rule or the budget ends the run, is not turned
-    # into a residual.  Before any step the residual that gives the sparse
-    # part is y itself: x_0's part is soft_shrink(y, zeta_0).
+    # x is the one full tensor of the loop: each iterate's buffer, which
+    # becomes its residual.  Before any step the residual that gives the
+    # sparse part is y itself: x_0's part is soft_shrink(y, zeta_0).
     zeta = sched.value(1) if cfg.max_iters > 0 else None
-    x_sq, err2, err_inf, next_loss = sweep(x, 0, f, zeta)
+    err2, err_inf, next_loss = sweep(x, 0, f, zeta)
     record(0, err2, err_inf, loss)
-    r_prev = y
     t = 0
     for t in range(1, cfg.max_iters + 1):
         np.ldexp(head, -el, out=head)
         np.ldexp(tail, -el, out=tail)
-        f_prev, f = f, scaled_step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+        f_prev = f
+        try:
+            f, x_sq = scaled_step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+        except DivergenceError:
+            raise DivergenceError(f"non-finite iterate at iteration {t - 1}") from None
+        check(t - 1, x_sq)
+        loss = next_loss
         # the change and ||x_{t-1}|| are both in the units of y_n
-        stop = t == cfg.max_iters or (
-            cfg.stop_tol > 0
-            and math.sqrt(_change_sq(f_prev, f)) / max(math.sqrt(x_sq), 1e-300) < cfg.stop_tol)
-        zeta = None if stop else sched.value(t + 1)
-        loss, r_prev = next_loss, x
-        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
-        x_sq, err2, err_inf, next_loss = sweep(x, t, f, zeta)
-        record(t, err2, err_inf, loss)
-        if stop:
+        if t == cfg.max_iters or (
+                cfg.stop_tol > 0
+                and math.sqrt(_change_sq(f_prev, f)) / max(math.sqrt(x_sq), 1e-300)
+                < cfg.stop_tol):
             break
-    del x  # the last iterate's buffer, released before the shrink allocates s
-    s = soft_shrink(r_prev, _ldexp_up(sched.value(t), el))
+        del x  # the residual r_{t-1}, whose buffer the expansion may take
+        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
+        err2, err_inf, next_loss = sweep(x, t, f, sched.value(t + 1))
+        record(t, err2, err_inf, loss)
+    if t > 0:  # the last iterate takes no step: its norm from its own Grams
+        check(t, _grams(f)[2])
+        del head, tail  # before the shrink takes its slabs
+    # s = soft_shrink(r_{t-1}, zeta_t) overwrites r_{t-1}; with no step
+    # taken, r is y and s overwrites x_0
+    z = _ldexp_up(sched.value(t), el)
+    r, s = (x if t > 0 else y), x
+    for sl in slabs:
+        s[sl] = soft_shrink(r[sl], z)
+    if t > 0:
+        err2 = err_inf = None
+        if x_star is not None:
+            err2, err_inf, _ = sweep(
+                reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el))), t, f, None)
+        record(t, err2, err_inf, loss)
     if el != e:
         np.ldexp(s, e - el, out=s)
     return SolveResult(TuckerFactors(f.factors, np.ldexp(f.core, e)), s, trace)

@@ -193,12 +193,13 @@ def gen_truth(
 
     mask = sample_support(dims, alpha, rng)
     count = int(mask.sum())
+    if count and corruption_scale == "mean-abs":
+        # taken before s_star exists, so that the |x_star| buffer and s_star
+        # are never held together
+        corruption_scale = float(np.abs(x_star).mean())
     s_star = np.zeros(dims)
     if count:
-        if corruption_scale == "mean-abs":
-            m = float(np.abs(x_star).mean())
-        else:
-            m = float(corruption_scale)
+        m = float(corruption_scale)
         s_star[mask] = rng.uniform(-m, m, size=count)
 
     # every unfolding's spectrum is the core diagonal, padded with zeros to

@@ -98,6 +98,19 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
 
 
+def _matricize_clip(t: np.ndarray, mode: int, bound: float) -> np.ndarray:
+    """``matricize(np.clip(t, -bound, bound), mode)``, with no clipped tensor between.
+
+    The clip of the moved view is written straight into the matricization's
+    layout, an F-ordered matrix, so the result has the same values and the
+    same strides as the two steps give, and one tensor is allocated instead
+    of two.
+    """
+    moved = np.moveaxis(t, mode, 0)
+    out = np.clip(moved, -bound, bound, out=np.empty(moved.shape[::-1]).T)
+    return out.reshape((t.shape[mode], -1), order="F")
+
+
 def _mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """The mode product ``t x_mode a``: mode ``mode`` of ``t`` is multiplied by
     ``a``, which has ``t.shape[mode]`` columns, and grows to ``a.shape[0]``.

@@ -8,7 +8,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import _FRO_TINY, check_rank, inf_norm, matricize, multilinear_mul
+from .tensor_ops import (
+    _FRO_TINY,
+    _mode_product,
+    check_rank,
+    inf_norm,
+    matricize,
+    multilinear_mul,
+)
 
 # Relative cutoff below which a singular triplet counts as numerically zero
 # and its vectors are replaced by a deterministic orthonormal completion.
@@ -59,10 +66,18 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
 
 
 def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``m.T @ u / s`` in one product, with a zero column wherever ``s`` is 0."""
+    """``m.T @ u / s`` in one product, re-orthonormalized, with a zero column
+    wherever ``s`` is 0.
+
+    The product loses orthonormality as the square of ``s_max / s_j``, so its
+    live columns go through one QR, each column keeping its sign (the
+    diagonal of R made positive).  The columns come in descending ``s``, so
+    the QR keeps the most accurate ones first.
+    """
     live = s > 0.0
     v = np.zeros((m.shape[1], len(s)))
-    v[:, live] = (m.T @ u[:, live]) / s[live]
+    q, r = np.linalg.qr((m.T @ u[:, live]) / s[live])
+    v[:, live] = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     return v
 
 
@@ -143,7 +158,7 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         any scale; a very wide matrix cannot resolve singular values below
         ~1.5e-7 * s_max.  On its Gram path the right vectors are
         ``m.T @ u / s``, formed here in one product after the signs of
-        ``u`` are fixed.
+        ``u`` are fixed, and re-orthonormalized by one QR.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -210,25 +225,50 @@ def _unfolding(t: np.ndarray, mode: int) -> np.ndarray:
     return matricize(t, mode)
 
 
+def _outer_factors(t: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`hosvd`'s factors of mode 0 and the last mode, and the first
+    product of its core, ``t x_0 U_0.T``; ValueError unless ``t`` is finite.
+
+    Both come from views of ``t`` (:func:`_unfolding`), so with these and
+    the first product taken, :func:`hosvd` needs ``t`` only for the
+    unfoldings of its middle modes.
+    """
+    if not math.isfinite(inf_norm(t)):
+        raise ValueError("tensor entries must be finite")
+    u0, u_last = (_spectrum(_unfolding(t, k), rank[k])[1].u for k in (0, t.ndim - 1))
+    return u0, u_last, _mode_product(t, u0.T, 0)
+
+
+def _project_rest(p: np.ndarray, factors) -> np.ndarray:
+    """The core of :func:`hosvd` from its first product ``p = t x_0 U_0.T``:
+    ``p x_k U_k.T`` for k = 1, ..., N-1, in ascending order, which is the
+    order :func:`~trpca.tensor_ops.multilinear_mul` takes for a product that
+    shrinks the tensor."""
+    for k in range(1, p.ndim):
+        p = _mode_product(p, factors[k].T, k)
+    return p
+
+
 def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     """Rank-truncated higher-order SVD.
 
     Each factor holds the top-``rank[k]`` left singular vectors of the mode-k
-    matricization, as :func:`thin_svd` gives them, read from
-    :func:`_unfolding` (no copy for mode 0 and the last mode) without
-    forming right vectors; the core is the projection of ``t`` onto those
-    subspaces.  A factor column whose singular value is numerically zero is
-    the canonical axis the columns before it cover least, orthogonalized
-    against them, so a zero tensor yields the leading canonical axes and a
-    zero core, and the output is deterministic for every input.
+    matricization, as :func:`thin_svd` gives them, without forming right
+    vectors: mode 0 and the last mode from views of ``t``
+    (:func:`_outer_factors`), any other mode from
+    :func:`~trpca.tensor_ops.matricize`, a copy.  The core is the projection
+    of ``t`` onto those subspaces.  A factor column whose singular value is
+    numerically zero is the canonical axis the columns before it cover
+    least, orthogonalized against them, so a zero tensor yields the leading
+    canonical axes and a zero core, and the output is deterministic for
+    every input.
     """
     t = np.asarray(t, dtype=np.float64)
     rank = check_rank(t.shape, rank)
-    if not math.isfinite(inf_norm(t)):
-        raise ValueError("tensor entries must be finite")
-    factors = tuple(_spectrum(_unfolding(t, k), r)[1].u for k, r in enumerate(rank))
-    core = multilinear_mul([u.T for u in factors], t)
-    return TuckerFactors(factors, core)
+    u0, u_last, p = _outer_factors(t, rank)
+    middle = [_spectrum(matricize(t, k), rank[k])[1].u for k in range(1, t.ndim - 1)]
+    factors = (u0, *middle, u_last)[: t.ndim]  # order 1: mode 0 is the last mode
+    return TuckerFactors(factors, _project_rest(p, factors))
 
 
 def reconstruct(f: TuckerFactors) -> np.ndarray:

@@ -145,12 +145,13 @@ def residual_step(factors, c, cfg):
 
     ``c = y - reconstruct(factors) - s_next``; its two contractions are formed
     here in one piece each, by the library's own mode product, where
-    :func:`trpca.rpca.solve` accumulates them slab by slab.
+    :func:`trpca.rpca.solve` accumulates them slab by slab.  Returns the new
+    factors only, not the norm the step also gives.
     """
     us = factors.factors
     head = _mode_product(c, us[0].T, 0)
     tail = _mode_product(c, us[-1].T, c.ndim - 1)
-    return scaled_step(factors, head, tail, cfg)
+    return scaled_step(factors, head, tail, cfg)[0]
 
 
 def oracle_fiber_fraction(s):

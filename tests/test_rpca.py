@@ -1,5 +1,6 @@
 """Shrinkage, threshold schedule, spectral init, and the scaled-gradient solver."""
 
+import math
 import tracemalloc
 import types
 
@@ -197,25 +198,60 @@ def test_make_schedule_auto_zeta0_is_exactly_the_quantile():
     assert seen == {"largest", "lo + d * t", "hi - d * (1 - t)"}
 
 
-def test_set_up_holds_at_most_two_and_a_half_tensors_beside_y():
-    # the quantile's |y| buffer, then the init's clip buffer with the HOSVD's
-    # copy of the middle-mode unfolding, then s0 with the first iterate and a
-    # slab of the gap (a quarter of a tensor here): y itself is never copied
-    truth = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33)
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims, rank", [((80, 80, 80), 3), ((24, 24, 24, 24), 2)],
+                         ids=["order3", "order4"])
+def test_set_up_holds_one_tensor_beside_y(monkeypatch, dims, rank):
+    # one at a time: the quantile's |y| buffer, the init's clip, each
+    # middle-mode unfolding clipped straight from y, the first iterate.
+    # Beside them: the HOSVD's first core product (rank / n of a tensor),
+    # eigh's workspace, and a slab of the gap and of s0 (one row each here);
+    # y itself is never copied
+    monkeypatch.setattr(trpca.rpca, "_SLAB_BYTES", 1)
+    truth = gen_truth(dims, rank, kappa=3.0, alpha=0.1, seed=33)
     y = truth.y
-    cfg = SolverConfig(rank=(3, 3, 3), max_iters=0)
-    peaks = []
-    for run in (lambda: solve(y, cfg), lambda: make_schedule(cfg, y)):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * y.nbytes
-        peaks.append(peak)
+    cfg = SolverConfig(rank=(rank,) * len(dims), max_iters=0)
+    peaks = [_traced_peak(lambda: solve(y, cfg)), _traced_peak(lambda: make_schedule(cfg, y))]
+    assert max(peaks) <= (1 + rank / dims[0] + 0.05) * y.nbytes
     # with no step to take, solve allocates no buffer for one
     assert peaks[0] <= peaks[1] + 0.01 * y.nbytes
+
+
+@pytest.mark.parametrize("dims, rank", [((80, 80, 80), 3), ((24, 24, 24, 24), 2)],
+                         ids=["order3", "order4"])
+def test_the_loop_holds_one_tensor_beside_y(monkeypatch, dims, rank):
+    # one buffer is each iterate and then its residual, released before the
+    # next expansion, and the end shrinks the last residual in place.  Beside
+    # it: head, tail and the pass's per-slab term of head (or the expansion's
+    # last product), rank / n of a tensor each, and slabs of one row.  With a
+    # reference the last iterate is expanded beside the sparse part: two
+    # tensors, at the end only
+    monkeypatch.setattr(trpca.rpca, "_SLAB_BYTES", 1)
+    truth = gen_truth(dims, rank, kappa=3.0, alpha=0.1, seed=33)
+    y = truth.y
+    cfg = SolverConfig(rank=(rank,) * len(dims), max_iters=3, stop_tol=0.0)
+    extra = (3 * rank / dims[0] + 0.1) * y.nbytes
+    assert _traced_peak(lambda: solve(y, cfg)) <= y.nbytes + extra
+    expand, held = trpca.rpca.reconstruct, []
+
+    def reconstruct(f):
+        x = expand(f)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return x
+
+    monkeypatch.setattr(trpca.rpca, "reconstruct", reconstruct)
+    peak = _traced_peak(lambda: solve(y, cfg, reference=truth.x_star))
+    assert len(held) == 4
+    assert max(held[:-1]) <= y.nbytes + extra
+    assert peak <= 2 * y.nbytes + extra
 
 
 def test_set_up_takes_the_sup_norm_of_y_once(monkeypatch):
@@ -648,7 +684,7 @@ def test_scaled_step_checks_the_shapes_of_its_contractions():
     head = np.einsum("ia,ijk->ajk", f.factors[0], c)  # (2, 4, 6)
     tail = np.einsum("kc,ijk->ijc", f.factors[2], c)  # (5, 4, 2)
     cfg = SolverConfig(rank=(2, 3, 2))
-    got = scaled_step(f, head, tail, cfg)
+    got = scaled_step(f, head, tail, cfg)[0]
     want = residual_step(f, c, cfg)
     assert all(rel_diff(a, b) <= 1e-14 for a, b in zip(got.factors, want.factors))
     for bad_head, bad_tail in ((head[:1], tail), (head, tail[..., :1]),
@@ -664,10 +700,9 @@ def test_solve_zero_tensor_raises_singular_gram():
 
 def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
     truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=26)
-    cfg = SolverConfig(rank=(2, 2, 2), max_iters=2, stop_tol=0.0)
-    expand = trpca.rpca.reconstruct
+    expand, step = trpca.rpca.reconstruct, trpca.rpca.scaled_step
 
-    def poison_iteration_2(value):
+    def poison_expansion_2(value):
         calls = []
 
         def reconstruct(f):
@@ -679,16 +714,43 @@ def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
 
         return reconstruct
 
-    for bad in (np.nan, np.inf, -np.inf):
-        monkeypatch.setattr(trpca.rpca, "reconstruct", poison_iteration_2(bad))
-        with pytest.raises(DivergenceError, match="iteration 2"):
-            solve(truth.y, cfg)
-    # a finite entry whose square overflows makes the norm infinite; the
-    # exact check behind it finds every entry finite and the run goes on, and
-    # the sparse part, the shrunk residual of iterate 2, carries the entry
-    monkeypatch.setattr(trpca.rpca, "reconstruct", poison_iteration_2(1e200))
-    with np.errstate(over="ignore"):
-        result = solve(truth.y, SolverConfig(rank=(2, 2, 2), max_iters=3, stop_tol=0.0))
+    def poison_iterate_2(where, value):
+        calls = []
+
+        def scaled_step(f, head, tail, cfg):
+            new, x_sq = step(f, head, tail, cfg)
+            calls.append(f)
+            if len(calls) == 2:  # step 2 gives iterate 2
+                us, core = [u.copy() for u in new.factors], new.core.copy()
+                (us[0] if where == "U_0" else core)[1, 0] = value
+                new = TuckerFactors(tuple(us), core)
+            return new, x_sq
+
+        return scaled_step
+
+    # a NaN in an expanded iterate shows in the sum of its clipped residual
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=3, stop_tol=0.0)
+    monkeypatch.setattr(trpca.rpca, "reconstruct", poison_expansion_2(np.nan))
+    with pytest.raises(DivergenceError, match="iteration 2"):
+        solve(truth.y, cfg)
+    # a non-finite factor or core makes the norm from the Grams non-finite:
+    # the step from iterate 2 finds it (or, for a NaN, the pass over it), and
+    # so does the check of the last iterate, which a blind solve of 2
+    # iterations does not expand
+    monkeypatch.setattr(trpca.rpca, "reconstruct", expand)
+    for max_iters in (2, 3):
+        cfg = SolverConfig(rank=(2, 2, 2), max_iters=max_iters, stop_tol=0.0)
+        for where in ("U_0", "core"):
+            for bad in (np.nan, np.inf, -np.inf):
+                monkeypatch.setattr(trpca.rpca, "scaled_step", poison_iterate_2(where, bad))
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        DivergenceError, match="iteration 2"):
+                    solve(truth.y, cfg)
+    monkeypatch.setattr(trpca.rpca, "scaled_step", step)
+    # a finite entry whose square overflows passes every check and the run
+    # goes on; the sparse part, the shrunk residual of iterate 2, carries it
+    monkeypatch.setattr(trpca.rpca, "reconstruct", poison_expansion_2(1e200))
+    result = solve(truth.y, cfg)
     assert result.trace.final.iteration == 3
     assert result.sparse[1, 2, 3] <= -1e199
 
@@ -938,6 +1000,48 @@ def test_solve_scaling_is_exact_at_the_top_of_the_float_range():
         with np.errstate(over="ignore"):
             want = (np.ldexp(p.zeta, k), np.ldexp(p.inf_error, k), p.rel_fro_error)
         assert (q.zeta, q.inf_error, q.rel_fro_error) == want
+
+
+@pytest.mark.parametrize("k", [600, 900])
+@pytest.mark.parametrize("max_iters", [2, 3])
+def test_solve_refuses_an_iterate_at_the_edge_of_its_norm_bound(monkeypatch, k, max_iters):
+    # The Grams give ||x_n||**2 in the units of y_n = y / 2**e, and the loop
+    # expands iterates 2**el times larger (el = e below 2**960).  An iterate
+    # whose norm there reaches 2**1022 could overflow when expanded, so it is
+    # refused like a non-finite one; one just below the bound passes.
+    # Iterate 2 is checked on its own as the last iterate of a blind solve of
+    # 2 iterations, which never expands it, and by the step from it in a
+    # solve of 3.  Scaling its core by 2**m scales its squared norm by
+    # exactly 4**m.
+    truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=26)
+    y = np.ldexp(truth.y, k)
+    el = int(np.frexp(inf_norm(y))[1])
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=max_iters, stop_tol=0.0)
+    step = trpca.rpca.scaled_step
+
+    def run(m):
+        iterates = []
+
+        def scaled_step(f, head, tail, cfg):
+            new, x_sq = step(f, head, tail, cfg)
+            if len(iterates) == 1:  # step 2 gives iterate 2
+                new = TuckerFactors(new.factors, np.ldexp(new.core, m))
+            iterates.append(new)
+            return new, x_sq
+
+        monkeypatch.setattr(trpca.rpca, "scaled_step", scaled_step)
+        return solve(y, cfg), iterates[1]
+
+    _, second = run(0)
+    ex = math.frexp(trpca.rpca._grams(second)[2])[1]
+    bound = 2 * (1022 - el)  # log2 of 4**(1022 - el)
+    m = (bound + 2 - ex) // 2  # the least m with ||x_n||**2 * 4**m >= 2**bound
+    with pytest.raises(DivergenceError, match="iteration 2"):
+        run(m)
+    result, second = run(m - 1)
+    assert 2.0 ** (bound - 2) <= trpca.rpca._grams(second)[2] < 2.0 ** bound
+    assert result.trace.final.iteration == max_iters
+    assert np.all(np.isfinite(result.factors.core)) and np.all(np.isfinite(result.sparse))
 
 
 def test_solve_order4_zero_corruption():

@@ -1,5 +1,7 @@
 """Synthetic instance generation, corruption sampling, and parameter sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ def test_determinism_and_seed_sensitivity():
     d = gen_truth((8, 8, 8), 2, kappa=4.0, alpha=0.125,
                   seed=np.random.SeedSequence(3))
     assert np.array_equal(a.y, d.y)
+
+
+def test_gen_truth_holds_two_tensors_and_the_support():
+    # the mean-abs scale's |x_star| buffer is released before s_star is
+    # allocated: beside the two outputs the peak holds the support mask, the
+    # drawn values and the indices they are written through, not a third
+    # tensor (3.57 tensors when the buffer was held beside s_star)
+    tracemalloc.start()
+    try:
+        truth = gen_truth((60, 60, 60), 3, kappa=5.0, alpha=0.1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * truth.x_star.nbytes
 
 
 def test_corruption_scale_variants():

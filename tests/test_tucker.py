@@ -176,17 +176,38 @@ def test_completion_cost_per_column_does_not_grow_with_n(monkeypatch):
 
 def test_thin_svd_right_vectors_on_the_gram_path():
     # a wide matrix's right vectors come from one product m.T @ u / s, taken
-    # after the signs of u are fixed: each live one is m.T @ u_j / s_j, as
-    # column by column, and a zero triplet's is a completion
+    # after the signs of u are fixed, and one QR of its live columns: each
+    # live one points the way m.T @ u_j / s_j does and is the right vector
+    # the direct SVD of m.T gives (its left one), and a zero triplet's is a
+    # completion.  At s_max / s_j = 1.06e4 (the second case) m.T @ u_j / s_j
+    # itself is 4.9e-9 away from the direct SVD's vector
     rng = np.random.default_rng(12)
     for rows, cols, true_rank, rank in [(4, 50, 4, 3), (6, 60, 6, 6), (6, 60, 2, 4),
                                         (5, 40, 0, 2)]:
         m = rng.standard_normal((rows, true_rank)) @ rng.standard_normal((true_rank, cols))
         u, s, v = thin_svd(m, rank)
+        direct = thin_svd(m.T, rank).u
         assert np.count_nonzero(s) == min(true_rank, rank)
         for j in np.flatnonzero(s):
-            assert rel_diff(v[:, j], m.T @ u[:, j] / s[j]) <= 1e-12
+            assert v[:, j] @ (m.T @ u[:, j] / s[j]) > 0.0
+            assert rel_diff(v[:, j], np.sign(v[:, j] @ direct[:, j]) * direct[:, j]) <= 1e-11
         np.testing.assert_allclose(v.T @ v, np.eye(rank), atol=1e-10)
+
+
+def test_thin_svd_right_vectors_stay_orthonormal_when_ill_conditioned():
+    # m.T @ u / s loses orthonormality as the square of s_max / s_j: for this
+    # 38 x 184 matrix of rank 36 its columns were 1.6e-12 from orthonormal at
+    # s from 1 to 1/193 and 3.3e-7 at s from 1 to 1e-5, where u held 2e-15
+    rng = np.random.default_rng(41)
+    a = np.linalg.qr(rng.standard_normal((38, 36)))[0]
+    b = np.linalg.qr(rng.standard_normal((184, 36)))[0]
+    for kappa in (193.0, 1e5):
+        m = (a * np.geomspace(1.0, 1.0 / kappa, 36)) @ b.T  # the Gram path
+        u, s, v = thin_svd(m, 38)
+        assert np.count_nonzero(s) == 36
+        for w in (u, v):
+            assert np.abs(w.T @ w - np.eye(38)).max() <= 1e-13
+        assert np.abs((u * s) @ v.T - m).max() <= 1e-12
 
 
 def test_thin_svd_kappa_1e7_resolved_directly_floored_on_the_gram_path():
@@ -283,13 +304,17 @@ def test_hosvd_zero_tensor_canonical():
 
 
 def test_hosvd_orthonormal_factors_and_core_projection():
+    # orders 1 to 4; an order-1 tensor's one mode is both the first and the last
     rng = np.random.default_rng(6)
-    t = rng.standard_normal((5, 6, 7))
-    f = hosvd(t, (2, 3, 2))
-    for u in f.factors:
-        assert fro_norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
-    ref_core = multilinear_mul([u.T for u in f.factors], t)
-    np.testing.assert_allclose(f.core, ref_core, rtol=1e-12, atol=1e-14)
+    for dims, rank in [((5, 6, 7), (2, 3, 2)), ((5,), (1,)), ((5, 6), (2, 3)),
+                       ((4, 5, 6, 3), (2, 2, 3, 2))]:
+        t = rng.standard_normal(dims)
+        f = hosvd(t, rank)
+        assert len(f.factors) == len(dims)
+        for u in f.factors:
+            assert fro_norm(u.T @ u - np.eye(u.shape[1])) <= 1e-10
+        ref_core = multilinear_mul([u.T for u in f.factors], t)
+        np.testing.assert_allclose(f.core, ref_core, rtol=1e-12, atol=1e-14)
 
 
 def test_hosvd_core_spectrum_kappa_10():
