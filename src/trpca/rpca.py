@@ -30,6 +30,7 @@ phase holds one full tensor besides ``y``.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,14 +41,11 @@ import numpy as np
 from .tensor_ops import (
     _ldexp_up,
     _matricize_clip,
-    _mode_inner,
-    _mode_product,
     _rank_entries,
     _sumsq,
     as_tensor,
     check_rank,
     inf_norm,
-    multilinear_mul,
 )
 from .tucker import TuckerFactors, _outer_factors, _project_rest, _spectrum, reconstruct
 
@@ -111,8 +109,9 @@ class SolverConfig:
     rank : tuple of int
         Target multilinear rank, one entry per mode.
     eta : float
-        Step size in (0, 0.25].  The analysis behind the default schedule
-        assumes eta in [1/7, 1/4].
+        Step size; the code accepts ``0 < eta <= 0.25`` and rejects any
+        other value.  The range the paper's convergence theorem assumes is
+        not checked here: nothing in this repository states it.
     rho : float or None
         Threshold decay factor in (0, 1).  None means ``1 - 0.45 * eta``.
     zeta0, zeta1 : float or None
@@ -403,9 +402,10 @@ def _spd_inverses(grams, labels) -> list[np.ndarray]:
     so each distinct size takes one ``eigvalsh`` and one ``inv``: on r x r
     matrices a linalg call costs its overhead, not its flops.
     """
-    by_size: dict[int, list[int]] = {}
+    by_size: dict[int, tuple[int, ...]] = {}
     for i, g in enumerate(grams):
-        by_size.setdefault(len(g), []).append(i)
+        n = g.shape[0]
+        by_size[n] = by_size[n] + (i,) if n in by_size else (i,)
     stacks = [(idx, np.array([grams[i] for i in idx])) for idx in by_size.values()]
     first = None
     for idx, stack in stacks:
@@ -429,20 +429,47 @@ def _contractions(t: np.ndarray, mats, core: np.ndarray, first: int):
     """``unfold(t x_{j>=first, j!=k} mats_j.T, k) @ unfold(core, k).T`` for each ``k >= first``,
     and ``t x_{first<=j<N-1} mats_j.T``; ``prefix`` shares the products before each ``k``.
 
-    Each mode product is one :func:`~trpca.tensor_ops._mode_product` and each
-    final contraction one :func:`~trpca.tensor_ops._mode_inner`, so every
-    intermediate stays C-contiguous and is read without a copy.  The returned
-    prefix stops short of the last mode, whose product only one caller needs.
+    ``t`` is C-contiguous, with the core's dims before mode ``first`` and
+    ``mats_j``'s row count at every mode ``j >= first``; ``out[k]`` is None
+    for ``k < first``.  Each mode product is the one matrix product of
+    :func:`~trpca.tensor_ops._mode_product`, on a reshaped C-ordered view,
+    and each final contraction the one of its partner, a 2-D ``@`` at mode 0
+    and the last mode and a broadcast ``@`` summed over the leading dims at
+    any other; the tests check the bits against those two.  They are written
+    out because this runs twice per solver iteration on r-space arrays,
+    where a call costs more than its flops: a product's C-contiguous result
+    is reshaped once, for the next product, from the running size ``lead``
+    of the dims before the mode it reads, and never to its tensor shape.
+    The returned prefix stops short of the last mode, whose product only one
+    caller needs.
     """
-    order = core.ndim
-    out, prefix = [], t
+    order, rank = core.ndim, core.shape
+    out = [None] * order
+    prefix, lead = t, 1  # lead: the size of the dims of prefix before mode k
+    for j in range(first):
+        lead *= rank[j]
     for k in range(first, order):
-        part = prefix
+        n = mats[k].shape[0]
+        part, part_lead = prefix, lead * n
         for j in range(k + 1, order):
-            part = _mode_product(part, mats[j].T, j)
-        out.append(_mode_inner(part, core, k))
-        if k < order - 1:
-            prefix = _mode_product(prefix, mats[k].T, k)
+            u = mats[j]
+            if j == order - 1:
+                part = part.reshape(-1, u.shape[0]) @ u
+            else:
+                part = u.T @ part.reshape(part_lead, u.shape[0], -1)
+                part_lead *= rank[j]
+        # part has the dims of core but at mode k, where it has n
+        if k == order - 1:
+            out[k] = part.reshape(-1, n).T @ core.reshape(-1, rank[k])
+            break
+        if k == 0:
+            out[k] = part.reshape(n, -1) @ core.reshape(rank[0], -1).T
+            prefix = mats[0].T @ prefix.reshape(n, -1)
+        else:
+            q = core.reshape(lead, rank[k], -1).transpose(0, 2, 1)
+            out[k] = np.add.reduce(part.reshape(lead, n, -1) @ q, 0)
+            prefix = mats[k].T @ prefix.reshape(lead, n, -1)
+        lead *= rank[k]
     return out, prefix
 
 
@@ -489,10 +516,10 @@ def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
     ``R_k`` and ``C_k`` are ``matricize(c, k) @ B_k`` and ``B_k.T @ B_k`` for
     the co-factor ``B_k`` of :func:`~trpca.tucker.breve_factor`, computed in
     r-space without forming ``B_k``: ``R_0`` comes from ``tail``, every other
-    ``R_k`` and the core gradient from ``head``, by small partial contractions.
-    Every contraction is a :func:`~trpca.tensor_ops._mode_product` or, for
-    ``R_k`` and ``C_k`` themselves, a :func:`~trpca.tensor_ops._mode_inner`:
-    one matrix product each on a reshaped C-ordered view.  Only the Grams
+    ``R_k`` and the core gradient from ``head``, by small partial contractions
+    (:func:`_contractions`), and ``inv(M_j)`` is applied mode by mode in
+    ascending order, as :func:`~trpca.tensor_ops.multilinear_mul` applies
+    it: one matrix product each on a reshaped C-ordered view.  Only the Grams
     that are solved, the active modes' ``C_k`` and every ``M_j``, are checked
     for singularity, so a frozen mode's ``C_k`` is never checked.
     :func:`_spd_inverses` checks and inverts them stacked by size, one
@@ -500,20 +527,29 @@ def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
     the order active ``C_k`` by mode, then ``M_j`` by mode, raises
     :class:`SingularGramError`.  All updates read the pre-step factors, so
     the order of modes is irrelevant, and a frozen mode keeps its array.
+
+    ``c`` enters only through ``R_k`` and the core gradient, each linear in
+    it and multiplied by ``eta`` last, so ``head`` and ``tail`` may be given
+    ``2**m`` times too large with ``cfg.eta`` divided by ``2**m``: for a power
+    of two the scale cancels exactly.  :func:`solve` passes its slab pass's
+    contractions that way, in the loop's units, instead of rescaling them.
     """
-    eta, us, core, order = cfg.eta, factors.factors, factors.core, factors.order
-    dims = factors.outer_dims
-    if head.shape != core.shape[:1] + dims[1:] or tail.shape != dims[:-1] + core.shape[-1:]:
+    eta, us, core = cfg.eta, factors.factors, factors.core
+    order, rank = core.ndim, core.shape
+    dims = tuple([u.shape[0] for u in us])
+    if head.shape != rank[:1] + dims[1:] or tail.shape != dims[:-1] + rank[-1:]:
         raise ValueError(f"contractions of shapes {head.shape} and {tail.shape} do not "
-                         f"match factors of outer dims {dims} and rank {core.shape}")
+                         f"match factors of outer dims {dims} and rank {rank}")
     grams, cograms, x_sq = _grams(factors)
     if not math.isfinite(x_sq):
         raise DivergenceError("non-finite factors or core")
     rhs, part = _contractions(head, us, core, 1)
-    grad = _mode_product(part, us[-1].T, order - 1)  # c x_all U_j.T
+    grad = part.reshape(-1, dims[-1]) @ us[-1]  # c x_all U_j.T
+    lead = dims[0]
     for j in range(1, order - 1):  # R_0: tail times U_j.T for modes 1..N-2, ascending
-        tail = _mode_product(tail, us[j].T, j)
-    rhs.insert(0, _mode_inner(tail, core, 0))
+        tail = us[j].T @ tail.reshape(lead, dims[j], -1)
+        lead *= rank[j]
+    rhs[0] = tail.reshape(dims[0], -1) @ core.reshape(rank[0], -1).T
     active = [k for k, on in enumerate(cfg.modes_mask(order)) if on]
     inverses = _spd_inverses(
         [cograms[k] for k in active] + grams,
@@ -522,8 +558,15 @@ def scaled_step(factors: TuckerFactors, head: np.ndarray, tail: np.ndarray,
     new_factors = list(us)
     for k, inv_cogram in zip(active, inverses):
         new_factors[k] = us[k] + eta * (rhs[k] @ inv_cogram)
+    # grad x_all inv(M_j), ascending, as multilinear_mul orders a product
+    # that keeps the shape
     inv_grams = inverses[len(active):]
-    return TuckerFactors(tuple(new_factors), core + eta * multilinear_mul(inv_grams, grad)), x_sq
+    step, lead = inv_grams[0] @ grad.reshape(rank[0], -1), rank[0]
+    for j in range(1, order - 1):
+        step = inv_grams[j] @ step.reshape(lead, rank[j], -1)
+        lead *= rank[j]
+    step = (step.reshape(-1, rank[-1]) @ inv_grams[-1].T).reshape(rank)
+    return TuckerFactors._unchecked(tuple(new_factors), core + eta * step), x_sq
 
 
 def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
@@ -538,29 +581,37 @@ def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
     and nothing cancels, which a difference of the two expansions cannot
     avoid.  A factor that did not move (``new``'s is ``old``'s array, as
     :func:`scaled_step` leaves a frozen mode) keeps ``W_j = U_j`` and one block.
-    The result is in the units of the squared cores.
+    The result is in the units of the squared cores.  The mode products are
+    :func:`~trpca.tensor_ops._mode_product`'s, written out as in
+    :func:`_contractions`.
     """
     g, h = old.core, new.core
-    grams, blocks = [], []
+    grams, blocks, lift, sizes = [], (), (), ()
     for u, v in zip(old.factors, new.factors):
         moved = v is not u
         w = np.concatenate((u, v - u), axis=1) if moved else u
-        grams.append(w.T @ w)
-        blocks += (1 + moved, u.shape[1])
+        grams += (w.T @ w,)
+        r = u.shape[1]
+        blocks += (1 + moved, r)
+        lift += (1, r)
+        sizes += (w.shape[1],)
     d = np.empty(blocks)  # mode j's index is (block, row of G or H)
-    d[...] = h.reshape([n for r in h.shape for n in (1, r)])
+    d[...] = h.reshape(lift)
     np.subtract(h, g, out=d[(0, slice(None)) * h.ndim])
-    d = d.reshape([len(m) for m in grams])
-    t = d
+    d = d.reshape(sizes)
+    t, lead = d, 1
     for k in range(h.ndim - 2):
-        t = _mode_product(t, grams[k], k)
+        t = grams[k] @ t.reshape(lead, sizes[k], -1)
+        lead *= sizes[k]
     # the Grams are symmetric: the last two modes are one broadcast product
-    return float(np.vdot(grams[-2] @ t @ grams[-1], d))
+    return float(np.vdot(grams[-2] @ t.reshape(-1, sizes[-2], sizes[-1]) @ grams[-1], d))
 
 
 # The loop keeps its full tensors in the units of y, unless ||y||_inf is
-# above 2**960, where a residual or a reference error could overflow; there
-# they are kept in the units of y / 2**e instead.
+# above 2**960, where a residual or a reference error could overflow, or
+# below 2**-960, where the step's r-space products, taken in the loop's units
+# (see solve), could lose bits to underflow; there they are kept in the
+# units of y / 2**e instead.
 _LOOP_EXP_LIMIT = 960
 
 
@@ -616,7 +667,7 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     ref = _as_reference(reference, y.shape)
     y_inf = inf_norm(y)
     e = int(np.frexp(y_inf)[1])
-    el = e if e <= _LOOP_EXP_LIMIT else 0
+    el = e if -_LOOP_EXP_LIMIT <= e <= _LOOP_EXP_LIMIT else 0
     zeta0 = _resolve_zeta0(cfg, y, y_inf, ref)
     zeta1 = cfg.zeta1
     if zeta1 is None and ref is not None:
@@ -665,7 +716,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     residual (of ``y`` itself when no step was taken), written slab by slab
     into that residual's buffer.  For ``||y||_inf`` above ``2**960`` the
     loop's tensors are kept in the units of ``y / 2**e``, so that no
-    residual overflows.
+    residual overflows, and below ``2**-960`` too, so that the step's
+    products lose no bits to underflow.
 
     Memory: besides ``y`` (and the reference), every phase holds at most one
     full tensor, plus buffers of a mode-0 slab and of ``r_k / n_k`` of the
@@ -677,12 +729,14 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
 
     Divergence: :class:`DivergenceError` names the iterate ``t`` at fault.
     A NaN in an expanded iterate shows in the sum of its clipped residual,
-    or in that of its reference error.  A non-finite factor or core makes
-    the iterate's norm ``||x_t||`` from the Grams non-finite, which is
-    checked when the step from it is taken, or, for the last iterate,
-    without a step; the same check fails an iterate whose norm, in the
-    loop's units, reaches ``2**1022``, where its expansion or residual could
-    overflow.  No other pass over the tensor looks for non-finite values.
+    or in that of its reference error.  A non-finite factor or core is
+    found right after the step that made it, in r-space, before any product
+    reads it: an ``inf * 0`` there would make numpy warn before anything
+    raised.  The iterate's norm ``||x_t||`` from the Grams, checked when the
+    step from it is taken, or, for the last iterate, without a step, fails
+    an iterate whose norm, in the loop's units, reaches ``2**1022``, where
+    its expansion or residual could overflow.  No other pass over the
+    tensor looks for non-finite values.
 
     Parameters
     ----------
@@ -709,30 +763,22 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     start = time.perf_counter()
     # The factors, the core and the thresholds are in the units of
     # y_n = y / 2**e; every tensor the loop holds is in the units of
-    # y_n * 2**el, which are those of y except near the top of the float
-    # range (see _start), and every sum of squares is divided by 4**el.
+    # y_n * 2**el, which are those of y unless ||y||_inf lies outside
+    # [2**-960, 2**960] (see _start), and every sum of squares is divided by
+    # 4**el.  With |el| <= 960, 2**el is a float and scaling by it is exact.
     e, el, sched, f, y, x, loss, x_star = _start(y, cfg, reference)
     x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
+    scale = 2.0**el
+    # head and tail stay in the loop's units: the step's size carries their
+    # 2**-el instead (see scaled_step), a config the set-up has checked
+    step_cfg = copy.copy(cfg)
+    step_cfg.eta = math.ldexp(cfg.eta, -el)
     # an iterate with ||x_n||**2 below this is below 2**1022 in the loop's
     # units, so it, its residual and its clip stay finite
     x_sq_limit = _ldexp_up(1.0, 2 * (1022 - el))
-    trace = IterationTrace()
-
-    def check(t, x_sq):
-        if not x_sq < x_sq_limit:
-            raise DivergenceError(f"non-finite iterate at iteration {t}")
-
-    def record(t, err2, err_inf, loss):
-        # err2 and loss are in the units of y_n, err_inf in the loop's.  The
-        # loss, a squared norm, may overflow to inf, and so may the early
-        # thresholds and errors of an input near the float maximum.
-        errs = (None, None)
-        if x_star is not None:
-            err = math.sqrt(err2)
-            errs = (err / x_star_fro if x_star_fro > 0 else _ldexp_up(err, e),
-                    _ldexp_up(err_inf, e - el))
-        values = (_ldexp_up(sched.value(t), e), *errs, _ldexp_up(loss, 2 * e))
-        trace.rows.append(TraceRow(t, *values, time.perf_counter() - start))
+    # (zeta_t, err2, err_inf, loss, clock) of each iterate t, as the loop has
+    # them; the trace's rows are formed from these at the end
+    raw = []
 
     # One pass per expanded iterate over mode-0 slabs of about _SLAB_BYTES,
     # so that every slab stays in cache between the ops applied to it.  With
@@ -745,6 +791,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     n_last, r_last = y.shape[-1], cfg.rank[-1]
     if cfg.max_iters > 0:
         head = np.empty((cfg.rank[0], row))
+        head_t = head.reshape((-1,) + y.shape[1:])  # the step reads it as a tensor
         tail = np.empty(y.shape[:-1] + (r_last,))
 
     def sweep(x, t, f, zeta):
@@ -757,10 +804,11 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         """
         err2 = err_inf = loss2 = 0.0
         u0, u_last = f.factors[0], f.factors[-1]
-        z = _ldexp_up(zeta, el)
         # each slab's term of head, allocated per pass so that it is not
         # held beside the next expansion
-        part = None if z is None else np.empty_like(head)
+        if zeta is not None:
+            z = zeta * scale
+            part = np.empty_like(head)
         for sl in slabs:
             xb = x[sl]
             d = buf[: sl.stop - sl.start]
@@ -768,9 +816,9 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 np.subtract(xb, x_star[sl], out=d)
                 err2 += _sumsq(d, el)
                 err_inf = max(err_inf, inf_norm(d))
-            if z is None:
+            if zeta is None:
                 continue
-            c = np.clip(np.subtract(y[sl], xb, out=xb), -z, z, out=d)
+            c = np.subtract(y[sl], xb, out=xb).clip(-z, z, out=d)
             loss2 += _sumsq(c, el)
             c_rows = c.reshape(c.shape[0], row)
             if sl.start == 0:
@@ -784,23 +832,32 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
             raise DivergenceError(f"non-finite iterate at iteration {t}")
         return err2, err_inf, 0.5 * loss2
 
+    def expand(f):
+        return reconstruct(TuckerFactors._unchecked(f.factors, f.core * scale))
+
     # x is the one full tensor of the loop: each iterate's buffer, which
     # becomes its residual.  Before any step the residual that gives the
     # sparse part is y itself: x_0's part is soft_shrink(y, zeta_0).
-    zeta = sched.value(1) if cfg.max_iters > 0 else None
+    # zeta_t is the threshold of iterate t, zeta that of the next one
+    zeta_t, zeta = sched.zeta0, (sched.value(1) if cfg.max_iters > 0 else None)
     err2, err_inf, next_loss = sweep(x, 0, f, zeta)
-    record(0, err2, err_inf, loss)
+    raw.append((zeta_t, err2, err_inf, loss, time.perf_counter()))
     t = 0
     for t in range(1, cfg.max_iters + 1):
-        np.ldexp(head, -el, out=head)
-        np.ldexp(tail, -el, out=tail)
         f_prev = f
         try:
-            f, x_sq = scaled_step(f, head.reshape((-1,) + y.shape[1:]), tail, cfg)
+            f, x_sq = scaled_step(f, head_t, tail, step_cfg)
         except DivergenceError:
             raise DivergenceError(f"non-finite iterate at iteration {t - 1}") from None
-        check(t - 1, x_sq)
-        loss = next_loss
+        if not x_sq < x_sq_limit:
+            raise DivergenceError(f"non-finite iterate at iteration {t - 1}")
+        # iterate t, in r-space, before any product reads it: the change,
+        # the expansion and the Grams of the next step would take inf * 0,
+        # which numpy warns of before anything raises
+        for a in (*f.factors, f.core):
+            if not np.logical_and.reduce(np.isfinite(a), None):
+                raise DivergenceError(f"non-finite iterate at iteration {t}")
+        loss, zeta_t = next_loss, zeta
         # the change and ||x_{t-1}|| are both in the units of y_n
         if t == cfg.max_iters or (
                 cfg.stop_tol > 0
@@ -808,27 +865,54 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
                 < cfg.stop_tol):
             break
         del x  # the residual r_{t-1}, whose buffer the expansion may take
-        x = reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el)))
-        err2, err_inf, next_loss = sweep(x, t, f, sched.value(t + 1))
-        record(t, err2, err_inf, loss)
+        x = expand(f)
+        zeta = sched.value(t + 1)
+        err2, err_inf, next_loss = sweep(x, t, f, zeta)
+        raw.append((zeta_t, err2, err_inf, loss, time.perf_counter()))
     if t > 0:  # the last iterate takes no step: its norm from its own Grams
-        check(t, _grams(f)[2])
-        del head, tail  # before the shrink takes its slabs
+        if not _grams(f)[2] < x_sq_limit:
+            raise DivergenceError(f"non-finite iterate at iteration {t}")
+        del head, head_t, tail  # before the shrink takes its slabs
     # s = soft_shrink(r_{t-1}, zeta_t) overwrites r_{t-1}; with no step
     # taken, r is y and s overwrites x_0
-    z = _ldexp_up(sched.value(t), el)
+    z = zeta_t * scale
     r, s = (x if t > 0 else y), x
     for sl in slabs:
         s[sl] = soft_shrink(r[sl], z)
     if t > 0:
         err2 = err_inf = None
         if x_star is not None:
-            err2, err_inf, _ = sweep(
-                reconstruct(TuckerFactors(f.factors, np.ldexp(f.core, el))), t, f, None)
-        record(t, err2, err_inf, loss)
+            err2, err_inf, _ = sweep(expand(f), t, f, None)
+        raw.append((zeta_t, err2, err_inf, loss, time.perf_counter()))
     if el != e:
         np.ldexp(s, e - el, out=s)
+    trace = _trace(raw, e, el, x_star_fro, start)
     return SolveResult(TuckerFactors(f.factors, np.ldexp(f.core, e)), s, trace)
+
+
+def _trace(raw, e: int, el: int, x_star_fro: float | None, start: float) -> IterationTrace:
+    """The trace of a solve from the raw rows ``(zeta_t, err2, err_inf, loss, clock)``
+    of iterates 0, 1, ... in order.
+
+    ``zeta_t``, ``err2`` and ``loss`` are in the units of ``y_n = y / 2**e``
+    (the last two squared), ``err_inf`` in the loop's, ``2**el`` times those;
+    the errors are None without a reference.  Each column is scaled in one
+    ``np.ldexp``, exact and the same bits as one :func:`math.ldexp` per row,
+    and inf where the value leaves the float range: the loss, a squared
+    norm, may overflow, and so may the early thresholds and errors of an
+    input near the float maximum.
+    """
+    zeta, err2, err_inf, loss, clock = zip(*raw)
+    with np.errstate(over="ignore", under="ignore"):
+        zeta = np.ldexp(zeta, e).tolist()
+        loss = np.ldexp(loss, 2 * e).tolist()
+        rel = inf = (None,) * len(raw)
+        if x_star_fro is not None:
+            err = np.sqrt(err2)
+            rel = (err / x_star_fro if x_star_fro > 0 else np.ldexp(err, e)).tolist()
+            inf = np.ldexp(err_inf, e - el).tolist()
+    return IterationTrace([TraceRow(t, *row, c - start)
+                           for t, (*row, c) in enumerate(zip(zeta, rel, inf, loss, clock))])
 
 
 # The former order-N entry point, kept as an alias because the benchmark's

@@ -11,13 +11,14 @@ product satisfies
 i.e. the Kronecker factors appear in descending mode order with mode ``k``
 skipped.  All routines in this module rely on that identity.
 
-Every mode product goes through one routine, :func:`_mode_product`, and every
-contraction over all modes but one through its partner :func:`_mode_inner`.
-Both read a C-contiguous tensor as ``(prod(dims before k), n_k, prod(dims
-after k))`` without copying it, so each is one matrix product, and the mode
-product's result is C-contiguous again: a chain of them, such as
-:func:`multilinear_mul`, never copies a strided view.  A tensor in any other
-layout gives the same result, after one copy.  :func:`multilinear_mul`
+A mode product is one routine, :func:`_mode_product`.  It reads a
+C-contiguous tensor as ``(prod(dims before k), n_k, prod(dims after k))``
+without copying it, so it is one matrix product, and its result is
+C-contiguous again: a chain of them, such as :func:`multilinear_mul`, never
+copies a strided view.  A tensor in any other layout gives the same result,
+after one copy.  The solver's step on r x r arrays
+(:func:`trpca.rpca._contractions`) writes the same matrix products out, so
+that a chain of them costs one reshape per product.  :func:`multilinear_mul`
 orders its modes so that the largest product of the chain is the mode-0
 form ``a @ t.reshape(n_0, -1)``: last mode first when the product grows the
 tensor, first mode first otherwise.
@@ -117,8 +118,8 @@ def _mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
 
     ``t`` is read as ``(prod(dims before mode), n_mode, prod(dims after
     mode))``, a view when it is C-contiguous (else a copy).  Mode 0 and the
-    last mode are one 2-D ``@``, any other mode one ``np.matmul`` broadcast
-    over the leading dims; the result is C-contiguous either way.
+    last mode are one 2-D ``@``, any other mode one ``@`` broadcast over the
+    leading dims; the result is C-contiguous either way.
     """
     shape = t.shape
     n = shape[mode]
@@ -127,26 +128,8 @@ def _mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     elif mode == 0:
         out = a @ t.reshape(n, -1)
     else:
-        out = np.matmul(a, t.reshape(math.prod(shape[:mode]), n, -1))
+        out = a @ t.reshape(math.prod(shape[:mode]), n, -1)
     return out.reshape(shape[:mode] + (a.shape[0],) + shape[mode + 1:])
-
-
-def _mode_inner(p: np.ndarray, q: np.ndarray, mode: int) -> np.ndarray:
-    """``matricize(p, mode) @ matricize(q, mode).T``, for tensors whose other dims agree.
-
-    The partner of :func:`_mode_product`, with the same ``(before, n_mode,
-    after)`` reading of both tensors: mode 0 and the last mode are one 2-D
-    ``@``, any other mode one broadcast ``np.matmul`` summed over the leading
-    dims.
-    """
-    n, m = p.shape[mode], q.shape[mode]
-    if mode == p.ndim - 1:
-        return p.reshape(-1, n).T @ q.reshape(-1, m)
-    if mode == 0:
-        return p.reshape(n, -1) @ q.reshape(m, -1).T
-    lead = math.prod(p.shape[:mode])
-    q3 = q.reshape(lead, m, -1)
-    return np.matmul(p.reshape(lead, n, -1), q3.transpose(0, 2, 1)).sum(axis=0)
 
 
 def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
@@ -165,7 +148,7 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
     t = np.asarray(t)
     if len(mats) != t.ndim:
         raise ValueError(f"got {len(mats)} factor matrices for an order-{t.ndim} tensor")
-    steps = []
+    steps, rows, cols = [], 1, 1
     for mode, b in enumerate(mats):
         if b is None:
             continue
@@ -176,7 +159,9 @@ def multilinear_mul(mats: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndar
                 f"needs {t.shape[mode]} columns"
             )
         steps.append((mode, b))
-    if math.prod(m.shape[0] for _, m in steps) > math.prod(m.shape[1] for _, m in steps):
+        rows *= b.shape[0]
+        cols *= b.shape[1]
+    if rows > cols:
         steps.reverse()  # the product grows the tensor
     out = t
     for mode, b in steps:
@@ -264,7 +249,9 @@ def inf_norm(t: np.ndarray) -> float:
     tensor is made.
     """
     t = np.asarray(t)
-    return abs(float(np.maximum(t.max(), -t.min()))) if t.size else 0.0
+    if not t.size:
+        return 0.0
+    return abs(float(np.maximum(np.maximum.reduce(t, None), -np.minimum.reduce(t, None))))
 
 
 def l2inf_norm(m: np.ndarray) -> float:

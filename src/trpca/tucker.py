@@ -195,6 +195,17 @@ class TuckerFactors:
                     f"factor {k} has shape {u.shape}, core wants {self.core.shape[k]} columns"
                 )
 
+    @classmethod
+    def _unchecked(cls, factors: tuple[np.ndarray, ...], core: np.ndarray) -> "TuckerFactors":
+        """A pair from arrays that already pass :meth:`__post_init__`'s checks.
+
+        For the solver loop, whose iterates are float64 arrays of the shapes
+        of the checked pair they were made from; it skips the checks.
+        """
+        f = object.__new__(cls)
+        f.factors, f.core = factors, core
+        return f
+
     @property
     def order(self) -> int:
         return self.core.ndim

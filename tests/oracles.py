@@ -5,7 +5,10 @@ matricization by explicit index enumeration, multilinear products via
 einsum with spelled-out subscripts, Kronecker products by block loops,
 fiber statistics by brute-force counting, and gradients by central
 differences.  ``residual_step`` is the one exception: it is the library's
-step itself, fed a whole residual.  The ``suite_*`` runners are
+step itself, fed a whole residual.  ``stepwise_scaled_step`` and
+``stepwise_change_sq`` are no oracles either: they take the solver step's
+products one library call at a time, the forms the step must match bit for
+bit.  The ``suite_*`` runners are
 parameterized by case count so the module tests can run them cheaply and
 the acceptance battery can run the full 1000 randomized cases per suite.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trpca.metrics import tensor_diagnostics
-from trpca.rpca import scaled_step, soft_shrink, spectral_init
+from trpca.rpca import _spd_inverses, scaled_step, soft_shrink, spectral_init
 from trpca.synth import gen_truth
 from trpca.tensor_ops import (
     _mode_product,
@@ -152,6 +155,88 @@ def residual_step(factors, c, cfg):
     head = _mode_product(c, us[0].T, 0)
     tail = _mode_product(c, us[-1].T, c.ndim - 1)
     return scaled_step(factors, head, tail, cfg)[0]
+
+
+def mode_inner(p, q, mode):
+    """``matricize(p, mode) @ matricize(q, mode).T``, for tensors whose other dims agree.
+
+    The partner of the library's ``_mode_product``, with its ``(before,
+    n_mode, after)`` reading of both tensors: mode 0 and the last mode are one
+    2-D ``@``, any other mode one broadcast ``@`` summed over the leading dims.
+    These are the forms of the solver step's contractions, which
+    :func:`stepwise_scaled_step` takes one call at a time.
+    """
+    n, m = p.shape[mode], q.shape[mode]
+    if mode == p.ndim - 1:
+        return p.reshape(-1, n).T @ q.reshape(-1, m)
+    if mode == 0:
+        return p.reshape(n, -1) @ q.reshape(m, -1).T
+    lead = int(np.prod(p.shape[:mode]))
+    q3 = q.reshape(lead, m, -1)
+    return np.matmul(p.reshape(lead, n, -1), q3.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _stepwise_contractions(t, mats, core, first):
+    order = core.ndim
+    out, prefix = [], t
+    for k in range(first, order):
+        part = prefix
+        for j in range(k + 1, order):
+            part = _mode_product(part, mats[j].T, j)
+        out.append(mode_inner(part, core, k))
+        if k < order - 1:
+            prefix = _mode_product(prefix, mats[k].T, k)
+    return out, prefix
+
+
+def stepwise_scaled_step(factors, head, tail, cfg):
+    """``trpca.rpca.scaled_step(factors, head, tail, cfg)``, each product one
+    library call: ``_mode_product``, :func:`mode_inner`, and ``multilinear_mul``
+    for ``inv(M_j)`` on the core gradient.
+
+    The step writes these products out in r-space, and must give their bits.
+    Returns ``(factors, x_sq)`` as the step does.
+    """
+    eta, us, core, order = cfg.eta, factors.factors, factors.core, factors.order
+    grams = [u.T @ u for u in us]
+    cograms, _ = _stepwise_contractions(core, grams, core, 0)
+    x_sq = float(np.vdot(cograms[0], grams[0]))
+    rhs, part = _stepwise_contractions(head, us, core, 1)
+    grad = _mode_product(part, us[-1].T, order - 1)
+    for j in range(1, order - 1):
+        tail = _mode_product(tail, us[j].T, j)
+    rhs.insert(0, mode_inner(tail, core, 0))
+    active = [k for k, on in enumerate(cfg.modes_mask(order)) if on]
+    inverses = _spd_inverses(
+        [cograms[k] for k in active] + grams,
+        [(k, "co-factor") for k in active] + [(k, "factor") for k in range(order)],
+    )
+    new = list(us)
+    for k, inv_cogram in zip(active, inverses):
+        new[k] = us[k] + eta * (rhs[k] @ inv_cogram)
+    step = multilinear_mul(inverses[len(active):], grad)
+    return TuckerFactors(tuple(new), core + eta * step), x_sq
+
+
+def stepwise_change_sq(old, new):
+    """``trpca.rpca._change_sq(old, new)`` with one ``_mode_product`` call per
+    mode product and the tensor shape of the block core throughout; the
+    library must give its bits."""
+    g, h = old.core, new.core
+    grams, blocks = [], []
+    for u, v in zip(old.factors, new.factors):
+        moved = v is not u
+        w = np.concatenate((u, v - u), axis=1) if moved else u
+        grams.append(w.T @ w)
+        blocks += (1 + moved, u.shape[1])
+    d = np.empty(blocks)
+    d[...] = h.reshape([n for r in h.shape for n in (1, r)])
+    np.subtract(h, g, out=d[(0, slice(None)) * h.ndim])
+    d = d.reshape([len(m) for m in grams])
+    t = d
+    for k in range(h.ndim - 2):
+        t = _mode_product(t, grams[k], k)
+    return float(np.vdot(grams[-2] @ t @ grams[-1], d))
 
 
 def oracle_fiber_fraction(s):

@@ -1,8 +1,12 @@
 """Shrinkage, threshold schedule, spectral init, and the scaled-gradient solver."""
 
+import copy
+import cProfile
 import math
+import pstats
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from oracles import (
     random_tucker,
     rel_diff,
     residual_step,
+    stepwise_change_sq,
+    stepwise_scaled_step,
     suite_corrupt_iter,
     update_sparse,
 )
@@ -34,7 +40,7 @@ from trpca.rpca import (
 )
 from trpca.metrics import tensor_diagnostics
 from trpca.synth import gen_truth
-from trpca.tensor_ops import fro_norm, inf_norm
+from trpca.tensor_ops import _mode_product, fro_norm, inf_norm
 from trpca.tucker import TuckerFactors, hosvd, reconstruct
 
 
@@ -693,6 +699,88 @@ def test_scaled_step_checks_the_shapes_of_its_contractions():
             scaled_step(f, bad_head, bad_tail, cfg)
 
 
+@pytest.mark.parametrize("dims, rank, mask", [
+    ((7, 6, 5), (2, 3, 3), None),
+    ((9, 8, 7), (2, 2, 2), (False, True, True)),
+    ((5, 4, 6, 3), (2, 1, 3, 2), (True, False, True, True)),
+    ((4, 3, 5, 3, 4), (2, 2, 1, 3, 2), None),
+])
+def test_step_and_change_give_the_bits_of_the_library_products(dims, rank, mask):
+    # scaled_step and _change_sq write their r-space products out; they give
+    # the bits of the same products taken one _mode_product, mode_inner or
+    # multilinear_mul call at a time, and a power-of-two scale of head and
+    # tail that eta carries cancels exactly, as in the loop
+    rng = np.random.default_rng(sum(dims) + len(dims))
+    f = random_tucker(rng, dims, rank)
+    c = rng.standard_normal(dims)
+    head = _mode_product(c, f.factors[0].T, 0)
+    tail = _mode_product(c, f.factors[-1].T, len(dims) - 1)
+    cfg = SolverConfig(rank=rank, eta=0.2, active_modes=mask)
+    got, x_sq = scaled_step(f, head, tail, cfg)
+    want, want_x_sq = stepwise_scaled_step(f, head, tail, cfg)
+    assert x_sq == want_x_sq
+    assert all(np.array_equal(a, b) for a, b in zip(got.factors, want.factors))
+    assert np.array_equal(got.core, want.core)
+    assert _change_sq(f, got) == stepwise_change_sq(f, got)
+    if mask is not None:
+        assert got.factors[mask.index(False)] is f.factors[mask.index(False)]
+    for m in (-300, 300):
+        scaled_cfg = copy.copy(cfg)
+        scaled_cfg.eta = math.ldexp(cfg.eta, -m)
+        moved, _ = scaled_step(f, np.ldexp(head, m), np.ldexp(tail, m), scaled_cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(moved.factors, got.factors))
+        assert np.array_equal(moved.core, got.core)
+
+
+def _library_calls_per_iteration(dims):
+    """Calls to functions defined in trpca per iteration of a reference solve
+    with the default stop_tol, from a 30- and a 10-iteration solve."""
+    truth = gen_truth(dims, 2, kappa=5.0, alpha=0.1, seed=0)
+    root = Path(trpca.rpca.__file__).resolve().parent
+    counts = []
+    for iters in (10, 30):
+        cfg = SolverConfig(rank=(2,) * len(dims), max_iters=iters)
+        profile = cProfile.Profile()
+        profile.enable()
+        result = solve(truth.y, cfg, reference=truth)
+        profile.disable()
+        assert result.trace.final.iteration == iters
+        stats = pstats.Stats(profile).stats
+        counts.append(sum(calls for (path, _, _), (_, calls, *_) in stats.items()
+                          if Path(path).resolve().parent == root))
+    return (counts[1] - counts[0]) / 20
+
+
+@pytest.mark.parametrize("dims, budget", [((20, 20, 20, 20), 38), ((30, 30, 30), 30)])
+def test_an_iteration_makes_a_bounded_number_of_library_calls(dims, budget):
+    # On r x r arrays a call costs more than its flops.  Counting only the
+    # package's own functions keeps numpy's internals, which change between
+    # numpy versions, out of the count.  The parent of the change that wrote
+    # out the step's products made 104 and 79 such calls per iteration.
+    assert _library_calls_per_iteration(dims) <= budget
+
+
+def test_solve_below_2_to_the_minus_960():
+    # Below 2**-960 the loop keeps its tensors in the units of y / 2**e, as
+    # it does above 2**960: at 2**-1000 the solve is exactly 2**-1000 times
+    # the unit-scale one, and an input whose every entry is subnormal (2**-1060)
+    # is solved as well as its precision allows
+    truth = gen_truth((9, 9, 9), 2, kappa=3.0, alpha=1 / 9, seed=28)
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=30, stop_tol=0.0)
+    base = solve(truth.y, cfg, reference=truth.x_star)
+    k = -1000
+    scaled = solve(np.ldexp(truth.y, k), cfg, reference=np.ldexp(truth.x_star, k))
+    assert all(np.array_equal(a, b) for a, b in zip(base.factors.factors, scaled.factors.factors))
+    assert np.array_equal(np.ldexp(base.factors.core, k), scaled.factors.core)
+    assert np.array_equal(np.ldexp(base.sparse, k), scaled.sparse)
+    for p, q in zip(base.trace, scaled.trace):
+        assert (q.zeta, q.inf_error, q.rel_fro_error) == (
+            np.ldexp(p.zeta, k), np.ldexp(p.inf_error, k), p.rel_fro_error)
+    k = -1060
+    tiny = solve(np.ldexp(truth.y, k), SolverConfig(rank=(2, 2, 2), max_iters=300))
+    assert rel_diff(np.ldexp(reconstruct(tiny.factors), -k), truth.x_star) <= 1e-2
+
+
 def test_solve_zero_tensor_raises_singular_gram():
     with pytest.raises(SingularGramError):
         solve(np.zeros((6, 6, 6)), SolverConfig(rank=(2, 2, 2)))
@@ -733,18 +821,18 @@ def test_solve_non_finite_iterate_raises_divergence(monkeypatch):
     monkeypatch.setattr(trpca.rpca, "reconstruct", poison_expansion_2(np.nan))
     with pytest.raises(DivergenceError, match="iteration 2"):
         solve(truth.y, cfg)
-    # a non-finite factor or core makes the norm from the Grams non-finite:
-    # the step from iterate 2 finds it (or, for a NaN, the pass over it), and
-    # so does the check of the last iterate, which a blind solve of 2
-    # iterations does not expand
+    # a non-finite factor or core is found in r-space right after the step
+    # that made it, before any product reads it, so it raises without a
+    # warning (the tests turn a RuntimeWarning into an error): whether the
+    # run would go on (3 iterations) or end there, as a blind solve of 2
+    # iterations does without expanding it
     monkeypatch.setattr(trpca.rpca, "reconstruct", expand)
     for max_iters in (2, 3):
         cfg = SolverConfig(rank=(2, 2, 2), max_iters=max_iters, stop_tol=0.0)
         for where in ("U_0", "core"):
             for bad in (np.nan, np.inf, -np.inf):
                 monkeypatch.setattr(trpca.rpca, "scaled_step", poison_iterate_2(where, bad))
-                with np.errstate(invalid="ignore"), pytest.raises(
-                        DivergenceError, match="iteration 2"):
+                with pytest.raises(DivergenceError, match="iteration 2"):
                     solve(truth.y, cfg)
     monkeypatch.setattr(trpca.rpca, "scaled_step", step)
     # a finite entry whose square overflows passes every check and the run

@@ -7,6 +7,7 @@ from oracles import (
     descending_kron,
     inner,
     l1inf_norm,
+    mode_inner,
     oracle_kron,
     oracle_matricize,
     oracle_multilinear_loops,
@@ -17,7 +18,6 @@ from oracles import (
     tensorize,
 )
 from trpca.tensor_ops import (
-    _mode_inner,
     _sumsq,
     _mode_product,
     as_tensor,
@@ -135,7 +135,7 @@ def test_mode_product_matches_nested_sums(dims, rows):
             got = _mode_product(view, a, k)
             assert got.shape == want.shape and got.flags.c_contiguous
             assert rel_diff(got, want) <= 1e-12
-            assert rel_diff(_mode_inner(view, q, k), want_inner) <= 1e-12
+            assert rel_diff(mode_inner(view, q, k), want_inner) <= 1e-12
 
 
 @pytest.mark.parametrize("dims, rows", _MODE_CASES)
