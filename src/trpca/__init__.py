@@ -37,9 +37,7 @@ from .rpca import (
     spectral_init,
 )
 from .metrics import (
-    AlignmentResult,
     Diagnostics,
-    align_factors,
     incoherence,
     sparsity_fraction,
     tensor_diagnostics,
@@ -66,7 +64,6 @@ from .fileio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentResult",
     "Diagnostics",
     "DivergenceError",
     "GroundTruth",
@@ -83,7 +80,6 @@ __all__ = [
     "ThresholdSchedule",
     "TraceRow",
     "TuckerFactors",
-    "align_factors",
     "as_tensor",
     "breve_factor",
     "fro_norm",

@@ -222,7 +222,7 @@ def _cmd_decompose(args) -> dict:
             records.insert(1, {
                 "record": "diagnostics",
                 "mu": d.mu, "kappa": d.kappa, "kappa_s": d.kappa_s,
-                "sigma_min": d.sigma_min, "alpha": d.alpha,
+                "sigma_min": d.sigma_min,
             })
         fileio.write_report(args.report, records)
         base, _ = os.path.splitext(args.report)

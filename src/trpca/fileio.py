@@ -35,7 +35,10 @@ MAGIC = b"TRPC"
 FORMAT_VERSION = 1
 # Version 2: ``loss`` is the loss at which the step into each iterate was
 # taken (see rpca.TraceRow), no longer the loss of the iterate itself.
-SCHEMA_VERSION = 2
+# Version 3: the ``diagnostics`` record of ``decompose --truth`` has no
+# ``alpha``, which read 0 for every truth; the ``final`` record's
+# ``sparse_fraction`` is the estimate's sparsity.
+SCHEMA_VERSION = 3
 
 # Refuse dims whose product exceeds this (2**48 entries = 2 PiB of float64);
 # anything larger is a corrupt header, not a real tensor.

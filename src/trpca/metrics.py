@@ -1,5 +1,5 @@
-"""Diagnostics: incoherence, sparsity, factor alignment, and the one measure of
-a tensor at a declared rank, :func:`tensor_diagnostics`."""
+"""Diagnostics: incoherence, sparsity, and the one measure of a tensor at a
+declared rank, :func:`tensor_diagnostics`."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import check_rank, fro_norm, inf_norm, l2inf_norm, matricize, multilinear_mul
-from .rpca import GRAM_CONDITION_LIMIT, _spd_inverses
+from .tensor_ops import check_rank, inf_norm, l2inf_norm
 from .tucker import TuckerFactors, _spectrum, _unfolding
 
 _ORTHO_TOL = 1e-8
@@ -77,66 +76,6 @@ def sparsity_fraction(s: np.ndarray) -> float:
         counts = mask.sum(axis=k)
         worst = max(worst, float(np.max(counts)) / s.shape[k])
     return worst
-
-
-@dataclass
-class AlignmentResult:
-    """Per-mode alignment matrices and the resulting scaled distance bound."""
-
-    q: tuple[np.ndarray, ...]
-    dist_upper: float
-
-
-def align_factors(f: TuckerFactors, f_star: TuckerFactors) -> AlignmentResult:
-    """Align ``f`` to a ground truth in normal form and bound their distance.
-
-    ``f_star`` must be in truncated-HOSVD normal form: orthonormal factors
-    and an all-orthogonal core (the mode-k core matricizations have
-    orthogonal rows), so the row norms of the core matricizations are the
-    tensor's singular values.  Each mode is aligned by the least-squares
-    matrix ``Q_k = (U_k^T U_k)^{-1} U_k^T U*_k``; the returned value is
-
-        sqrt( sum_k ||(U_k Q_k - U*_k) Sigma*_k||_F^2
-              + ||(Q_1^{-1}, ..., Q_N^{-1}) . G - G*||_F^2 )
-
-    an upper bound on the jointly minimized scaled distance (the per-mode
-    minimizers are evaluated on a common objective rather than jointly).
-    Zero iff the two factorizations describe the same tensor with the same
-    subspaces, up to the alignment.  A numerically singular factor Gram
-    matrix ``U_k^T U_k`` raises :class:`~trpca.rpca.SingularGramError`, a
-    ``ValueError``.
-    """
-    if f.order != f_star.order or f.outer_dims != f_star.outer_dims or f.rank != f_star.rank:
-        raise ValueError("factorizations have mismatched shapes")
-    # The distance is homogeneous of degree 1 in the two cores, so it is
-    # taken on both divided by 2**e near their largest entry, where the core
-    # Grams and the squared norms neither overflow nor underflow.
-    e = int(np.frexp(max(inf_norm(f.core), inf_norm(f_star.core)))[1])
-    core, core_star = np.ldexp(f.core, -e), np.ldexp(f_star.core, -e)
-    sigmas = []
-    for k, u in enumerate(f_star.factors):
-        if np.abs(u.T @ u - np.eye(u.shape[1])).max() > _ORTHO_TOL:
-            raise ValueError(f"reference factor {k} is not orthonormal")
-        g = matricize(core_star, k)
-        gram = g @ g.T
-        off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max() > _ORTHO_TOL * np.diag(gram).max():
-            raise ValueError("reference core is not all-orthogonal")
-        sigmas.append(np.sqrt(np.maximum(np.diag(gram), 0.0)))
-
-    qs, inv_qs = [], []
-    total = 0.0
-    inv_grams = _spd_inverses([u.T @ u for u in f.factors],
-                              [(k, "factor") for k in range(f.order)])
-    for k, (u, u_star, inv_gram) in enumerate(zip(f.factors, f_star.factors, inv_grams)):
-        q = inv_gram @ (u.T @ u_star)
-        if np.linalg.cond(q) > GRAM_CONDITION_LIMIT:
-            raise ValueError(f"alignment matrix for mode {k} is numerically singular")
-        qs.append(q)
-        inv_qs.append(np.linalg.inv(q))
-        total += fro_norm((u @ q - u_star) * sigmas[k][None, :]) ** 2
-    total += fro_norm(multilinear_mul(inv_qs, core) - core_star) ** 2
-    return AlignmentResult(q=tuple(qs), dist_upper=float(np.ldexp(np.sqrt(total), e)))
 
 
 def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) -> Diagnostics:

@@ -40,14 +40,13 @@ import numpy as np
 
 from .tensor_ops import (
     _ldexp_up,
-    _matricize_clip,
     _rank_entries,
     _sumsq,
     as_tensor,
     check_rank,
     inf_norm,
 )
-from .tucker import TuckerFactors, _outer_factors, _project_rest, _spectrum, reconstruct
+from .tucker import TuckerFactors, _hosvd, reconstruct
 
 # Gram matrices with a worse condition estimate than this are treated as
 # numerically singular instead of being inverted.
@@ -361,35 +360,15 @@ def spectral_init(y: np.ndarray, cfg: SolverConfig,
     ``y - s0`` up to rounding, taken on that clip divided by ``2**e``, a
     power of two near ``||y||_inf``: this divides exactly, so the init of
     ``2.0**k * y`` at ``2.0**k * zeta0`` is exactly ``2.0**k`` times the init
-    of ``y`` at ``zeta0``.  The HOSVD holds one full tensor at a time (see
-    :func:`_spectral_init`), and ``s0`` is formed after it.  The threshold
-    :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
+    of ``y`` at ``zeta0``.  The HOSVD is :func:`~trpca.tucker.hosvd`'s
+    routine, which holds one full tensor at a time (see
+    :func:`~trpca.tucker._hosvd`), and ``s0`` is formed after it.  The
+    threshold :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
-    return _spectral_init(y, cfg, zeta0, int(np.frexp(inf_norm(y))[1])), soft_shrink(y, zeta0)
-
-
-def _spectral_init(y: np.ndarray, cfg: SolverConfig, zeta0: float, e: int) -> TuckerFactors:
-    """The factors of :func:`spectral_init` for ``y`` whose sup norm has the binary exponent ``e``.
-
-    This is ``hosvd(clip(y, -zeta0, zeta0) / 2**e, cfg.rank)`` with the core
-    times ``2**e``, bit for bit, holding one full tensor at a time besides
-    ``y``.  The clip serves mode 0 and the last mode from views, and the
-    core's first product, and is released; each middle mode's unfolding is
-    then clipped from ``y`` straight into the matricization's layout,
-    scaled, decomposed and released in turn.
-    """
-    rank = cfg.rank
-    c = np.clip(y, -zeta0, zeta0)
-    u0, u_last, p = _outer_factors(np.ldexp(c, -e, out=c), rank)
-    del c
-    middle = []
-    for k in range(1, y.ndim - 1):
-        m = _matricize_clip(y, k, zeta0)
-        middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1].u)
-        del m
-    factors = (u0, *middle, u_last)
-    return TuckerFactors(factors, np.ldexp(_project_rest(p, factors), e))
+    if not zeta0 >= 0:
+        raise ValueError(f"shrinkage threshold must be >= 0, got {zeta0}")
+    return _hosvd(y, cfg.rank, zeta0, int(np.frexp(inf_norm(y))[1])), soft_shrink(y, zeta0)
 
 
 def _spd_inverses(grams, labels) -> list[np.ndarray]:
@@ -650,8 +629,10 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     ``y`` and scaled; the automatic zeta1 comes from the scaled
     initialization.  The initialization runs in the loop's units, on ``y``
     itself unless the loop needs a copy of ``y / 2**e``; its factors are the
-    same either way, since :func:`spectral_init` takes its HOSVD in the units
-    of ``y / 2**e``.  The initial iterate is expanded through ``reconstruct``
+    same either way, since the HOSVD (:func:`~trpca.tucker._hosvd`, as in
+    :func:`spectral_init`) is taken in the units of ``y / 2**e``.  The sup
+    norm of ``y`` is taken once, here: the clip the HOSVD reads is finite
+    by construction.  The initial iterate is expanded through ``reconstruct``
     in the loop's units, like every later one, and the gap ``y - x - s0``
     that gives zeta1 and the row-0 loss is taken slab by slab, each slab of
     ``s0 = soft_shrink(y, zeta0)`` formed on its own.
@@ -659,7 +640,7 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     Besides ``y``, at most one full tensor is held at a time: the ``|y|``
     buffer of the automatic zeta0, then the clip and the middle-mode
     unfoldings of the HOSVD, one after the other (see
-    :func:`_spectral_init`), then the initial iterate, which is returned.
+    :func:`~trpca.tucker._hosvd`), then the initial iterate, which is returned.
     """
     y = as_tensor(y, min_order=3)
     check_rank(y.shape, cfg.rank)
@@ -675,7 +656,7 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
     y_l = y if el == e else np.ldexp(y, el - e)
     # the sup norm of y_l is ||y||_inf / 2**(e - el), whose exponent is el
     zeta0_l = _ldexp_up(zeta0, el - e)
-    f0 = _spectral_init(y_l, cfg, zeta0_l, el)
+    f0 = _hosvd(y_l, cfg.rank, zeta0_l, el)
     zeta0, zeta1 = _ldexp_up(zeta0, -e), _ldexp_up(zeta1, -e)
     x = reconstruct(f0)
     # the gap is taken in the loop's units, where y - x cannot overflow, and

@@ -10,6 +10,7 @@ import numpy as np
 
 from .tensor_ops import (
     _FRO_TINY,
+    _matricize_clip,
     _mode_product,
     check_rank,
     inf_norm,
@@ -236,28 +237,31 @@ def _unfolding(t: np.ndarray, mode: int) -> np.ndarray:
     return matricize(t, mode)
 
 
-def _outer_factors(t: np.ndarray, rank) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`hosvd`'s factors of mode 0 and the last mode, and the first
-    product of its core, ``t x_0 U_0.T``; ValueError unless ``t`` is finite.
+def _hosvd(y: np.ndarray, rank, bound: float, e: int) -> TuckerFactors:
+    """``hosvd(clip(y, -bound, bound) / 2**e, rank)`` with the core times
+    ``2**e``, bit for bit, for a finite ``y`` and a rank that fits it.
 
-    Both come from views of ``t`` (:func:`_unfolding`), so with these and
-    the first product taken, :func:`hosvd` needs ``t`` only for the
-    unfoldings of its middle modes.
+    One full tensor is held at a time besides ``y``: the clip serves mode 0
+    and the last mode from views (:func:`_unfolding`) and the core's first
+    product, and is released before each middle unfolding is clipped from
+    ``y`` straight into its layout (:func:`~trpca.tensor_ops._matricize_clip`)
+    in turn.  The core's other products follow in ascending mode order, as
+    :func:`~trpca.tensor_ops.multilinear_mul` takes a product that shrinks.
     """
-    if not math.isfinite(inf_norm(t)):
-        raise ValueError("tensor entries must be finite")
-    u0, u_last = (_spectrum(_unfolding(t, k), rank[k])[1].u for k in (0, t.ndim - 1))
-    return u0, u_last, _mode_product(t, u0.T, 0)
-
-
-def _project_rest(p: np.ndarray, factors) -> np.ndarray:
-    """The core of :func:`hosvd` from its first product ``p = t x_0 U_0.T``:
-    ``p x_k U_k.T`` for k = 1, ..., N-1, in ascending order, which is the
-    order :func:`~trpca.tensor_ops.multilinear_mul` takes for a product that
-    shrinks the tensor."""
-    for k in range(1, p.ndim):
+    c = np.clip(y, -bound, bound)
+    np.ldexp(c, -e, out=c)
+    u0, u_last = (_spectrum(_unfolding(c, k), rank[k])[1].u for k in (0, y.ndim - 1))
+    p = _mode_product(c, u0.T, 0)
+    del c
+    middle = []
+    for k in range(1, y.ndim - 1):
+        m = _matricize_clip(y, k, bound)
+        middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1].u)
+        del m
+    factors = (u0, *middle, u_last)[: y.ndim]  # order 1: mode 0 is the last mode
+    for k in range(1, y.ndim):
         p = _mode_product(p, factors[k].T, k)
-    return p
+    return TuckerFactors(factors, np.ldexp(p, e))
 
 
 def hosvd(t: np.ndarray, rank) -> TuckerFactors:
@@ -265,21 +269,24 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
 
     Each factor holds the top-``rank[k]`` left singular vectors of the mode-k
     matricization, as :func:`thin_svd` gives them, without forming right
-    vectors: mode 0 and the last mode from views of ``t``
-    (:func:`_outer_factors`), any other mode from
-    :func:`~trpca.tensor_ops.matricize`, a copy.  The core is the projection
-    of ``t`` onto those subspaces.  A factor column whose singular value is
-    numerically zero is the canonical axis the columns before it cover
-    least, orthogonalized against them, so a zero tensor yields the leading
-    canonical axes and a zero core, and the output is deterministic for
-    every input.
+    vectors.  The core is the projection of ``t`` onto those subspaces.  A
+    factor column whose singular value is numerically zero is the canonical
+    axis the columns before it cover least, orthogonalized against them, so
+    a zero tensor yields the leading canonical axes and a zero core, and the
+    output is deterministic for every input.
+
+    This is the spectral initialization's routine (:func:`_hosvd`) at a bound
+    that clips nothing, so mode 0 and the last mode are read from one copy
+    of ``t``: one more pass, and a peak of one tensor above ``t``, which for
+    order 1 and 2, with no middle mode to copy, is one tensor more than
+    views of ``t`` would hold.
     """
     t = np.asarray(t, dtype=np.float64)
     rank = check_rank(t.shape, rank)
-    u0, u_last, p = _outer_factors(t, rank)
-    middle = [_spectrum(matricize(t, k), rank[k])[1].u for k in range(1, t.ndim - 1)]
-    factors = (u0, *middle, u_last)[: t.ndim]  # order 1: mode 0 is the last mode
-    return TuckerFactors(factors, _project_rest(p, factors))
+    bound = inf_norm(t)
+    if not math.isfinite(bound):
+        raise ValueError("tensor entries must be finite")
+    return _hosvd(t, rank, bound, 0)
 
 
 def reconstruct(f: TuckerFactors) -> np.ndarray:

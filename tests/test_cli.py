@@ -142,6 +142,21 @@ def test_decompose_recovers_truth_and_reports(capsys, tmp_path):
     assert len(trace_rows) == summary["iterations"] + 2  # header + row per state
 
 
+def test_report_diagnostics_record_holds_the_truth_measures(capsys, tmp_path):
+    # the record measures the truth alone, which has no sparse part; the
+    # estimate's sparsity is the final record's sparse_fraction
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=3)
+    report = tmp_path / "run.jsonl"
+    rc, _, _ = run_cli(capsys, "decompose", "--input", f"{prefix}-y.trpc",
+                       "--truth", f"{prefix}-xstar.trpc", "--rank", "2,2,2",
+                       "--iters", 2, "--report", report)
+    assert rc == 0
+    schema, _, diag, final = [strict_loads(l) for l in report.read_text().splitlines()]
+    assert schema == {"record": "schema", "schema_version": 3}
+    assert set(diag) == {"record", "mu", "kappa", "kappa_s", "sigma_min"}
+    assert diag["record"] == "diagnostics" and "sparse_fraction" in final
+
+
 def test_report_run_record_reproduces_the_solve(capsys, tmp_path):
     # the run record carries every solver setting, --alpha-estimate included:
     # a config built from it alone repeats the run's zeta0

@@ -91,7 +91,7 @@ def test_report_schema_line_and_sorted_keys(tmp_path):
     path = tmp_path / "report.jsonl"
     write_report(path, [{"b": 1, "a": np.float64(2.5)}, {"record": "final"}])
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"record": "schema", "schema_version": 2}
+    assert json.loads(lines[0]) == {"record": "schema", "schema_version": 3}
     assert lines[1] == '{"a": 2.5, "b": 1}'
     assert json.loads(lines[2]) == {"record": "final"}
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    align_factors,
     oracle_fiber_fraction,
     random_tucker,
     rel_diff,
@@ -13,7 +14,6 @@ from oracles import (
     suite_x_star_inf_bound,
 )
 from trpca.metrics import (
-    align_factors,
     incoherence,
     sparsity_fraction,
     tensor_diagnostics,

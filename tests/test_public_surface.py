@@ -48,10 +48,12 @@ def test_a_traced_solve_goes_through_its_public_layers(monkeypatch):
 
 
 # Names only tests used; their oracles live in tests/oracles.py, or they are
-# gone.  The last three measured what tensor_diagnostics measures.
+# gone.  condition_numbers, ConditionNumbers and singular_values measured
+# what tensor_diagnostics measures.
 TEST_ONLY = ("tensorize", "l1inf_norm", "op_norm", "sparse_norm_bounds_check",
              "NormBoundsReport", "error_report", "ErrorReport", "SolverState",
-             "condition_numbers", "ConditionNumbers", "singular_values")
+             "condition_numbers", "ConditionNumbers", "singular_values",
+             "align_factors", "AlignmentResult")
 
 
 def test_all_resolves_and_holds_only_the_used_surface():

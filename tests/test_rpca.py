@@ -261,22 +261,28 @@ def test_the_loop_holds_one_tensor_beside_y(monkeypatch, dims, rank):
 
 
 def test_set_up_takes_the_sup_norm_of_y_once(monkeypatch):
-    # _start passes its exponent to the spectral init; the gap's sup norm is
-    # taken slab by slab (four slabs here), and hosvd's own finiteness check
-    # goes through trpca.tucker
-    truth = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33)
-    y = truth.y
-    norm, sizes = trpca.rpca.inf_norm, []
+    # counted through both bindings a set-up reaches it by: _start passes its
+    # exponent to the HOSVD, whose clip of the validated y is finite by
+    # construction and is not checked again; the gap's sup norm is taken
+    # slab by slab (four slabs here)
+    y = gen_truth((80, 80, 80), 3, kappa=3.0, alpha=0.1, seed=33).y
+    norm, sizes = trpca.tensor_ops.inf_norm, []
 
     def inf_norm(t):
         sizes.append(np.size(t))
         return norm(t)
 
-    monkeypatch.setattr(trpca.rpca, "inf_norm", inf_norm)
+    for module in (trpca.rpca, trpca.tucker):
+        monkeypatch.setattr(module, "inf_norm", inf_norm)
     for alpha in (0.1, 0.0):  # 0: zeta0 is ||y||_inf itself
-        sizes.clear()
-        make_schedule(SolverConfig(rank=(3, 3, 3), alpha_estimate=alpha), y)
-        assert sizes.count(y.size) == 1 and len(sizes) > 1
+        cfg = SolverConfig(rank=(3, 3, 3), max_iters=0, alpha_estimate=alpha)
+        for run in (lambda: make_schedule(cfg, y), lambda: solve(y, cfg)):
+            sizes.clear()
+            run()
+            assert sizes.count(y.size) == 1 and len(sizes) > 1
+    sizes.clear()
+    spectral_init(y, cfg, 1.0)
+    assert sizes == [y.size]
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +309,19 @@ def test_spectral_init_sparse_only():
     # a threshold at the sup norm shrinks the sparse part away entirely instead
     factors, sparse = spectral_init(y, cfg, zeta0=inf_norm(y))
     assert np.all(sparse == 0)
+
+
+def test_spectral_init_rejects_a_threshold_before_its_hosvd(monkeypatch):
+    # the clip of a finite y at a threshold that is not NaN is finite, so the
+    # HOSVD checks nothing; the threshold is checked first, by soft_shrink's rule
+    def hosvd(*args):
+        raise AssertionError("the HOSVD ran")
+
+    monkeypatch.setattr(trpca.rpca, "_hosvd", hosvd)
+    y = np.ones((3, 3, 3))
+    for bad in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            spectral_init(y, SolverConfig(rank=(1, 1, 1)), bad)
 
 
 def test_spectral_init_error_level_regression():

@@ -1,9 +1,10 @@
 """Thin SVD, truncated HOSVD, and the co-factor construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-import trpca.metrics
 import trpca.tucker
 from oracles import (
     descending_kron,
@@ -354,29 +355,52 @@ def test_hosvd_rank_validation():
     ((30, 2, 3), (2, 2, 2)),  # mode 0 is tall: the direct SVD of a view
     ((4, 3, 5, 2, 3), (2, 2, 2, 1, 2)),
 ])
-def test_hosvd_and_condition_numbers_matricize_only_the_middle_modes(monkeypatch, dims, rank):
-    # mode 0 and the last mode are read as reshape views, whose columns are
-    # the matricization's in another order: the factors and spectra agree
-    # with the matricize route's
+def test_hosvd_and_tensor_diagnostics_copy_only_the_middle_modes(monkeypatch, dims, rank):
+    # mode 0 and the last mode are read as reshape views (hosvd's of one
+    # copy of t), whose columns are the matricization's in another order:
+    # the factors and spectra agree with the matricize route's.  hosvd clips
+    # each middle unfolding from t straight into its layout,
+    # tensor_diagnostics copies it by matricize
     t = np.random.default_rng(len(dims)).standard_normal(dims)
     middle = list(range(1, len(dims) - 1))
-    calls = []
+    copies, clips = [], []
+    matricize_clip = trpca.tucker._matricize_clip
 
     def counting(a, mode):
-        calls.append(mode)
+        copies.append(mode)
         return matricize(a, mode)
 
-    for module in (trpca.tucker, trpca.metrics):
-        monkeypatch.setattr(module, "matricize", counting)
+    def counting_clip(a, mode, bound):
+        clips.append(mode)
+        return matricize_clip(a, mode, bound)
+
+    monkeypatch.setattr(trpca.tucker, "matricize", counting)
+    monkeypatch.setattr(trpca.tucker, "_matricize_clip", counting_clip)
     f = hosvd(t, rank)
-    assert calls == middle
-    calls.clear()
+    assert clips == middle and copies == []
+    clips.clear()
     d = tensor_diagnostics(t, rank)  # one copy per middle mode, for both measures
-    assert calls == middle
+    assert copies == middle and clips == []
     for k, r in enumerate(rank):
         m = matricize(t, k)
         assert rel_diff(f.factors[k], thin_svd(m, r).u) <= 1e-12
         assert rel_diff(d.singular_values[k], spectrum(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, rank", [((80, 80, 80), 3), ((24, 24, 24, 24), 2)],
+                         ids=["order3", "order4"])
+def test_hosvd_holds_one_tensor_beside_its_input(dims, rank):
+    # one at a time: the copy of t for mode 0, the last mode and the core's
+    # first product, then each middle unfolding.  Beside them: that first
+    # product (rank / n of a tensor) and eigh's workspace
+    t = np.random.default_rng(3).standard_normal(dims)
+    tracemalloc.start()
+    try:
+        hosvd(t, (rank,) * len(dims))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 + rank / dims[0] + 0.05) * t.nbytes
 
 
 @pytest.mark.parametrize("dims, rank, true_rank, gram_modes", [

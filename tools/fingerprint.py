@@ -7,8 +7,9 @@ Usage (from the repository root)::
 
 The first form runs every case and prints one JSON line per case: the
 SHA-256 of the factors, the core, the sparse part and the trace rows
-(without their ``seconds``), and the stop iteration; a ``tensor_diagnostics``
-case gives the SHA-256 of its fields instead.  The first line records
+(without their ``seconds``), and the stop iteration, of each of these that
+the case has; a ``make_schedule`` case gives the SHA-256 of its three
+thresholds and a ``tensor_diagnostics`` case that of its fields instead.  The first line records
 python, numpy, the BLAS and its thread count, which changes the bits of a
 solve.  With ``OUT.npz`` the lines and the arrays are also saved there.
 
@@ -22,8 +23,12 @@ it imports ``trpca`` from the ``src/`` beside it.
 Cases: the five stop-rule instances that ``test_stop_rule_iterations_are_pinned``
 pins; five solve configurations (orders 3 and 4, blind and with a reference,
 the stop rule, a frozen mode) at the scales 2**0, 2**700, 2**-600 and
-2**1000; and ``tensor_diagnostics`` of three fixed tensors.  BLAS runs on one
-thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+2**1000, each also through its set-up alone: ``make_schedule``,
+``spectral_init`` at that schedule's zeta0, and ``hosvd`` of ``y`` at the
+configuration's rank; ``hosvd`` of an order-1 and an order-2 tensor, of a
+Fortran-ordered tensor and of a zero tensor with signed zeros; and
+``tensor_diagnostics`` of three fixed tensors.  BLAS runs on one thread
+unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +53,16 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from trpca import Reference, SolverConfig, gen_truth, solve, tensor_diagnostics  # noqa: E402
+from trpca import (  # noqa: E402
+    Reference,
+    SolverConfig,
+    gen_truth,
+    hosvd,
+    make_schedule,
+    solve,
+    spectral_init,
+    tensor_diagnostics,
+)
 
 SCALES = (0, 700, -600, 1000)
 
@@ -86,13 +100,8 @@ def environment() -> dict:
             "blas": blas, "blas_threads": _blas_threads()}
 
 
-def _solve_cases():
-    """(name, y, cfg, reference) of every solve case."""
-    for dims, seed in (((30,) * 3, 0), ((30,) * 3, 1), ((20,) * 4, 0), ((20,) * 4, 1),
-                       ((20,) * 4, 2)):
-        truth = gen_truth(dims, 2, kappa=5.0, alpha=0.1, seed=seed)
-        name = f"pinned-{'x'.join(map(str, dims))}-seed{seed}"
-        yield name, truth.y, SolverConfig(rank=(2,) * len(dims), max_iters=300), truth
+def _configs():
+    """(name, y, cfg, reference) of the five solve configurations at every scale."""
     configs = (
         ("30^3-blind", (30,) * 3, 5.0, 0.1, 3, None, False, 40),
         ("30^3-ref-stop", (30,) * 3, 5.0, 0.1, 4, None, True, 300),
@@ -113,6 +122,26 @@ def _solve_cases():
             yield f"{name}@2^{k}", np.ldexp(truth.y, k), cfg, ref
 
 
+def _solve_cases():
+    """(name, y, cfg, reference) of every solve case."""
+    for dims, seed in (((30,) * 3, 0), ((30,) * 3, 1), ((20,) * 4, 0), ((20,) * 4, 1),
+                       ((20,) * 4, 2)):
+        truth = gen_truth(dims, 2, kappa=5.0, alpha=0.1, seed=seed)
+        name = f"pinned-{'x'.join(map(str, dims))}-seed{seed}"
+        yield name, truth.y, SolverConfig(rank=(2,) * len(dims), max_iters=300), truth
+    yield from _configs()
+
+
+def _hosvd_cases():
+    """(name, t, rank) of the ``hosvd`` cases beside the configurations'."""
+    rng = np.random.default_rng(5)
+    yield "order1", rng.standard_normal(9), (1,)
+    yield "order2", rng.standard_normal((7, 11)), (3, 2)
+    yield "fortran-6x5x7", np.asfortranarray(rng.standard_normal((6, 5, 7))), (2, 3, 2)
+    signed = np.where(rng.random((4, 3, 5, 2)) < 0.5, -0.0, 0.0)
+    yield "signed-zeros-4x3x5x2", signed, (2, 2, 3, 1)
+
+
 def _diagnostics_cases():
     rank1 = np.einsum("i,j,k->ijk", *(np.linspace(1.0, 2.0, n) for n in (12, 10, 8)))
     truth = gen_truth((30,) * 3, 2, kappa=5.0, alpha=0.1, seed=0)
@@ -122,19 +151,35 @@ def _diagnostics_cases():
     yield "diagnostics-rank1-at-rank2", rank1, (2, 2, 2), None
 
 
+def _tucker(name, f, **parts):
+    """The line and the arrays of a Tucker pair and further named arrays."""
+    arrays = {f"U{k}": u for k, u in enumerate(f.factors)}
+    arrays.update(core=f.core, **parts)
+    line = {"case": name, "factors": _sha(*f.factors), "core": _sha(f.core)}
+    line.update({key: _sha(a) for key, a in parts.items()})
+    return line, arrays
+
+
 def run():
     """Yield ``(line, arrays)`` of every case."""
     for name, y, cfg, ref in _solve_cases():
         result = solve(y, cfg, reference=ref)
         rows = [[r.iteration, r.zeta, r.rel_fro_error, r.inf_error, r.loss]
                 for r in result.trace]
-        factors = result.factors.factors
-        arrays = {f"U{k}": u for k, u in enumerate(factors)}
-        arrays.update(core=result.factors.core, sparse=result.sparse,
-                      trace=np.array(rows, dtype=np.float64))  # None reads as nan
-        yield {"case": name, "factors": _sha(*factors), "core": _sha(result.factors.core),
-               "sparse": _sha(result.sparse), "trace": _sha(rows),
-               "stop": result.trace.final.iteration}, arrays
+        line, arrays = _tucker(name, result.factors, sparse=result.sparse)
+        line.update(trace=_sha(rows), stop=result.trace.final.iteration)
+        arrays["trace"] = np.array(rows, dtype=np.float64)  # None reads as nan
+        yield line, arrays
+    for name, y, cfg, ref in _configs():
+        sched = make_schedule(cfg, y, ref)
+        values = [sched.zeta0, sched.zeta1, sched.rho]
+        yield {"case": f"schedule-{name}", "schedule": _sha(values)}, \
+            {"schedule": np.array(values)}
+        factors, sparse = spectral_init(y, cfg, sched.zeta0)
+        yield _tucker(f"init-{name}", factors, sparse=sparse)
+        yield _tucker(f"hosvd-{name}", hosvd(y, cfg.rank))
+    for name, t, rank in _hosvd_cases():
+        yield _tucker(f"hosvd-{name}", hosvd(t, rank))
     for name, x, rank, sparse in _diagnostics_cases():
         d = tensor_diagnostics(x, rank, sparse)
         scalars = [d.mu, d.kappa, d.kappa_s, d.sigma_min, d.alpha]
