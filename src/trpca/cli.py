@@ -251,8 +251,8 @@ def _cmd_synth(args) -> dict:
     fileio.write_tensor(f"{prefix}-y.trpc", truth.y)
     fileio.write_tensor(f"{prefix}-xstar.trpc", truth.x_star)
     fileio.write_tensor(f"{prefix}-sstar.trpc", truth.s_star)
-    with open(f"{prefix}-meta.json", "w", encoding="utf-8") as fh:
-        fh.write(fileio.json_line(meta, sort_keys=True) + "\n")
+    fileio._atomic_write_text(f"{prefix}-meta.json",
+                              fileio.json_line(meta, sort_keys=True) + "\n")
     return meta
 
 

@@ -9,9 +9,12 @@ The tensor container is a fixed little-endian binary layout:
     next 8*N    dims, unsigned 64-bit little-endian
     rest        payload, float64 little-endian, C (row-major) order
 
-Readers reject malformed files with a stable machine-readable error code;
-writers are atomic (temp file in the target directory, then rename), so a
-crash never leaves a half-written file at the destination path.
+Readers reject malformed files with a stable machine-readable error code,
+``truncated`` for a header that claims more payload than the file holds;
+a read holds the tensor twice, its payload and the returned array (reading
+into the array slowed set-ups).  Writers are atomic (temp file in the
+target directory, then rename), so a crash never leaves a half-written file
+at the destination path.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 from collections.abc import Iterable, Sequence
@@ -103,6 +107,11 @@ def read_tensor(path) -> np.ndarray:
             raise TensorFileError(
                 "dims-overflow", f"dims {dims} describe {size} elements"
             )
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and 8 * size > st.st_size - fh.tell():
+            raise TensorFileError(
+                "truncated", f"dims {dims} need more payload than the file holds"
+            )
         payload = _read_exact(fh, 8 * size, "payload")
         if fh.read(1):
             raise TensorFileError("trailing-data", "bytes remain after the payload")
@@ -113,7 +122,7 @@ def read_tensor(path) -> np.ndarray:
     return values.reshape(dims)
 
 
-def _atomic_write_bytes(path, chunks: Iterable[bytes]) -> None:
+def _atomic_write_bytes(path, chunks: Iterable) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trpca-", suffix=".tmp")
@@ -136,7 +145,9 @@ def write_tensor(path, t: np.ndarray) -> None:
     """Write a tensor container file atomically.
 
     Round-trips exactly: writing the array returned by :func:`read_tensor`
-    reproduces the original file byte for byte.
+    reproduces the original file byte for byte.  The payload is written from
+    the array's own buffer, so a write holds the tensor once, plus one
+    float64 C-ordered copy only when ``t`` is not already one.
     """
     t = as_tensor(t)
     header = (
@@ -144,7 +155,7 @@ def write_tensor(path, t: np.ndarray) -> None:
         + bytes((FORMAT_VERSION, t.ndim, 0, 0))
         + struct.pack(f"<{t.ndim}Q", *t.shape)
     )
-    payload = np.ascontiguousarray(t, dtype="<f8").tobytes(order="C")
+    payload = memoryview(np.ascontiguousarray(t, dtype="<f8")).cast("B")
     _atomic_write_bytes(path, (header, payload))
 
 

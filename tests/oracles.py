@@ -786,6 +786,8 @@ def build_corrupt_corpus(directory):
          "bad-header"),
         ("zero_dim.trpc", header(3, (2, 0, 2)) + payload, "bad-header"),
         ("overflow.trpc", header(3, (1 << 40, 1 << 40, 2)), "dims-overflow"),
+        # 2**40 elements pass the overflow check; the 72-byte file holds 6
+        ("huge_dims.trpc", header(2, (1 << 20, 1 << 20)) + payload[:48], "truncated"),
         ("short_header.trpc", header(3, (2, 2, 2))[:12], "truncated"),
         ("short_payload.trpc", header(3, (2, 2, 2)) + payload[:-8], "truncated"),
         ("trailing.trpc", header(3, (2, 2, 2)) + payload + b"\x00", "trailing-data"),

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from oracles import build_corrupt_corpus
 from trpca.cli import main
 from trpca.fileio import parse_sweep_spec, read_tensor, write_tensor
 from trpca.rpca import SolverConfig, make_schedule, solve, spectral_init
@@ -58,6 +60,21 @@ def test_synth_writes_instance(capsys, tmp_path):
     assert meta["entry_fraction"] == pytest.approx(0.1, abs=0.002)
     on_disk = strict_loads(open(f"{prefix}-meta.json").read())
     assert on_disk == meta
+
+
+def test_synth_writes_every_output_by_rename(capsys, tmp_path, monkeypatch):
+    targets = []
+    replace = os.replace
+
+    def recording(src, dst):
+        targets.append(str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=2)
+    assert sorted(targets) == sorted(
+        f"{prefix}-{name}" for name in ("y.trpc", "xstar.trpc", "sstar.trpc", "meta.json")
+    )
 
 
 def test_synth_meta_reports_the_constructed_kappa(capsys, tmp_path):
@@ -422,6 +439,16 @@ def test_io_errors(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file,
                          "--out", tmp_path / "o.csv")
     assert rc == 3 and strict_loads(err)["line"] == 2
+
+
+def test_info_on_a_header_claiming_more_payload_than_the_file_exits_3(capsys, tmp_path):
+    # dims of 2**40 elements in a 72-byte file: refused before any allocation
+    huge = tmp_path / "huge_dims.trpc"
+    assert (huge, "truncated") in build_corrupt_corpus(tmp_path)
+    rc, _, err = run_cli(capsys, "info", "--input", huge, "--rank", "2,2")
+    payload = strict_loads(err)
+    assert rc == 3 and payload["error"] == "io" and payload["code"] == "truncated"
+    assert payload["path"] == str(huge)
 
 
 def test_solver_errors(capsys, tmp_path):

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,55 @@ def test_round_trip_is_byte_identical(tmp_path):
         assert np.array_equal(back, t) and back.dtype == np.float64
         write_tensor(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_RNG = np.random.default_rng(11)
+LAYOUTS = {
+    "fortran": np.asfortranarray(_RNG.standard_normal((4, 3, 5))),
+    "strided": _RNG.standard_normal((6, 7, 8))[::2, 1::3, ::-1],
+    "float32": _RNG.standard_normal((3, 4, 2)).astype(np.float32),
+    "int64": _RNG.integers(-1000, 1000, size=(5, 2, 3)),
+    "big-endian": _RNG.standard_normal((2, 3, 4)).astype(">f8"),
+    "order1": _RNG.standard_normal(9),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUTS)
+def test_every_input_layout_writes_the_c_ordered_float64_payload(tmp_path, name):
+    t = LAYOUTS[name]
+    path = tmp_path / "t.trpc"
+    write_tensor(path, t)
+    header = b"TRPC" + bytes((1, t.ndim, 0, 0)) + struct.pack(f"<{t.ndim}Q", *t.shape)
+    payload = np.ascontiguousarray(np.asarray(t, np.float64), dtype="<f8").tobytes()
+    assert path.read_bytes() == header + payload
+
+
+def test_write_holds_no_copy_of_a_float64_tensor(tmp_path):
+    # the payload is the array's own buffer; what remains is as_tensor's
+    # boolean finiteness mask, an eighth of the tensor
+    t = np.random.default_rng(2).standard_normal((40, 50, 60))
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "t.trpc", t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * t.nbytes
+
+
+def test_read_from_a_pipe(tmp_path):
+    # a file of no known size is read to its end, not measured first
+    src, fifo = tmp_path / "t.trpc", tmp_path / "fifo"
+    t = np.arange(24.0).reshape(2, 3, 4)
+    write_tensor(src, t)
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()),
+                              daemon=True)
+    feeder.start()
+    try:
+        assert np.array_equal(read_tensor(fifo), t)
+    finally:
+        feeder.join(timeout=10)
 
 
 def test_header_layout(tmp_path):

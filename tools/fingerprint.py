@@ -27,8 +27,10 @@ the stop rule, a frozen mode) at the scales 2**0, 2**700, 2**-600 and
 ``spectral_init`` at that schedule's zeta0, and ``hosvd`` of ``y`` at the
 configuration's rank; ``hosvd`` of an order-1 and an order-2 tensor, of a
 Fortran-ordered tensor and of a zero tensor with signed zeros; and
-``tensor_diagnostics`` of three fixed tensors.  BLAS runs on one thread
-unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+``tensor_diagnostics`` of three fixed tensors; and the ``.trpc`` file
+``write_tensor`` writes, and ``read_tensor`` of it, for a C-ordered, a
+Fortran-ordered, a strided, a float32, an int64, a big-endian and an order-1
+input.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import hashlib
 import json
 import platform
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -63,6 +66,7 @@ from trpca import (  # noqa: E402
     spectral_init,
     tensor_diagnostics,
 )
+from trpca.fileio import read_tensor, write_tensor  # noqa: E402
 
 SCALES = (0, 700, -600, 1000)
 
@@ -151,6 +155,18 @@ def _diagnostics_cases():
     yield "diagnostics-rank1-at-rank2", rank1, (2, 2, 2), None
 
 
+def _file_cases():
+    """(name, t) of the ``.trpc`` write and read cases."""
+    rng = np.random.default_rng(7)
+    yield "c-order", rng.standard_normal((4, 3, 5))
+    yield "fortran", np.asfortranarray(rng.standard_normal((4, 3, 5)))
+    yield "strided", rng.standard_normal((6, 7, 8))[::2, 1::3, ::-1]
+    yield "float32", rng.standard_normal((3, 4, 2)).astype(np.float32)
+    yield "int64", rng.integers(-1000, 1000, size=(5, 2, 3))
+    yield "big-endian", rng.standard_normal((2, 3, 4)).astype(">f8")
+    yield "order1", rng.standard_normal(9)
+
+
 def _tucker(name, f, **parts):
     """The line and the arrays of a Tucker pair and further named arrays."""
     arrays = {f"U{k}": u for k, u in enumerate(f.factors)}
@@ -186,6 +202,15 @@ def run():
         arrays = {"scalars": np.array(scalars)}
         arrays.update({f"spectrum{k}": s for k, s in enumerate(d.singular_values)})
         yield {"case": name, "diagnostics": _sha(scalars, *d.singular_values)}, arrays
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, t in _file_cases():
+            path = Path(tmp) / f"{name}.trpc"
+            write_tensor(path, t)
+            blob = path.read_bytes()
+            back = read_tensor(path)
+            yield {"case": f"file-{name}", "file": hashlib.sha256(blob).hexdigest(),
+                   "read": _sha(back)}, \
+                {"file": np.frombuffer(blob, dtype=np.uint8), "read": back}
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
