@@ -7,19 +7,15 @@ factorization, with soft-shrinkage thresholds that decay geometrically.
 
 from .tensor_ops import (
     as_tensor,
-    fro_norm,
     inf_norm,
     l2inf_norm,
     matricize,
     multilinear_mul,
 )
 from .tucker import (
-    SvdResult,
     TuckerFactors,
-    breve_factor,
     hosvd,
     reconstruct,
-    thin_svd,
 )
 from .rpca import (
     DivergenceError,
@@ -34,7 +30,6 @@ from .rpca import (
     scaled_step,
     soft_shrink,
     solve,
-    spectral_init,
 )
 from .metrics import (
     Diagnostics,
@@ -72,7 +67,6 @@ __all__ = [
     "SingularGramError",
     "SolveResult",
     "SolverConfig",
-    "SvdResult",
     "SweepCell",
     "SweepSpec",
     "SweepSpecError",
@@ -81,8 +75,6 @@ __all__ = [
     "TraceRow",
     "TuckerFactors",
     "as_tensor",
-    "breve_factor",
-    "fro_norm",
     "gen_truth",
     "hosvd",
     "incoherence",
@@ -100,9 +92,7 @@ __all__ = [
     "soft_shrink",
     "solve",
     "sparsity_fraction",
-    "spectral_init",
     "tensor_diagnostics",
-    "thin_svd",
     "write_report",
     "write_sweep_csv",
     "write_tensor",

@@ -10,11 +10,12 @@ The tensor container is a fixed little-endian binary layout:
     rest        payload, float64 little-endian, C (row-major) order
 
 Readers reject malformed files with a stable machine-readable error code,
-``truncated`` for a header that claims more payload than the file holds;
-a read holds the tensor twice, its payload and the returned array (reading
-into the array slowed set-ups).  Writers are atomic (temp file in the
-target directory, then rename), so a crash never leaves a half-written file
-at the destination path.
+``truncated`` for a header that claims more payload than the file holds or
+a pipe sends; a read holds the tensor twice, its payload and the returned
+array (reading into the array slowed set-ups).  Writers are atomic (temp
+file in the target directory, then rename), so a crash never leaves a
+half-written file at the destination path, and give it the mode ``open``
+would, 0o666 less the umask.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import stat
 import struct
-import tempfile
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +47,8 @@ SCHEMA_VERSION = 3
 # Refuse dims whose product exceeds this (2**48 entries = 2 PiB of float64);
 # anything larger is a corrupt header, not a real tensor.
 _MAX_ELEMENTS = 1 << 48
+# Largest read of a payload from a pipe, whose size is not known up front.
+_STREAM_CHUNK = 1 << 24
 
 #: Error codes a reader can produce, each for a distinct failure mode.
 ERROR_CODES = (
@@ -69,8 +71,14 @@ class TensorFileError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
+def _read_exact(fh, n: int, what: str, step: int | None = None) -> bytes:
+    """``n`` bytes of ``fh``, in reads of at most ``step`` bytes if given, so
+    that a pipe that sends less than ``n`` costs what it sent."""
+    buf = fh.read(min(n, step or n))
+    if step and len(buf) < n:
+        buf = bytearray(buf)
+        while len(buf) < n and (chunk := fh.read(min(n - len(buf), step))):
+            buf += chunk
     if len(buf) != n:
         raise TensorFileError(
             "truncated", f"file ends inside {what} (wanted {n} bytes, got {len(buf)})"
@@ -108,11 +116,12 @@ def read_tensor(path) -> np.ndarray:
                 "dims-overflow", f"dims {dims} describe {size} elements"
             )
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and 8 * size > st.st_size - fh.tell():
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and 8 * size > st.st_size - fh.tell():
             raise TensorFileError(
                 "truncated", f"dims {dims} need more payload than the file holds"
             )
-        payload = _read_exact(fh, 8 * size, "payload")
+        payload = _read_exact(fh, 8 * size, "payload", None if regular else _STREAM_CHUNK)
         if fh.read(1):
             raise TensorFileError("trailing-data", "bytes remain after the payload")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)
@@ -125,7 +134,9 @@ def read_tensor(path) -> np.ndarray:
 def _atomic_write_bytes(path, chunks: Iterable) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trpca-", suffix=".tmp")
+    tmp = os.path.join(directory, f".trpca-{os.urandom(8).hex()}.tmp")
+    # open's mode, 0o666 less the umask; mkstemp's is 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -109,19 +109,18 @@ def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) ->
         raise ValueError("condition numbers are undefined for the zero tensor")
     if not math.isfinite(top):
         raise ValueError("tensor entries must be finite")
-    spectra, svds = zip(*(_spectrum(_unfolding(x, k), r) for k, r in enumerate(rank)))
+    spectra, factors = zip(*(_spectrum(_unfolding(x, k), r) for k, r in enumerate(rank)))
     tops = [s[0] for s in spectra]
     sigma_min = min(s[r - 1] for s, r in zip(spectra, rank))
     if sigma_min == 0.0:
         kappa = kappa_s = math.inf
     else:
         kappa, kappa_s = min(tops) / sigma_min, max(tops) / sigma_min
-    alpha = sparsity_fraction(sparse) if sparse is not None else 0.0
     return Diagnostics(
-        mu=float(_incoherence(svd.u for svd in svds)),
+        mu=float(_incoherence(factors)),
         kappa=float(kappa),
         kappa_s=float(kappa_s),
         sigma_min=float(sigma_min),
-        alpha=float(alpha),
+        alpha=sparsity_fraction(sparse) if sparse is not None else 0.0,
         singular_values=spectra,
     )

@@ -54,39 +54,37 @@ def _complete_columns(u: np.ndarray, cols: list[int]) -> None:
         basis = np.column_stack((basis, cand))
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray | None = None) -> None:
-    """Flip columns so the largest-magnitude entry of each left vector is positive.
+def _fix_signs(u: np.ndarray) -> None:
+    """Flip columns so the largest-magnitude entry of each is positive.
 
-    Ties break to the lowest index (argmax order).  ``v`` columns flip in step
-    so u @ diag(s) @ v.T is unchanged.
+    Ties break to the lowest index (argmax order).
     """
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
     u[:, flip] = -u[:, flip]
-    if v is not None:
-        v[:, flip] = -v[:, flip]
 
 
 def _right_vectors(m: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``m.T @ u / s`` in one product, re-orthonormalized, with a zero column
-    wherever ``s`` is 0.
+    """The right vectors of ``m``'s triplets ``(u, s)``: ``m.T @ u / s`` in
+    one product, re-orthonormalized, and a completion wherever ``s`` is 0.
 
     The product loses orthonormality as the square of ``s_max / s_j``, so its
     live columns go through one QR, each column keeping its sign (the
     diagonal of R made positive).  The columns come in descending ``s``, so
-    the QR keeps the most accurate ones first.
+    the QR keeps the most accurate ones first.  A zero triplet's column is
+    completed as its left vector is (:func:`_complete_columns`).
     """
     live = s > 0.0
     v = np.zeros((m.shape[1], len(s)))
     q, r = np.linalg.qr((m.T @ u[:, live]) / s[live])
     v[:, live] = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    _complete_columns(v, np.flatnonzero(~live).tolist())
     return v
 
 
-def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, SvdResult]:
+def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Descending singular values of a matrix, 0 where numerically zero, and
-    its top-``rank`` triplets as :func:`thin_svd` gives them, except that
-    ``v`` is None on the Gram path unless a triplet is zero; both from one
-    decomposition.
+    its top-``rank`` left singular vectors, with the signs and completions
+    :func:`thin_svd` documents, from one decomposition; no right vector.
 
     A matrix more than 4x wider than tall goes through one ``eigh`` of its
     small Gram matrix ``a @ a.T`` of ``a = m / 2**e``: the singular values
@@ -94,20 +92,15 @@ def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, SvdResult]:
     the left vectors.  ``e`` is 0 when the plain ``m @ m.T`` is finite with a
     trace above ``_FRO_TINY**2``; otherwise its squares may have overflowed,
     or underflowed enough to lose bits, and ``2**e`` is a power of two near
-    the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.  The right
-    vectors ``m.T @ u / s`` take one more pass over ``m``, so the Gram path
-    leaves them to the caller that wants them (:func:`thin_svd`; not
-    :func:`hosvd`), and forms them itself only when a zero triplet needs
-    them for its completion.  Any other matrix goes to one direct SVD.  A
-    value is numerically zero unless the decomposition's output (an
-    eigenvalue, or a singular value) exceeds ``_RANK_TOL`` times the
-    largest.  An eigenvalue is a square, whose rounding floor is a singular
-    value of ~sqrt(eps) * s_max, so the Gram path resolves none below
-    ~1.5e-7 * s_max.
+    the largest entry, as in :func:`~trpca.tensor_ops.fro_norm`.  Any other
+    matrix goes to one direct SVD.  A value is numerically zero unless the
+    decomposition's output (an eigenvalue, or a singular value) exceeds
+    ``_RANK_TOL`` times the largest.  An eigenvalue is a square, whose
+    rounding floor is a singular value of ~sqrt(eps) * s_max, so the Gram
+    path resolves none below ~1.5e-7 * s_max.
     """
-    rows, cols = m.shape
-    v = e = None
-    if cols > 4 * rows:
+    e = None
+    if m.shape[1] > 4 * m.shape[0]:
         e = 0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             g = m @ m.T
@@ -120,19 +113,14 @@ def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, SvdResult]:
         raw = w[order]
         u = vecs[:, order[:rank]].copy()
     else:
-        uu, raw, vt = np.linalg.svd(m, full_matrices=False)
-        u, v = uu[:, :rank].copy(), vt[:rank].T.copy()
+        uu, raw = np.linalg.svd(m, full_matrices=False)[:2]
+        u = uu[:, :rank].copy()
     dead = ~((raw > _RANK_TOL * raw[0]) & (raw > 0.0))
     values = raw if e is None else np.ldexp(np.sqrt(np.maximum(raw, 0.0)), e)
     values[dead] = 0.0
-    s, dead = values[:rank].copy(), np.flatnonzero(dead[:rank]).tolist()
-    if dead:
-        if v is None:
-            v = _right_vectors(m, u, s)
-        _complete_columns(u, dead)
-        _complete_columns(v, dead)
-    _fix_signs(u, v)
-    return values, SvdResult(u, s, v)
+    _complete_columns(u, np.flatnonzero(dead[:rank]).tolist())
+    _fix_signs(u)
+    return values, u
 
 
 def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
@@ -155,11 +143,11 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         axis the columns before it cover least (the lowest index on a tie),
         orthogonalized against them (:func:`_complete_columns`), so the
         output never depends on backend behavior for degenerate subspaces.
-        :func:`_spectrum` computes them from one ``eigh`` or one SVD, at
-        any scale; a very wide matrix cannot resolve singular values below
-        ~1.5e-7 * s_max.  On its Gram path the right vectors are
-        ``m.T @ u / s``, formed here in one product after the signs of
-        ``u`` are fixed, and re-orthonormalized by one QR.
+        ``u`` and ``s`` are :func:`_spectrum`'s, from one ``eigh`` or one SVD,
+        at any scale; a very wide matrix cannot resolve singular values
+        below ~1.5e-7 * s_max.  On both paths the right vectors are
+        :func:`_right_vectors`, ``m.T @ u / s`` re-orthonormalized; nothing
+        else in the package forms one.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -167,8 +155,8 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
     rank = check_rank(m.shape, (rank, rank))[0]
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    u, s, v = _spectrum(m, rank)[1]
-    return SvdResult(u, s, _right_vectors(m, u, s) if v is None else v)
+    values, u = _spectrum(m, rank)
+    return SvdResult(u, values[:rank], _right_vectors(m, u, values[:rank]))
 
 
 @dataclass
@@ -250,13 +238,13 @@ def _hosvd(y: np.ndarray, rank, bound: float, e: int) -> TuckerFactors:
     """
     c = np.clip(y, -bound, bound)
     np.ldexp(c, -e, out=c)
-    u0, u_last = (_spectrum(_unfolding(c, k), rank[k])[1].u for k in (0, y.ndim - 1))
+    u0, u_last = (_spectrum(_unfolding(c, k), rank[k])[1] for k in (0, y.ndim - 1))
     p = _mode_product(c, u0.T, 0)
     del c
     middle = []
     for k in range(1, y.ndim - 1):
         m = _matricize_clip(y, k, bound)
-        middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1].u)
+        middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1])
         del m
     factors = (u0, *middle, u_last)[: y.ndim]  # order 1: mode 0 is the last mode
     for k in range(1, y.ndim):
@@ -268,12 +256,12 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     """Rank-truncated higher-order SVD.
 
     Each factor holds the top-``rank[k]`` left singular vectors of the mode-k
-    matricization, as :func:`thin_svd` gives them, without forming right
-    vectors.  The core is the projection of ``t`` onto those subspaces.  A
-    factor column whose singular value is numerically zero is the canonical
-    axis the columns before it cover least, orthogonalized against them, so
-    a zero tensor yields the leading canonical axes and a zero core, and the
-    output is deterministic for every input.
+    matricization, :func:`thin_svd`'s ``u``, which :func:`_spectrum` takes
+    without a right vector.  The core is the projection of ``t`` onto those
+    subspaces.  A factor column whose singular value is numerically zero is
+    the canonical axis the columns before it cover least, orthogonalized
+    against them, so a zero tensor yields the leading canonical axes and a
+    zero core, and the output is deterministic for every input.
 
     This is the spectral initialization's routine (:func:`_hosvd`) at a bound
     that clips nothing, so mode 0 and the last mode are read from one copy

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -449,6 +450,25 @@ def test_info_on_a_header_claiming_more_payload_than_the_file_exits_3(capsys, tm
     payload = strict_loads(err)
     assert rc == 3 and payload["error"] == "io" and payload["code"] == "truncated"
     assert payload["path"] == str(huge)
+
+
+def test_info_on_a_pipe_whose_header_claims_more_than_arrives_exits_3(capsys, tmp_path):
+    # the same 72 bytes through a FIFO, whose size is unknown up front: read
+    # in bounded chunks to the stream's end, not allocated whole
+    huge, fifo = tmp_path / "huge_dims.trpc", tmp_path / "fifo"
+    assert (huge, "truncated") in build_corrupt_corpus(tmp_path)
+    os.mkfifo(fifo)
+    feeder = threading.Thread(target=lambda: fifo.write_bytes(huge.read_bytes()),
+                              daemon=True)
+    feeder.start()
+    try:
+        rc, _, err = run_cli(capsys, "info", "--input", fifo, "--rank", "2,2")
+    finally:
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+    payload = strict_loads(err)
+    assert rc == 3 and payload["error"] == "io" and payload["code"] == "truncated"
+    assert payload["path"] == str(fifo)
 
 
 def test_solver_errors(capsys, tmp_path):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import trpca.fileio
 from oracles import build_corrupt_corpus
 from trpca.fileio import (
     ERROR_CODES,
@@ -77,19 +78,42 @@ def test_write_holds_no_copy_of_a_float64_tensor(tmp_path):
     assert peak <= 0.2 * t.nbytes
 
 
-def test_read_from_a_pipe(tmp_path):
-    # a file of no known size is read to its end, not measured first
-    src, fifo = tmp_path / "t.trpc", tmp_path / "fifo"
-    t = np.arange(24.0).reshape(2, 3, 4)
-    write_tensor(src, t)
+def _read_fed(fifo, blob):
+    """``read_tensor`` of a FIFO that a daemon thread feeds ``blob``."""
     os.mkfifo(fifo)
-    feeder = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()),
-                              daemon=True)
+    feeder = threading.Thread(target=lambda: fifo.write_bytes(blob), daemon=True)
     feeder.start()
     try:
-        assert np.array_equal(read_tensor(fifo), t)
+        return read_tensor(fifo)
     finally:
         feeder.join(timeout=10)
+        assert not feeder.is_alive()
+
+
+def test_read_from_a_pipe(tmp_path):
+    # a file of no known size is read to its end, not measured first
+    src = tmp_path / "t.trpc"
+    t = np.arange(24.0).reshape(2, 3, 4)
+    write_tensor(src, t)
+    assert np.array_equal(_read_fed(tmp_path / "fifo", src.read_bytes()), t)
+
+
+def test_a_pipe_is_read_in_chunks(tmp_path, monkeypatch):
+    # with 40-byte chunks the 192-byte payload takes five reads, the last short
+    monkeypatch.setattr(trpca.fileio, "_STREAM_CHUNK", 40)
+    t = np.arange(24.0).reshape(2, 3, 4)
+    write_tensor(tmp_path / "t.trpc", t)
+    assert np.array_equal(_read_fed(tmp_path / "fifo", (tmp_path / "t.trpc").read_bytes()), t)
+
+
+def test_a_pipe_that_ends_before_its_payload_is_truncated(tmp_path):
+    # a (2**20, 2**20) header, 8 TiB of payload claimed and 48 bytes sent:
+    # the stream is read in bounded chunks, so this is no MemoryError
+    blob = b"TRPC" + bytes((1, 2, 0, 0)) + struct.pack("<2Q", 2**20, 2**20) + bytes(48)
+    assert len(blob) == 72
+    with pytest.raises(TensorFileError) as exc:
+        _read_fed(tmp_path / "fifo", blob)
+    assert exc.value.code == "truncated"
 
 
 def test_header_layout(tmp_path):
@@ -133,6 +157,22 @@ def test_write_is_atomic(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(target, np.array([[1.0, np.nan]]))
     assert np.array_equal(read_tensor(target), t)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=("022", "077"))
+def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
+    # a written file is created as open() creates one, 0o666 less the umask,
+    # and the write leaves the process umask as it was
+    old = os.umask(umask)
+    try:
+        write_tensor(tmp_path / "t.trpc", np.ones((2, 2)))
+        write_report(tmp_path / "r.jsonl", [{"a": 1}])
+        after = os.umask(umask)
+    finally:
+        os.umask(old)
+    assert after == umask
+    for name in ("t.trpc", "r.jsonl"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     suite_trunc_hosvd_identities,
 )
 from trpca.metrics import tensor_diagnostics
+from trpca.rpca import SolverConfig, solve
 from trpca.synth import gen_truth
 from trpca.tensor_ops import fro_norm, matricize, multilinear_mul
 from trpca.tucker import (
@@ -223,6 +224,53 @@ def test_thin_svd_kappa_1e7_resolved_directly_floored_on_the_gram_path():
     tall = thin_svd(m.T, 2)  # 60 x 10: the direct SVD
     assert tall.s[1] == pytest.approx(1e-7, rel=1e-6)
     assert spectrum(m.T)[1] == pytest.approx(1e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(60, 10), (40, 40), (50, 30)], ids=("60x10", "40x40", "50x30"))
+def test_thin_svd_direct_path_right_vectors_match_lapack(shape):
+    # a tall or square matrix takes u and s from one direct SVD, but its
+    # right vectors, as on the Gram path, are m.T @ u / s re-orthonormalized,
+    # not LAPACK's.  Up to kappa 1e10 they point LAPACK's way and are as
+    # close to the constructed vectors (at most 1.5x farther when measured),
+    # orthonormal, and reconstruct m
+    rng = np.random.default_rng(3)
+    r = shape[1]
+
+    def dist(w, truth):
+        signs = np.sign(np.sum(w * truth, axis=0))
+        return np.linalg.norm(w * signs - truth, axis=0).max()
+
+    for kappa in np.geomspace(1e1, 1e10, 5):
+        a, b = (np.linalg.qr(rng.standard_normal((n, r)))[0] for n in shape)
+        m = (a * np.geomspace(1.0, 1.0 / kappa, r)) @ b.T
+        u, s, v = thin_svd(m, r)
+        lu, _, lvt = np.linalg.svd(m, full_matrices=False)
+        lv = lvt.T * np.sign(np.sum(lu * u, axis=0))
+        assert np.all(np.sum(v * lv, axis=0) > 0.0)
+        assert dist(v, b) <= 4.0 * dist(lv, b), kappa
+        assert np.abs(v.T @ v - np.eye(r)).max() <= 1e-13
+        assert np.abs((u * s) @ v.T - m).max() <= 1e-14 * s[0]
+
+
+def test_production_spectra_form_no_right_vectors(monkeypatch):
+    # hosvd, tensor_diagnostics and the spectral initialization read left
+    # vectors only, so on a rank-deficient input, whose zero triplets once
+    # took the right vectors for their completion (a QR per mode), they make
+    # no QR; thin_svd, the one owner of right vectors, makes one
+    x = np.einsum("i,j,k->ijk", *(np.linspace(1.0, 2.0, n) for n in (10, 11, 12)))
+    qr, calls = np.linalg.qr, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    assert tensor_diagnostics(x, (2, 2, 2)).sigma_min == 0.0
+    hosvd(x, (2, 2, 2))
+    solve(x, SolverConfig(rank=(2, 2, 2), max_iters=0))
+    assert calls == []
+    thin_svd(matricize(x, 0), 2)
+    assert len(calls) == 1
 
 
 def test_thin_svd_validation():

@@ -9,7 +9,8 @@ The first form runs every case and prints one JSON line per case: the
 SHA-256 of the factors, the core, the sparse part and the trace rows
 (without their ``seconds``), and the stop iteration, of each of these that
 the case has; a ``make_schedule`` case gives the SHA-256 of its three
-thresholds and a ``tensor_diagnostics`` case that of its fields instead.  The first line records
+thresholds, a ``tensor_diagnostics`` case that of its fields and a
+``thin_svd`` case those of ``u``, ``s`` and ``v`` instead.  The first line records
 python, numpy, the BLAS and its thread count, which changes the bits of a
 solve.  With ``OUT.npz`` the lines and the arrays are also saved there.
 
@@ -26,8 +27,10 @@ the stop rule, a frozen mode) at the scales 2**0, 2**700, 2**-600 and
 2**1000, each also through its set-up alone: ``make_schedule``,
 ``spectral_init`` at that schedule's zeta0, and ``hosvd`` of ``y`` at the
 configuration's rank; ``hosvd`` of an order-1 and an order-2 tensor, of a
-Fortran-ordered tensor and of a zero tensor with signed zeros; and
-``tensor_diagnostics`` of three fixed tensors; and the ``.trpc`` file
+Fortran-ordered tensor, of a zero tensor with signed zeros and of two
+tensors at a rank above their own; ``thin_svd`` on the Gram path and the
+direct SVD, each at full rank and rank-deficient; ``tensor_diagnostics`` of
+four fixed tensors, two of them rank-deficient; and the ``.trpc`` file
 ``write_tensor`` writes, and ``read_tensor`` of it, for a C-ordered, a
 Fortran-ordered, a strided, a float32, an int64, a big-endian and an order-1
 input.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
@@ -62,11 +65,13 @@ from trpca import (  # noqa: E402
     gen_truth,
     hosvd,
     make_schedule,
+    multilinear_mul,
     solve,
-    spectral_init,
     tensor_diagnostics,
 )
 from trpca.fileio import read_tensor, write_tensor  # noqa: E402
+from trpca.rpca import spectral_init  # noqa: E402
+from trpca.tucker import thin_svd  # noqa: E402
 
 SCALES = (0, 700, -600, 1000)
 
@@ -136,6 +141,28 @@ def _solve_cases():
     yield from _configs()
 
 
+def _svd_cases():
+    """(name, m, rank) of the ``thin_svd`` cases: the Gram path (a matrix more
+    than 4x wider than tall) and the direct SVD, each at full rank and at a
+    rank above the matrix's."""
+    rng = np.random.default_rng(9)
+    yield "gram-6x40", rng.standard_normal((6, 40)), 6
+    yield "gram-6x40-rank2-at-4", rng.standard_normal((6, 2)) @ rng.standard_normal((2, 40)), 4
+    yield "direct-30x8", rng.standard_normal((30, 8)), 8
+    yield "direct-30x8-rank3-at-5", rng.standard_normal((30, 3)) @ rng.standard_normal((3, 8)), 5
+
+
+def _deficient():
+    """(name, t, rank) of tensors read at a rank above their own: a rank-1
+    cube, and a rank-2 8x3x5 tensor whose mode 0 takes the direct SVD."""
+    rank1 = np.einsum("i,j,k->ijk", *(np.linspace(1.0, 2.0, n) for n in (12, 10, 8)))
+    yield "rank1-at-rank2", rank1, (2, 2, 2)
+    rng = np.random.default_rng(6)
+    factors = [rng.standard_normal((n, 2)) for n in (8, 3, 5)]
+    yield "rank2-8x3x5-at-rank3", multilinear_mul(factors, rng.standard_normal((2, 2, 2))), \
+        (3, 3, 3)
+
+
 def _hosvd_cases():
     """(name, t, rank) of the ``hosvd`` cases beside the configurations'."""
     rng = np.random.default_rng(5)
@@ -144,15 +171,16 @@ def _hosvd_cases():
     yield "fortran-6x5x7", np.asfortranarray(rng.standard_normal((6, 5, 7))), (2, 3, 2)
     signed = np.where(rng.random((4, 3, 5, 2)) < 0.5, -0.0, 0.0)
     yield "signed-zeros-4x3x5x2", signed, (2, 2, 3, 1)
+    yield from _deficient()
 
 
 def _diagnostics_cases():
-    rank1 = np.einsum("i,j,k->ijk", *(np.linspace(1.0, 2.0, n) for n in (12, 10, 8)))
     truth = gen_truth((30,) * 3, 2, kappa=5.0, alpha=0.1, seed=0)
     yield "diagnostics-30^3", truth.x_star, (2, 2, 2), truth.s_star
     yield "diagnostics-20^4", gen_truth((20,) * 4, 2, kappa=5.0, alpha=0.1, seed=0).y, \
         (2,) * 4, None
-    yield "diagnostics-rank1-at-rank2", rank1, (2, 2, 2), None
+    for name, t, rank in _deficient():
+        yield f"diagnostics-{name}", t, rank, None
 
 
 def _file_cases():
@@ -196,6 +224,10 @@ def run():
         yield _tucker(f"hosvd-{name}", hosvd(y, cfg.rank))
     for name, t, rank in _hosvd_cases():
         yield _tucker(f"hosvd-{name}", hosvd(t, rank))
+    for name, m, rank in _svd_cases():
+        u, s, v = thin_svd(m, rank)
+        yield {"case": f"svd-{name}", "u": _sha(u), "s": _sha(s), "v": _sha(v)}, \
+            {"u": u, "s": s, "v": v}
     for name, x, rank, sparse in _diagnostics_cases():
         d = tensor_diagnostics(x, rank, sparse)
         scalars = [d.mu, d.kappa, d.kappa_s, d.sigma_min, d.alpha]
