@@ -47,7 +47,7 @@ SCHEMA_VERSION = 3
 # Refuse dims whose product exceeds this (2**48 entries = 2 PiB of float64);
 # anything larger is a corrupt header, not a real tensor.
 _MAX_ELEMENTS = 1 << 48
-# Largest read of a payload from a pipe, whose size is not known up front.
+# Largest single read, so a pipe's claimed payload is never allocated whole.
 _STREAM_CHUNK = 1 << 24
 
 #: Error codes a reader can produce, each for a distinct failure mode.
@@ -71,13 +71,13 @@ class TensorFileError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-def _read_exact(fh, n: int, what: str, step: int | None = None) -> bytes:
-    """``n`` bytes of ``fh``, in reads of at most ``step`` bytes if given, so
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """``n`` bytes of ``fh``, in reads of at most ``_STREAM_CHUNK`` bytes, so
     that a pipe that sends less than ``n`` costs what it sent."""
-    buf = fh.read(min(n, step or n))
-    if step and len(buf) < n:
+    buf = fh.read(min(n, _STREAM_CHUNK))
+    if len(buf) < n:
         buf = bytearray(buf)
-        while len(buf) < n and (chunk := fh.read(min(n - len(buf), step))):
+        while len(buf) < n and (chunk := fh.read(min(n - len(buf), _STREAM_CHUNK))):
             buf += chunk
     if len(buf) != n:
         raise TensorFileError(
@@ -116,12 +116,11 @@ def read_tensor(path) -> np.ndarray:
                 "dims-overflow", f"dims {dims} describe {size} elements"
             )
         st = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(st.st_mode)
-        if regular and 8 * size > st.st_size - fh.tell():
+        if stat.S_ISREG(st.st_mode) and 8 * size > st.st_size - fh.tell():
             raise TensorFileError(
                 "truncated", f"dims {dims} need more payload than the file holds"
             )
-        payload = _read_exact(fh, 8 * size, "payload", None if regular else _STREAM_CHUNK)
+        payload = _read_exact(fh, 8 * size, "payload")
         if fh.read(1):
             raise TensorFileError("trailing-data", "bytes remain after the payload")
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=True)

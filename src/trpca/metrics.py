@@ -116,11 +116,12 @@ def tensor_diagnostics(x: np.ndarray, rank, sparse: np.ndarray | None = None) ->
         kappa = kappa_s = math.inf
     else:
         kappa, kappa_s = min(tops) / sigma_min, max(tops) / sigma_min
+    alpha = sparsity_fraction(sparse) if sparse is not None else 0.0
     return Diagnostics(
         mu=float(_incoherence(factors)),
         kappa=float(kappa),
         kappa_s=float(kappa_s),
         sigma_min=float(sigma_min),
-        alpha=sparsity_fraction(sparse) if sparse is not None else 0.0,
+        alpha=float(alpha),
         singular_values=spectra,
     )

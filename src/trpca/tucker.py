@@ -99,8 +99,9 @@ def _spectrum(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     rounding floor is a singular value of ~sqrt(eps) * s_max, so the Gram
     path resolves none below ~1.5e-7 * s_max.
     """
+    rows, cols = m.shape
     e = None
-    if m.shape[1] > 4 * m.shape[0]:
+    if cols > 4 * rows:
         e = 0
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             g = m @ m.T
@@ -143,11 +144,10 @@ def thin_svd(m: np.ndarray, rank: int) -> SvdResult:
         axis the columns before it cover least (the lowest index on a tie),
         orthogonalized against them (:func:`_complete_columns`), so the
         output never depends on backend behavior for degenerate subspaces.
-        ``u`` and ``s`` are :func:`_spectrum`'s, from one ``eigh`` or one SVD,
+        ``u`` and ``s`` come from one ``eigh`` or one SVD (:func:`_spectrum`),
         at any scale; a very wide matrix cannot resolve singular values
-        below ~1.5e-7 * s_max.  On both paths the right vectors are
-        :func:`_right_vectors`, ``m.T @ u / s`` re-orthonormalized; nothing
-        else in the package forms one.
+        below ~1.5e-7 * s_max.  ``v`` is :func:`_right_vectors`' on both
+        paths, the package's only right vectors.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -256,12 +256,12 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
     """Rank-truncated higher-order SVD.
 
     Each factor holds the top-``rank[k]`` left singular vectors of the mode-k
-    matricization, :func:`thin_svd`'s ``u``, which :func:`_spectrum` takes
-    without a right vector.  The core is the projection of ``t`` onto those
-    subspaces.  A factor column whose singular value is numerically zero is
-    the canonical axis the columns before it cover least, orthogonalized
-    against them, so a zero tensor yields the leading canonical axes and a
-    zero core, and the output is deterministic for every input.
+    matricization, :func:`thin_svd`'s ``u``, formed without a right vector.
+    The core is the projection of ``t`` onto those subspaces.  A factor
+    column whose singular value is numerically zero is the canonical axis
+    the columns before it cover least, orthogonalized against them, so a
+    zero tensor yields the leading canonical axes and a zero core, and the
+    output is deterministic for every input.
 
     This is the spectral initialization's routine (:func:`_hosvd`) at a bound
     that clips nothing, so mode 0 and the last mode are read from one copy

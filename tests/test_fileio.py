@@ -106,6 +106,18 @@ def test_a_pipe_is_read_in_chunks(tmp_path, monkeypatch):
     assert np.array_equal(_read_fed(tmp_path / "fifo", (tmp_path / "t.trpc").read_bytes()), t)
 
 
+def test_a_regular_file_is_read_in_the_same_chunks(tmp_path, monkeypatch):
+    # one read path for every file: a payload past one chunk round-trips, and
+    # a short one is 'truncated' with the bytes it got
+    monkeypatch.setattr(trpca.fileio, "_STREAM_CHUNK", 40)
+    t = np.arange(24.0).reshape(2, 3, 4)
+    write_tensor(tmp_path / "t.trpc", t)
+    assert np.array_equal(read_tensor(tmp_path / "t.trpc"), t)
+    with open(tmp_path / "t.trpc", "rb") as fh, pytest.raises(TensorFileError) as exc:
+        trpca.fileio._read_exact(fh, 1000, "payload")
+    assert exc.value.code == "truncated" and "got 224" in str(exc.value)
+
+
 def test_a_pipe_that_ends_before_its_payload_is_truncated(tmp_path):
     # a (2**20, 2**20) header, 8 TiB of payload claimed and 48 bytes sent:
     # the stream is read in bounded chunks, so this is no MemoryError
