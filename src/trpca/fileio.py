@@ -254,17 +254,19 @@ class SweepSpecError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-_GRID_KEYS = {"n": int, "r": int, "alpha": float, "kappa": float}
-# Spec keys whose SweepSpec field has another name.
-_FIELD_NAMES = {"n": "n_grid", "r": "rank_grid", "alpha": "alpha_grid",
-                "kappa": "kappa_grid", "iters": "max_iters"}
-_SCALAR_KEYS = {
-    "trials": int,
-    "iters": int,
-    "eta": float,
-    "rho": float,
-    "stop_tol": float,
-    "seed": int,
+# Each spec key: its SweepSpec field, the type of its values, and whether it
+# is a grid, a required comma-separated list.
+_SPEC_KEYS = {
+    "n": ("n_grid", int, True),
+    "r": ("rank_grid", int, True),
+    "alpha": ("alpha_grid", float, True),
+    "kappa": ("kappa_grid", float, True),
+    "trials": ("trials", int, False),
+    "iters": ("max_iters", int, False),
+    "eta": ("eta", float, False),
+    "rho": ("rho", float, False),
+    "stop_tol": ("stop_tol", float, False),
+    "seed": ("seed", int, False),
 }
 
 
@@ -276,52 +278,47 @@ def parse_sweep_spec(path) -> SweepSpec:
         # comment (blank lines also ignored)
         key = value [, value ...]
 
-    Grid keys ``n``, ``r``, ``alpha``, ``kappa`` are required and accept
-    comma-separated lists.  Scalar keys ``trials``, ``iters``, ``eta``,
-    ``rho`` (a number or ``auto``), ``stop_tol``, and ``seed`` are
-    optional; an unset one takes :class:`SweepSpec`'s default.  Unknown
-    keys, duplicate keys, or unparsable values raise :class:`SweepSpecError`
-    with the offending line number; values that :class:`SweepSpec` rejects,
-    such as a step size outside (0, 0.25], raise it with line 0.
+    Each key is one entry of ``_SPEC_KEYS``: its :class:`SweepSpec` field,
+    the type of its values and whether it is a grid.  Grid keys ``n``,
+    ``r``, ``alpha``, ``kappa`` are required and accept comma-separated
+    lists.  Scalar keys ``trials``, ``iters``, ``eta``, ``rho`` (a number or
+    ``auto``), ``stop_tol``, and ``seed`` are optional; an unset one takes
+    :class:`SweepSpec`'s default.  Every count is an integer.  Unknown keys,
+    duplicate keys, or unparsable values, such as a fractional count, raise
+    :class:`SweepSpecError` with the offending line number; values that
+    :class:`SweepSpec` rejects, such as a step size outside (0, 0.25] or a
+    negative seed, raise it with line 0.
     """
-    seen: dict[str, object] = {}
+    fields: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
                 raise SweepSpecError(lineno, f"expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in seen:
-                raise SweepSpecError(lineno, f"duplicate key {key!r}")
-            if key in _GRID_KEYS:
-                conv = _GRID_KEYS[key]
-                try:
-                    seen[key] = tuple(conv(v.strip()) for v in value.split(","))
-                except ValueError:
-                    raise SweepSpecError(
-                        lineno, f"bad {conv.__name__} list for {key!r}: {value!r}"
-                    ) from None
-            elif key in _SCALAR_KEYS:
-                if key == "rho" and value == "auto":
-                    seen[key] = None
-                    continue
-                conv = _SCALAR_KEYS[key]
-                try:
-                    seen[key] = conv(value)
-                except ValueError:
-                    raise SweepSpecError(
-                        lineno, f"bad {conv.__name__} value for {key!r}: {value!r}"
-                    ) from None
-            else:
+            if key not in _SPEC_KEYS:
                 raise SweepSpecError(lineno, f"unknown key {key!r}")
-    missing = [k for k in _GRID_KEYS if k not in seen]
+            field, conv, grid = _SPEC_KEYS[key]
+            if field in fields:
+                raise SweepSpecError(lineno, f"duplicate key {key!r}")
+            try:  # int and float ignore the spaces around a value
+                if key == "rho" and value == "auto":
+                    fields[field] = None
+                elif grid:
+                    fields[field] = tuple(conv(v) for v in value.split(","))
+                else:
+                    fields[field] = conv(value)
+            except ValueError:
+                raise SweepSpecError(
+                    lineno,
+                    f"bad {conv.__name__} {'list' if grid else 'value'} for {key!r}: {value!r}",
+                ) from None
+    missing = [k for k, (field, _, grid) in _SPEC_KEYS.items() if grid and field not in fields]
     if missing:
         raise SweepSpecError(0, f"missing required keys: {', '.join(missing)}")
     try:
-        return SweepSpec(**{_FIELD_NAMES.get(k, k): v for k, v in seen.items()})
+        return SweepSpec(**fields)
     except ValueError as exc:
         raise SweepSpecError(0, str(exc)) from None

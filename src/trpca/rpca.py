@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor_ops import (
+    _count,
     _ldexp_up,
     _rank_entries,
     _sumsq,
@@ -117,7 +118,7 @@ class SolverConfig:
         Initialization / iteration shrinkage thresholds.  None selects a
         rule automatically, see :func:`make_schedule`.
     max_iters : int
-        Iteration budget.
+        Iteration budget, an integer >= 0 of any numeric type.
     stop_tol : float
         Early exit once the relative Frobenius change of the low-rank
         iterate drops below this.  0 disables early stopping; use that for
@@ -153,8 +154,7 @@ class SolverConfig:
             z = getattr(self, name)
             if z is not None and not z >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {z}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
+        self.max_iters = _count(self.max_iters, "max_iters")
         if not self.stop_tol >= 0.0:
             raise ValueError(f"stop_tol must be >= 0, got {self.stop_tol}")
         if self.active_modes is not None:

@@ -28,6 +28,7 @@ The achieved entry fraction, ``min_k c_k / n_k``, is reported on the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 
 from .metrics import Diagnostics, incoherence, sparsity_fraction
 from .rpca import SolverConfig, solve
-from .tensor_ops import _rank_entries, check_rank
+from .tensor_ops import _count, _rank_entries, check_rank
 from .tucker import TuckerFactors, _fix_signs, reconstruct
 
 
@@ -73,10 +74,9 @@ class GroundTruth:
 
 
 def _as_rng(seed) -> tuple[np.random.Generator, object]:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed), seed.entropy
-    seed = int(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed)), seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(_count(seed, "seed"))
+    return np.random.default_rng(seed), seed.entropy
 
 
 def sample_support(dims, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -85,10 +85,10 @@ def sample_support(dims, alpha: float, rng: np.random.Generator) -> np.ndarray:
     No fiber along any mode ever holds more than ``floor(alpha * n_k)``
     entries, and the support holds exactly ``min_k floor(alpha * n_k) / n_k``
     of all entries (see the module docstring for the construction).  Raises
-    for an alpha outside [0, 1] and when alpha > 0 permits no entries at all
-    in some mode.
+    for dims that are not integers, for an alpha outside [0, 1] and when
+    alpha > 0 permits no entries at all in some mode.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _rank_entries(dims, "dims")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if alpha == 0.0:
@@ -127,7 +127,7 @@ def _check_args(dims, rank, kappa: float, alpha: float) -> tuple[tuple[int, ...]
     """:func:`gen_truth`'s rules for each argument on its own; returns the
     dims and the rank as ints.  Whether an alpha leaves an entry to corrupt
     depends on the dims too, which :func:`sample_support` checks."""
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    dims = _rank_entries(dims, "dims")
     if len(dims) < 3:
         raise ValueError(f"expected order >= 3, got dims {dims}")
     r = check_rank(dims, (rank,) * len(dims))[0]
@@ -172,7 +172,8 @@ def gen_truth(
         magnitude of the low-rank truth ("mean-abs"), or the given value,
         which must be finite and positive.
     seed : int or numpy.random.SeedSequence
-        Source of all randomness; equal seeds give bit-identical output.
+        Source of all randomness; equal seeds give bit-identical output.  An
+        int seed is an integer >= 0, of any numeric type, as every dim is.
     """
     dims, r = _check_args(dims, rank, kappa, alpha)
     if corruption_scale != "mean-abs" and not 0.0 < float(corruption_scale) < math.inf:
@@ -232,6 +233,11 @@ class SweepSpec:
     trial derives its own seed from ``(seed, cell indices, trial)``, so
     identical specs reproduce bit-identical results and individual cells
     are independent of the rest of the grid.
+
+    Every count (``n_grid`` and ``rank_grid`` entries, ``trials``,
+    ``max_iters``, ``seed``) must be an integer, of any numeric type, and
+    ``seed`` at least 0.  A value no cell could run raises ValueError here,
+    not per trial.
     """
 
     n_grid: tuple[int, ...]
@@ -246,8 +252,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.n_grid = tuple(int(v) for v in np.atleast_1d(self.n_grid))
-        self.rank_grid = _rank_entries(self.rank_grid)
+        self.n_grid = _rank_entries(self.n_grid, "n_grid")
+        self.rank_grid = _rank_entries(self.rank_grid, "rank_grid")
         self.alpha_grid = tuple(float(v) for v in np.atleast_1d(self.alpha_grid))
         self.kappa_grid = tuple(float(v) for v in np.atleast_1d(self.kappa_grid))
         for name in ("n_grid", "rank_grid", "alpha_grid", "kappa_grid"):
@@ -264,11 +270,15 @@ class SweepSpec:
             _check_args((1,) * 3, 1, 1.0, alpha)
         for kappa in self.kappa_grid:
             _check_args((1,) * 3, 1, kappa, 0.0)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        # the solver settings are checked by the config every trial builds
-        SolverConfig(rank=(1,), eta=self.eta, rho=self.rho,
-                     max_iters=self.max_iters, stop_tol=self.stop_tol)
+        self.trials = _count(self.trials, "trials", 1)
+        self.seed = _count(self.seed, "seed")
+        # the solver settings are checked by the config every trial uses
+        self._config(1)
+
+    def _config(self, r: int) -> SolverConfig:
+        """The solver settings of a cell of rank ``r``."""
+        return SolverConfig(rank=(r,) * 3, eta=self.eta, rho=self.rho,
+                            max_iters=self.max_iters, stop_tol=self.stop_tol)
 
 
 @dataclass
@@ -288,48 +298,40 @@ class SweepCell:
 def run_sweep(spec: SweepSpec) -> list[SweepCell]:
     """Run the solver over a synthetic parameter grid.
 
-    Each trial generates a fresh instance, solves it with oracle
+    One loop walks the cells in :class:`SweepSpec`'s order.  Each trial
+    generates a fresh instance from its own seed ``(spec.seed, i_n, i_r,
+    i_a, i_k, trial)``, the cell's grid indices, solves it with oracle
     thresholds (the ground truth is available, so the schedule uses the
     true incoherence and smallest singular value), and records the final
     relative error and the number of iterations executed.  Trial failures
     (infeasible generation, singular Gram matrices, divergence) are
     counted per cell, never raised.
     """
+    grids = (spec.n_grid, spec.rank_grid, spec.alpha_grid, spec.kappa_grid)
     cells = []
-    for i_n, n in enumerate(spec.n_grid):
-        for i_r, r in enumerate(spec.rank_grid):
-            for i_a, alpha in enumerate(spec.alpha_grid):
-                for i_k, kappa in enumerate(spec.kappa_grid):
-                    start = time.perf_counter()
-                    rels, iters, failures = [], [], 0
-                    for trial in range(spec.trials):
-                        cell_seed = np.random.SeedSequence(
-                            (spec.seed, i_n, i_r, i_a, i_k, trial)
-                        )
-                        try:
-                            truth = gen_truth((n,) * 3, r, kappa, alpha, seed=cell_seed)
-                            cfg = SolverConfig(
-                                rank=(r,) * 3,
-                                eta=spec.eta,
-                                rho=spec.rho,
-                                max_iters=spec.max_iters,
-                                stop_tol=spec.stop_tol,
-                            )
-                            result = solve(truth.y, cfg, reference=truth)
-                            rels.append(result.trace.final.rel_fro_error)
-                            iters.append(result.trace.final.iteration)
-                        except (ValueError, np.linalg.LinAlgError, RuntimeError):
-                            failures += 1
-                    cells.append(
-                        SweepCell(
-                            n=n,
-                            rank=r,
-                            alpha=alpha,
-                            kappa=kappa,
-                            median_rel_error=float(np.median(rels)) if rels else float("nan"),
-                            median_iterations=float(np.median(iters)) if iters else float("nan"),
-                            seconds=time.perf_counter() - start,
-                            failures=failures,
-                        )
-                    )
+    for index in itertools.product(*(range(len(g)) for g in grids)):
+        n, r, alpha, kappa = (g[i] for g, i in zip(grids, index))
+        start = time.perf_counter()
+        rels, iters, failures = [], [], 0
+        for trial in range(spec.trials):
+            cell_seed = np.random.SeedSequence((spec.seed, *index, trial))
+            try:
+                truth = gen_truth((n,) * 3, r, kappa, alpha, seed=cell_seed)
+                result = solve(truth.y, spec._config(r), reference=truth)
+                rels.append(result.trace.final.rel_fro_error)
+                iters.append(result.trace.final.iteration)
+            except (ValueError, np.linalg.LinAlgError, RuntimeError):
+                failures += 1
+        cells.append(
+            SweepCell(
+                n=n,
+                rank=r,
+                alpha=alpha,
+                kappa=kappa,
+                median_rel_error=float(np.median(rels)) if rels else float("nan"),
+                median_iterations=float(np.median(iters)) if iters else float("nan"),
+                seconds=time.perf_counter() - start,
+                failures=failures,
+            )
+        )
     return cells

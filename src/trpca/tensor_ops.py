@@ -53,13 +53,24 @@ def as_tensor(values, min_order: int = 1) -> np.ndarray:
     return a
 
 
-def _rank_entries(values) -> tuple[int, ...]:
-    """The entries of a rank as ints; ValueError for one with a fractional part."""
+def _rank_entries(values, name: str = "rank entries") -> tuple[int, ...]:
+    """The entries of a rank, or of another count named ``name``, as ints; a
+    ValueError that names it for an entry that is not a finite integer.  The
+    one integer rule of every count."""
     values = np.atleast_1d(values)
-    ints = tuple(int(v) for v in values)
-    if any(i != v for i, v in zip(ints, values)):
-        raise ValueError(f"rank entries must be integers, got {tuple(values.tolist())}")
-    return ints
+    # abs(v) < inf is False for nan too, and compares an int of any size exactly
+    if not all(abs(v) < math.inf and v == int(v) for v in values):
+        raise ValueError(f"{name} must be integers, got {tuple(values.tolist())}")
+    return tuple(int(v) for v in values)
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """A count such as ``max_iters`` as an int, by the rank's rule; a
+    ValueError for one below ``least``."""
+    (n,) = _rank_entries(value, name)
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return n
 
 
 def check_rank(shape: Sequence[int], rank) -> tuple[int, ...]:
@@ -97,19 +108,6 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     t = np.asarray(t)
     _check_mode(t.ndim, mode)
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
-def _matricize_clip(t: np.ndarray, mode: int, bound: float) -> np.ndarray:
-    """``matricize(np.clip(t, -bound, bound), mode)``, with no clipped tensor between.
-
-    The clip of the moved view is written straight into the matricization's
-    layout, an F-ordered matrix, so the result has the same values and the
-    same strides as the two steps give, and one tensor is allocated instead
-    of two.
-    """
-    moved = np.moveaxis(t, mode, 0)
-    out = np.clip(moved, -bound, bound, out=np.empty(moved.shape[::-1]).T)
-    return out.reshape((t.shape[mode], -1), order="F")
 
 
 def _mode_product(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:

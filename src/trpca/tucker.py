@@ -10,7 +10,6 @@ import numpy as np
 
 from .tensor_ops import (
     _FRO_TINY,
-    _matricize_clip,
     _mode_product,
     check_rank,
     inf_norm,
@@ -231,10 +230,13 @@ def _hosvd(y: np.ndarray, rank, bound: float, e: int) -> TuckerFactors:
 
     One full tensor is held at a time besides ``y``: the clip serves mode 0
     and the last mode from views (:func:`_unfolding`) and the core's first
-    product, and is released before each middle unfolding is clipped from
-    ``y`` straight into its layout (:func:`~trpca.tensor_ops._matricize_clip`)
-    in turn.  The core's other products follow in ascending mode order, as
-    :func:`~trpca.tensor_ops.multilinear_mul` takes a product that shrinks.
+    product, and is released before each middle unfolding, in turn, is copied
+    from ``y`` by :func:`~trpca.tensor_ops.matricize` and clipped and scaled
+    in place.  Where ``matricize`` returns a view of ``y``, as for some
+    shapes with size-1 modes such as (1, 12, 40), the clip goes into a new
+    array, so ``y`` is never written.  The core's other products follow in
+    ascending mode order, as :func:`~trpca.tensor_ops.multilinear_mul` takes
+    a product that shrinks.
     """
     c = np.clip(y, -bound, bound)
     np.ldexp(c, -e, out=c)
@@ -243,7 +245,8 @@ def _hosvd(y: np.ndarray, rank, bound: float, e: int) -> TuckerFactors:
     del c
     middle = []
     for k in range(1, y.ndim - 1):
-        m = _matricize_clip(y, k, bound)
+        m = matricize(y, k)
+        m = np.clip(m, -bound, bound, out=None if np.may_share_memory(m, y) else m)
         middle.append(_spectrum(np.ldexp(m, -e, out=m), rank[k])[1])
         del m
     factors = (u0, *middle, u_last)[: y.ndim]  # order 1: mode 0 is the last mode
@@ -265,9 +268,10 @@ def hosvd(t: np.ndarray, rank) -> TuckerFactors:
 
     This is the spectral initialization's routine (:func:`_hosvd`) at a bound
     that clips nothing, so mode 0 and the last mode are read from one copy
-    of ``t``: one more pass, and a peak of one tensor above ``t``, which for
-    order 1 and 2, with no middle mode to copy, is one tensor more than
-    views of ``t`` would hold.
+    of ``t`` and each middle mode from its ``matricize`` copy: one more
+    pass, and a peak of one tensor above ``t``, which for order 1 and 2,
+    with no middle mode to copy, is one tensor more than views of ``t``
+    would hold.
     """
     t = np.asarray(t, dtype=np.float64)
     rank = check_rank(t.shape, rank)

@@ -383,6 +383,18 @@ def test_sweep_spec_with_invalid_grid_values_writes_no_csv(capsys, tmp_path):
         assert not out_csv.exists()
 
 
+def test_sweep_spec_with_a_negative_seed_exits_3_and_writes_no_csv(capsys, tmp_path):
+    # it passed the parser and failed in run_sweep with numpy's message, exit 2
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("n = 10\nr = 1\nalpha = 0.0\nkappa = 1.0\nseed = -1\n")
+    out_csv = tmp_path / "sweep.csv"
+    rc, _, err = run_cli(capsys, "sweep", "--spec", spec_file, "--out", out_csv)
+    error = strict_loads(err)
+    assert rc == 3 and error["line"] == 0 and error["path"] == str(spec_file)
+    assert "seed" in error["message"]
+    assert not out_csv.exists()
+
+
 def test_non_finite_values_are_written_as_null(capsys, tmp_path):
     prefix = tmp_path / "inst"
     rc, _, _ = run_cli(capsys, "synth", "--dims", "12,12,12", "--rank", 2, "--seed", 3,

@@ -82,6 +82,14 @@ def test_schedule_geometric_sequence():
             ThresholdSchedule(zeta0, zeta1, 0.5)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, float("inf"), float("nan")])
+def test_config_rejects_a_max_iters_that_is_not_an_integer(max_iters):
+    # 2.5 was accepted, and solve's range then raised TypeError
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(rank=(2, 2, 2), max_iters=max_iters)
+    assert SolverConfig(rank=(2, 2, 2), max_iters=np.float64(3.0)).max_iters == 3
+
+
 def test_default_rho_from_eta():
     assert SolverConfig(rank=(2, 2, 2), eta=0.2).effective_rho == pytest.approx(0.91, abs=1e-15)
     assert SolverConfig(rank=(2, 2, 2)).effective_rho == pytest.approx(0.8875, abs=1e-15)

@@ -137,6 +137,19 @@ def test_gen_truth_validation():
         gen_truth((10, 10, 10), 2, kappa=float("inf"), alpha=0.0, seed=0)
 
 
+@pytest.mark.parametrize("dims, seed, name", [
+    ((10.7, 10, 10), 0, "dims"),  # was read as 10 x 10 x 10
+    ((10, float("inf"), 10), 0, "dims"),  # was an OverflowError
+    ((10, 10, 10), 2.5, "seed"),  # was seed 2's instance
+    ((10, 10, 10), -1, "seed"),
+])
+def test_gen_truth_dims_and_seed_follow_the_rank_rule(dims, seed, name):
+    with pytest.raises(ValueError, match=name):
+        gen_truth(dims, 2, kappa=2.0, alpha=0.0, seed=seed)
+    assert gen_truth((10.0, np.int64(10), 10), 2, kappa=2.0, alpha=0.0,
+                     seed=np.float64(3.0)).seed == 3
+
+
 def test_order_four_generation():
     truth = gen_truth((6, 6, 6, 6), 2, kappa=2.0, alpha=1 / 6, seed=6)
     assert truth.x_star.shape == (6, 6, 6, 6)
@@ -145,6 +158,12 @@ def test_order_four_generation():
 
 # ---------------------------------------------------------------------------
 # sample_support
+
+
+def test_sample_support_rejects_fractional_dims():
+    # (10.7, 10, 10) gave a 10 x 10 x 10 support
+    with pytest.raises(ValueError, match="dims"):
+        sample_support((10.7, 10, 10), 0.1, np.random.default_rng(0))
 
 
 def test_support_respects_caps_across_shapes():
@@ -313,3 +332,19 @@ def test_sweep_spec_validation():
         with pytest.raises(ValueError):
             SweepSpec(**{**grids, name: (value,)})
     assert SweepSpec(**{**grids, "rank_grid": (2.0, np.int64(3))}).rank_grid == (2, 3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5),  # run_sweep's range raised TypeError
+    ("trials", float("inf")),
+    ("n_grid", (30.5,)),  # was read as 30
+    ("seed", 2.5),
+    ("seed", -1),  # SeedSequence raised outside the per-trial try
+])
+def test_sweep_spec_counts_follow_the_rank_rule(field, value):
+    grids = dict(n_grid=(10,), rank_grid=(2,), alpha_grid=(0.1,), kappa_grid=(1.0,))
+    with pytest.raises(ValueError, match=field):
+        SweepSpec(**{**grids, field: value})
+    spec = SweepSpec(**{**grids, "n_grid": (10.0,), "trials": np.int64(2), "seed": 3.0})
+    assert (spec.n_grid, spec.trials, spec.seed) == ((10,), 2, 3)
+    assert all(type(v) is int for v in (spec.n_grid[0], spec.trials, spec.seed))

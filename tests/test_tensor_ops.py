@@ -225,6 +225,13 @@ def test_check_rank():
     assert rank == (2, 3, 1) and all(type(r) is int for r in rank)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_rank_entry_is_a_value_error(bad):
+    # an infinite entry raised OverflowError from int()
+    with pytest.raises(ValueError, match="rank entries must be integers"):
+        check_rank((5, 5, 5), (2, bad, 2))
+
+
 def test_inf_norm_values():
     assert inf_norm(np.array([[-3.5, 2.0]])) == 3.5
     assert inf_norm(np.zeros((2, 2))) == 0.0

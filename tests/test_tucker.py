@@ -406,33 +406,43 @@ def test_hosvd_rank_validation():
 def test_hosvd_and_tensor_diagnostics_copy_only_the_middle_modes(monkeypatch, dims, rank):
     # mode 0 and the last mode are read as reshape views (hosvd's of one
     # copy of t), whose columns are the matricization's in another order:
-    # the factors and spectra agree with the matricize route's.  hosvd clips
-    # each middle unfolding from t straight into its layout,
-    # tensor_diagnostics copies it by matricize
+    # the factors and spectra agree with the matricize route's.  Both copy
+    # each middle unfolding by matricize; hosvd then clips it in place
     t = np.random.default_rng(len(dims)).standard_normal(dims)
     middle = list(range(1, len(dims) - 1))
-    copies, clips = [], []
-    matricize_clip = trpca.tucker._matricize_clip
+    copies = []
 
     def counting(a, mode):
         copies.append(mode)
         return matricize(a, mode)
 
-    def counting_clip(a, mode, bound):
-        clips.append(mode)
-        return matricize_clip(a, mode, bound)
-
     monkeypatch.setattr(trpca.tucker, "matricize", counting)
-    monkeypatch.setattr(trpca.tucker, "_matricize_clip", counting_clip)
     f = hosvd(t, rank)
-    assert clips == middle and copies == []
-    clips.clear()
+    assert copies == middle
+    copies.clear()
     d = tensor_diagnostics(t, rank)  # one copy per middle mode, for both measures
-    assert copies == middle and clips == []
+    assert copies == middle
     for k, r in enumerate(rank):
         m = matricize(t, k)
         assert rel_diff(f.factors[k], thin_svd(m, r).u) <= 1e-12
         assert rel_diff(d.singular_values[k], spectrum(m)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, rank", [
+    ((1, 12, 40), (1, 2, 2)),
+    ((40, 6, 1), (1, 2, 1)),
+    ((1, 1, 12, 40), (1, 1, 2, 2)),
+])
+def test_the_init_hosvd_clips_a_middle_unfolding_that_is_a_view_into_a_copy(dims, rank):
+    # for these shapes matricize(y, k) of a middle mode is a view of y, which
+    # the clip in place would write through
+    y = np.random.default_rng(12).standard_normal(dims)
+    kept = y.copy()
+    f = trpca.tucker._hosvd(y, rank, 0.5, 1)
+    assert np.array_equal(y, kept)
+    g = hosvd(np.ldexp(np.clip(y, -0.5, 0.5), -1), rank)  # the contract, bit for bit
+    assert all(np.array_equal(a, b) for a, b in zip(f.factors, g.factors))
+    assert np.array_equal(f.core, np.ldexp(g.core, 1))
 
 
 @pytest.mark.parametrize("dims, rank", [((80, 80, 80), 3), ((24, 24, 24, 24), 2)],

@@ -27,13 +27,16 @@ the stop rule, a frozen mode) at the scales 2**0, 2**700, 2**-600 and
 2**1000, each also through its set-up alone: ``make_schedule``,
 ``spectral_init`` at that schedule's zeta0, and ``hosvd`` of ``y`` at the
 configuration's rank; ``hosvd`` of an order-1 and an order-2 tensor, of a
-Fortran-ordered tensor, of a zero tensor with signed zeros and of two
-tensors at a rank above their own; ``thin_svd`` on the Gram path and the
+Fortran-ordered tensor, of a zero tensor with signed zeros, of two
+tensors at a rank above their own and of three tensors whose middle-mode
+``matricize`` is a view, such as (1, 12, 40); ``thin_svd`` on the Gram path and the
 direct SVD, each at full rank and rank-deficient; ``tensor_diagnostics`` of
 four fixed tensors, two of them rank-deficient; and the ``.trpc`` file
 ``write_tensor`` writes, and ``read_tensor`` of it, for a C-ordered, a
 Fortran-ordered, a strided, a float32, an int64, a big-endian and an order-1
-input.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
+input; and a sweep spec file with one feasible cell and one with ``r`` above
+``n``, parsed by ``parse_sweep_spec`` and run by ``run_sweep``, whose case
+hashes every ``SweepCell`` field but ``seconds``.  BLAS runs on one thread unless ``OPENBLAS_NUM_THREADS`` says otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import hashlib
 import json
@@ -69,8 +73,9 @@ from trpca import (  # noqa: E402
     solve,
     tensor_diagnostics,
 )
-from trpca.fileio import read_tensor, write_tensor  # noqa: E402
+from trpca.fileio import parse_sweep_spec, read_tensor, write_tensor  # noqa: E402
 from trpca.rpca import spectral_init  # noqa: E402
+from trpca.synth import SweepCell, run_sweep  # noqa: E402
 from trpca.tucker import thin_svd  # noqa: E402
 
 SCALES = (0, 700, -600, 1000)
@@ -172,6 +177,10 @@ def _hosvd_cases():
     signed = np.where(rng.random((4, 3, 5, 2)) < 0.5, -0.0, 0.0)
     yield "signed-zeros-4x3x5x2", signed, (2, 2, 3, 1)
     yield from _deficient()
+    rng = np.random.default_rng(8)
+    for dims, rank in (((1, 12, 40), (1, 2, 2)), ((40, 6, 1), (1, 2, 1)),
+                       ((1, 1, 12, 40), (1, 1, 2, 2))):
+        yield f"view-{'x'.join(map(str, dims))}", rng.standard_normal(dims), rank
 
 
 def _diagnostics_cases():
@@ -193,6 +202,10 @@ def _file_cases():
     yield "int64", rng.integers(-1000, 1000, size=(5, 2, 3))
     yield "big-endian", rng.standard_normal((2, 3, 4)).astype(">f8")
     yield "order1", rng.standard_normal(9)
+
+
+# one cell that runs, and one with r above n, whose every trial fails
+SWEEP_SPEC = "n = 8\nr = 2, 9\nalpha = 0.125\nkappa = 3.0\ntrials = 2\niters = 30\nseed = 4\n"
 
 
 def _tucker(name, f, **parts):
@@ -243,6 +256,11 @@ def run():
             yield {"case": f"file-{name}", "file": hashlib.sha256(blob).hexdigest(),
                    "read": _sha(back)}, \
                 {"file": np.frombuffer(blob, dtype=np.uint8), "read": back}
+        spec = Path(tmp) / "sweep.txt"
+        spec.write_text(SWEEP_SPEC)
+        names = [f.name for f in dataclasses.fields(SweepCell) if f.name != "seconds"]
+        rows = [[getattr(c, n) for n in names] for c in run_sweep(parse_sweep_spec(spec))]
+        yield {"case": "sweep", "cells": _sha(rows)}, {"cells": np.array(rows, dtype=np.float64)}
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
