@@ -24,7 +24,6 @@ from .rpca import (
     SingularGramError,
     SolveResult,
     SolverConfig,
-    ThresholdSchedule,
     TraceRow,
     make_schedule,
     scaled_step,
@@ -71,7 +70,6 @@ __all__ = [
     "SweepSpec",
     "SweepSpecError",
     "TensorFileError",
-    "ThresholdSchedule",
     "TraceRow",
     "TuckerFactors",
     "as_tensor",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -180,28 +180,6 @@ class SolverConfig:
 
 
 @dataclass
-class ThresholdSchedule:
-    """Shrinkage threshold sequence: zeta0 at init, then zeta1 * rho**(t-1)."""
-
-    zeta0: float
-    zeta1: float
-    rho: float
-
-    def __post_init__(self):
-        if not (self.zeta0 >= 0 and self.zeta1 >= 0):
-            raise ValueError(f"thresholds must be >= 0, got {self.zeta0} and {self.zeta1}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-
-    def value(self, t: int) -> float:
-        if t < 0:
-            raise ValueError("iteration index must be >= 0")
-        if t == 0:
-            return self.zeta0
-        return self.zeta1 * self.rho ** (t - 1)
-
-
-@dataclass
 class TraceRow:
     """One iteration record.  Error fields are None without a reference.
 
@@ -326,12 +304,18 @@ def _oracle_zeta1(cfg: SolverConfig, y: np.ndarray, ref: Reference) -> float | N
     return zeta1
 
 
-def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> ThresholdSchedule:
-    """Resolve the full shrinkage schedule for ``y``, exactly as :func:`solve` does.
+def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> SolverConfig:
+    """``cfg`` with the thresholds and decay :func:`solve` resolves for ``y`` made explicit.
 
-    The two share one set-up, so they accept and reject the same inputs: a
-    finite ``y`` of order >= 3, a rank and ``active_modes`` that fit it, and
-    a reference, if any, that is finite and of the shape of ``y``.
+    The returned config has ``zeta0`` and ``zeta1`` in the units of ``y`` and
+    ``rho = cfg.effective_rho``; its thresholds are ``zeta0`` at the
+    initialization and ``zeta1 * rho**(t - 1)`` at iteration ``t >= 1``.
+    ``solve(y, make_schedule(cfg, y, reference), reference)`` is bit for bit
+    ``solve(y, cfg, reference)``, and ``make_schedule`` of its own result
+    returns it unchanged.  The two share one set-up, so they accept and
+    reject the same inputs: a finite ``y`` of order >= 3, a rank and
+    ``active_modes`` that fit it, and a reference, if any, that is finite
+    and of the shape of ``y``.
 
     zeta0 precedence: explicit config value, then ``||x_star||_inf`` when a
     reference is given, then the ``1 - alpha_estimate`` quantile of ``|y|``
@@ -346,9 +330,8 @@ def make_schedule(cfg: SolverConfig, y: np.ndarray, reference=None) -> Threshold
     of ``2.0**k * y`` is exactly ``2.0**k`` times the schedule of ``y``.
     """
     st = _start(y, cfg, reference)
-    sched = st.sched
-    return ThresholdSchedule(_ldexp_up(sched.zeta0, st.e), _ldexp_up(sched.zeta1, st.e),
-                             sched.rho)
+    return replace(cfg, zeta0=_ldexp_up(st.zeta0, st.e), zeta1=_ldexp_up(st.zeta1, st.e),
+                   rho=cfg.effective_rho)
 
 
 def spectral_init(y: np.ndarray, cfg: SolverConfig,
@@ -366,6 +349,7 @@ def spectral_init(y: np.ndarray, cfg: SolverConfig,
     threshold :func:`solve` would use is ``make_schedule(cfg, y, reference).zeta0``.
     """
     y = as_tensor(y, min_order=3)
+    check_rank(y.shape, cfg.rank)
     if not zeta0 >= 0:
         raise ValueError(f"shrinkage threshold must be >= 0, got {zeta0}")
     return _hosvd(y, cfg.rank, zeta0, int(np.frexp(inf_norm(y))[1])), soft_shrink(y, zeta0)
@@ -460,8 +444,10 @@ def _grams(f: TuckerFactors) -> tuple[list[np.ndarray], list[np.ndarray], float]
     ``matricize(x, 0) = U_0 @ B_0.T``, so ``||x||**2 = trace(M_0 @ C_0)`` for
     ``C_0 = B_0.T @ B_0``, in the units of the squared core.
     """
-    grams = [u.T @ u for u in f.factors]
-    cograms, _ = _contractions(f.core, grams, f.core, 0)
+    # an iterate that overflows here reads inf, for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = [u.T @ u for u in f.factors]
+        cograms, _ = _contractions(f.core, grams, f.core, 0)
     return grams, cograms, float(np.vdot(cograms[0], grams[0]))
 
 
@@ -565,25 +551,27 @@ def _change_sq(old: TuckerFactors, new: TuckerFactors) -> float:
     :func:`_contractions`.
     """
     g, h = old.core, new.core
-    grams, blocks, lift, sizes = [], (), (), ()
-    for u, v in zip(old.factors, new.factors):
-        moved = v is not u
-        w = np.concatenate((u, v - u), axis=1) if moved else u
-        grams += (w.T @ w,)
-        r = u.shape[1]
-        blocks += (1 + moved, r)
-        lift += (1, r)
-        sizes += (w.shape[1],)
-    d = np.empty(blocks)  # mode j's index is (block, row of G or H)
-    d[...] = h.reshape(lift)
-    np.subtract(h, g, out=d[(0, slice(None)) * h.ndim])
-    d = d.reshape(sizes)
-    t, lead = d, 1
-    for k in range(h.ndim - 2):
-        t = grams[k] @ t.reshape(lead, sizes[k], -1)
-        lead *= sizes[k]
-    # the Grams are symmetric: the last two modes are one broadcast product
-    return float(np.vdot(grams[-2] @ t.reshape(-1, sizes[-2], sizes[-1]) @ grams[-1], d))
+    # an iterate that overflows here reads inf, for the caller to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams, blocks, lift, sizes = [], (), (), ()
+        for u, v in zip(old.factors, new.factors):
+            moved = v is not u
+            w = np.concatenate((u, v - u), axis=1) if moved else u
+            grams += (w.T @ w,)
+            r = u.shape[1]
+            blocks += (1 + moved, r)
+            lift += (1, r)
+            sizes += (w.shape[1],)
+        d = np.empty(blocks)  # mode j's index is (block, row of G or H)
+        d[...] = h.reshape(lift)
+        np.subtract(h, g, out=d[(0, slice(None)) * h.ndim])
+        d = d.reshape(sizes)
+        t, lead = d, 1
+        for k in range(h.ndim - 2):
+            t = grams[k] @ t.reshape(lead, sizes[k], -1)
+            lead *= sizes[k]
+        # the Grams are symmetric: the last two modes are one broadcast product
+        return float(np.vdot(grams[-2] @ t.reshape(-1, sizes[-2], sizes[-1]) @ grams[-1], d))
 
 
 # The loop keeps its full tensors in the units of y, unless ||y||_inf is
@@ -599,7 +587,8 @@ class _Start(NamedTuple):
 
     e: int
     el: int  # the loop's full tensors are in the units of y / 2**(e - el)
-    sched: ThresholdSchedule
+    zeta0: float
+    zeta1: float
     factors: TuckerFactors
     y: np.ndarray  # the observation, in the loop's units
     x: np.ndarray  # the initial iterate, in the loop's units
@@ -617,10 +606,11 @@ def _slabs(shape: tuple[int, ...]):
 
 
 def _start(y, cfg: SolverConfig, reference) -> _Start:
-    """Validate the inputs, scale ``y``, run the spectral initialization and resolve the schedule.
+    """Validate the inputs, scale ``y``, run the spectral initialization and resolve the thresholds.
 
     The one set-up and threshold resolver, for :func:`make_schedule` and
-    :func:`solve`.  It checks that ``y`` is a finite tensor of order >= 3,
+    :func:`solve`; the returned ``zeta0`` and ``zeta1`` are in the units of
+    ``y / 2**e``, and the decay is ``cfg.effective_rho``.  It checks that ``y`` is a finite tensor of order >= 3,
     that ``cfg.rank`` and ``cfg.active_modes`` fit it, and that the
     reference, if any, is a finite tensor of the same shape.  The scale
     ``2**e`` is a power of two near ``||y||_inf``, so it is exact, and Gram
@@ -670,10 +660,9 @@ def _start(y, cfg: SolverConfig, reference) -> _Start:
         loss2 += _sumsq(gap, el)
     if zeta1 is None:
         zeta1 = 2.0 * _ldexp_up(gap_inf, -el)
-    sched = ThresholdSchedule(zeta0=zeta0, zeta1=zeta1, rho=cfg.effective_rho)
     f = TuckerFactors(f0.factors, np.ldexp(f0.core, -el))
     x_star = None if ref is None else ref.x_star if el == e else np.ldexp(ref.x_star, el - e)
-    return _Start(e, el, sched, f, y_l, x, 0.5 * loss2, x_star)
+    return _Start(e, el, zeta0, zeta1, f, y_l, x, 0.5 * loss2, x_star)
 
 
 def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
@@ -713,11 +702,13 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     or in that of its reference error.  A non-finite factor or core is
     found right after the step that made it, in r-space, before any product
     reads it: an ``inf * 0`` there would make numpy warn before anything
-    raised.  The iterate's norm ``||x_t||`` from the Grams, checked when the
-    step from it is taken, or, for the last iterate, without a step, fails
-    an iterate whose norm, in the loop's units, reaches ``2**1022``, where
-    its expansion or residual could overflow.  No other pass over the
-    tensor looks for non-finite values.
+    raised.  The iterate's norm ``||x_t||`` from the Grams is checked when
+    the step from it is taken, which is after its expansion and its pass,
+    or, for the last iterate, at the end, without a step.  It fails an
+    iterate whose norm, in the loop's units, reaches ``2**1022``, where a
+    later residual could overflow, and one whose squared norm overflows in
+    the Gram products, which then read inf instead of warning.  No other
+    pass over the tensor looks for non-finite values.
 
     Parameters
     ----------
@@ -727,6 +718,9 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
         :func:`make_schedule` shares, which raises ValueError.
     cfg : SolverConfig
         Rank (one entry per mode), step size, threshold schedule, and budget.
+        :func:`make_schedule` returns it with its thresholds resolved, a
+        config this runs bit for bit like ``cfg``: the threshold of
+        iterate ``t >= 1`` is ``zeta1 * rho**(t - 1)``.
     reference : optional
         Ground truth for per-iteration error reporting; either an object
         with ``x_star`` (and optionally ``diagnostics``) attributes or a
@@ -747,7 +741,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # y_n * 2**el, which are those of y unless ||y||_inf lies outside
     # [2**-960, 2**960] (see _start), and every sum of squares is divided by
     # 4**el.  With |el| <= 960, 2**el is a float and scaling by it is exact.
-    e, el, sched, f, y, x, loss, x_star = _start(y, cfg, reference)
+    e, el, zeta0, zeta1, f, y, x, loss, x_star = _start(y, cfg, reference)
+    rho = cfg.effective_rho
     x_star_fro = math.sqrt(_sumsq(x_star, el)) if x_star is not None else None
     scale = 2.0**el
     # head and tail stay in the loop's units: the step's size carries their
@@ -755,7 +750,8 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     step_cfg = copy.copy(cfg)
     step_cfg.eta = math.ldexp(cfg.eta, -el)
     # an iterate with ||x_n||**2 below this is below 2**1022 in the loop's
-    # units, so it, its residual and its clip stay finite
+    # units, so its residual and its clip stay finite; the check comes with
+    # the step from it, after its expansion
     x_sq_limit = _ldexp_up(1.0, 2 * (1022 - el))
     # (zeta_t, err2, err_inf, loss, clock) of each iterate t, as the loop has
     # them; the trace's rows are formed from these at the end
@@ -820,7 +816,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
     # becomes its residual.  Before any step the residual that gives the
     # sparse part is y itself: x_0's part is soft_shrink(y, zeta_0).
     # zeta_t is the threshold of iterate t, zeta that of the next one
-    zeta_t, zeta = sched.zeta0, (sched.value(1) if cfg.max_iters > 0 else None)
+    zeta_t, zeta = zeta0, (zeta1 if cfg.max_iters > 0 else None)
     err2, err_inf, next_loss = sweep(x, 0, f, zeta)
     raw.append((zeta_t, err2, err_inf, loss, time.perf_counter()))
     t = 0
@@ -847,7 +843,7 @@ def solve(y: np.ndarray, cfg: SolverConfig, reference=None) -> SolveResult:
             break
         del x  # the residual r_{t-1}, whose buffer the expansion may take
         x = expand(f)
-        zeta = sched.value(t + 1)
+        zeta = zeta1 * rho ** t
         err2, err_inf, next_loss = sweep(x, t, f, zeta)
         raw.append((zeta_t, err2, err_inf, loss, time.perf_counter()))
     if t > 0:  # the last iterate takes no step: its norm from its own Grams

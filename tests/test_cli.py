@@ -330,6 +330,29 @@ def test_usage_errors(capsys, tmp_path):
     assert run_cli(capsys, *argv, "--zeta1", "0.1")[0] == 0
 
 
+def test_auto_thresholds_and_unparsable_numbers(capsys, tmp_path):
+    # auto for --rho, --zeta0 and --zeta1 is the default run, bit for bit;
+    # a threshold that is not a number and a rank entry that is not an int
+    # are JSON usage errors of the parser
+    prefix, _ = synth_instance(capsys, tmp_path, n=10, seed=8)
+    runs = []
+    for auto in ((), ("--rho", "auto", "--zeta0", "auto", "--zeta1", "auto")):
+        low, sparse = tmp_path / f"low{len(auto)}.trpc", tmp_path / f"sparse{len(auto)}.trpc"
+        rc, out, _ = run_cli(capsys, "decompose", "--input", f"{prefix}-y.trpc",
+                             "--rank", "2,2,2", "--iters", 20, *auto,
+                             "--out-lowrank", low, "--out-sparse", sparse)
+        assert rc == 0
+        summary = strict_loads(out)
+        del summary["seconds"]
+        runs.append((summary, low.read_bytes(), sparse.read_bytes()))
+    assert runs[0] == runs[1]
+    for bad in (("--rank", "2,2,2", "--zeta0", "x"), ("--rank", "2,a,2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--input", f"{prefix}-y.trpc", *bad])
+        assert exc.value.code == 2
+        assert strict_loads(capsys.readouterr().err)["error"] == "usage"
+
+
 def test_main_builds_its_parser_once(capsys, tmp_path, monkeypatch):
     # a second main call adds no argument to the parser, and a flag given in
     # one call does not carry over into the next

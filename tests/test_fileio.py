@@ -171,6 +171,28 @@ def test_write_is_atomic(tmp_path):
     assert np.array_equal(read_tensor(target), t)
 
 
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_a_write_that_fails_leaves_the_target_and_no_temporary(tmp_path, exc):
+    # a chunk source that raises mid-write, or a rename onto a directory:
+    # the exception propagates, the temporary goes, and the target keeps
+    # its bytes
+    target = tmp_path / "out.trpc"
+    write_tensor(target, np.ones((3, 3)))
+    old = target.read_bytes()
+
+    def chunks():
+        yield b"partial"
+        raise exc("mid-write")
+
+    with pytest.raises(exc, match="mid-write"):
+        trpca.fileio._atomic_write_bytes(target, chunks())
+    assert target.read_bytes() == old
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        trpca.fileio._atomic_write_bytes(tmp_path / "dir", (b"x",))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.trpc"]
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=("022", "077"))
 def test_written_files_take_the_umask_mode(tmp_path, umask, mode):
     # a written file is created as open() creates one, 0o666 less the umask,

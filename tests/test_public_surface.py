@@ -54,6 +54,9 @@ TEST_ONLY = ("tensorize", "l1inf_norm", "op_norm", "sparse_norm_bounds_check",
              "NormBoundsReport", "error_report", "ErrorReport", "SolverState",
              "condition_numbers", "ConditionNumbers", "singular_values",
              "align_factors", "AlignmentResult")
+# Gone from every module too: a resolved schedule is the SolverConfig that
+# make_schedule returns
+MERGED = ("ThresholdSchedule",)
 
 
 def test_all_resolves_and_holds_only_the_used_surface():
@@ -62,12 +65,13 @@ def test_all_resolves_and_holds_only_the_used_surface():
     # thin_svd, SvdResult, breve_factor, spectral_init and fro_norm stay in
     # their submodules, where the tracer's PLAN resolves them
     for gone in ("solve_orderN", "update_sparse", "kron", "inner", "as_matrix", *TEST_ONLY,
+                 *MERGED,
                  "thin_svd", "SvdResult", "breve_factor", "spectral_init", "fro_norm"):
         assert gone not in trpca.__all__ and not hasattr(trpca, gone), gone
     assert trpca.tucker.SvdResult
     modules = [importlib.import_module(f"trpca.{p.stem}")
                for p in Path(trpca.__file__).parent.glob("*.py") if p.stem != "__main__"]
     for module in (trpca, *modules):
-        for name in TEST_ONLY:
+        for name in (*TEST_ONLY, *MERGED):
             assert not hasattr(module, name), (module.__name__, name)
 

@@ -2,6 +2,7 @@
 
 import copy
 import cProfile
+import dataclasses
 import math
 import pstats
 import tracemalloc
@@ -30,7 +31,6 @@ from trpca.rpca import (
     Reference,
     SingularGramError,
     SolverConfig,
-    ThresholdSchedule,
     _change_sq,
     make_schedule,
     scaled_step,
@@ -70,18 +70,6 @@ def test_soft_shrink_support_and_inf_norm():
 # schedule and config
 
 
-def test_schedule_geometric_sequence():
-    sched = ThresholdSchedule(zeta0=1.0, zeta1=0.5, rho=0.5)
-    assert [sched.value(t) for t in range(5)] == [1.0, 0.5, 0.25, 0.125, 0.0625]
-    with pytest.raises(ValueError):
-        sched.value(-1)
-    with pytest.raises(ValueError):
-        ThresholdSchedule(1.0, 1.0, rho=1.0)
-    for zeta0, zeta1 in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
-        with pytest.raises(ValueError, match="thresholds"):
-            ThresholdSchedule(zeta0, zeta1, 0.5)
-
-
 @pytest.mark.parametrize("max_iters", [2.5, float("inf"), float("nan")])
 def test_config_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     # 2.5 was accepted, and solve's range then raised TypeError
@@ -93,8 +81,6 @@ def test_config_rejects_a_max_iters_that_is_not_an_integer(max_iters):
 def test_default_rho_from_eta():
     assert SolverConfig(rank=(2, 2, 2), eta=0.2).effective_rho == pytest.approx(0.91, abs=1e-15)
     assert SolverConfig(rank=(2, 2, 2)).effective_rho == pytest.approx(0.8875, abs=1e-15)
-    sched = ThresholdSchedule(1.0, 2.0, rho=0.91)
-    assert sched.value(3) == pytest.approx(0.91**2 * 2.0, rel=1e-15)
 
 
 def test_config_validation():
@@ -110,8 +96,9 @@ def test_config_validation():
         SolverConfig(rank=(2, 2, 2), eta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(rank=(2, 2, 2), rho=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(rank=(2, 2, 2), zeta0=-1.0)
+    for zeta0, zeta1 in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="zeta"):
+            SolverConfig(rank=(2, 2, 2), zeta0=zeta0, zeta1=zeta1)
     with pytest.raises(ValueError):
         SolverConfig(rank=(2, 2, 2), max_iters=-1)
     with pytest.raises(ValueError):
@@ -172,6 +159,36 @@ def test_make_schedule_is_scale_exact_and_matches_solve():
                                                          base.rho)
         rows = solve(c * truth.y, cfg).trace.rows
         assert (rows[0].zeta, rows[1].zeta) == (sched.zeta0, sched.zeta1)
+
+
+@pytest.mark.parametrize("dims", [(10, 10, 10), (6, 5, 7, 6)], ids=["order3", "order4"])
+def test_solve_with_make_schedule_s_config_is_solve_with_cfg(dims):
+    # make_schedule returns the config solve runs with, its thresholds made
+    # explicit: solving with it gives the same bits, it resolves to itself,
+    # and every threshold of the trace is the one it states.  Blind, with an
+    # array reference and with an oracle one, at three scales
+    truth = gen_truth(dims, 2, kappa=3.0, alpha=0.2, seed=35)
+    for k in (0, 600, -600):
+        x_star = np.ldexp(truth.x_star, k)
+        d = dataclasses.replace(truth.diagnostics,
+                                sigma_min=math.ldexp(truth.diagnostics.sigma_min, k))
+        oracle = dataclasses.replace(truth, x_star=x_star, s_star=np.ldexp(truth.s_star, k),
+                                     diagnostics=d)
+        y = oracle.y
+        for ref in (None, x_star, oracle):
+            for alpha in (0.1, 0.0):
+                cfg = SolverConfig(rank=(2,) * len(dims), max_iters=30, alpha_estimate=alpha)
+                c = make_schedule(cfg, y, ref)
+                assert make_schedule(c, y, ref) == c
+                want, got = solve(y, cfg, ref), solve(y, c, ref)
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(want.factors.factors, got.factors.factors))
+                assert np.array_equal(want.factors.core, got.factors.core)
+                assert np.array_equal(want.sparse, got.sparse)
+                rows = [dataclasses.replace(r, seconds=0.0) for r in want.trace]
+                assert rows == [dataclasses.replace(r, seconds=0.0) for r in got.trace]
+                assert [r.zeta for r in rows] == [c.zeta0] + [
+                    c.zeta1 * c.rho ** (t - 1) for t in range(1, len(rows))]
 
 
 def test_make_schedule_auto_rules():
@@ -330,6 +347,20 @@ def test_spectral_init_rejects_a_threshold_before_its_hosvd(monkeypatch):
     for bad in (np.nan, -1.0):
         with pytest.raises(ValueError, match="threshold must be >= 0"):
             spectral_init(y, SolverConfig(rank=(1, 1, 1)), bad)
+
+
+def test_spectral_init_checks_the_rank_like_solve():
+    # the one rank rule: a rank above a mode's size, above the other side of
+    # its matricization, or of the wrong order used to reach the HOSVD, which
+    # returned factors of another rank or raised IndexError
+    rng = np.random.default_rng(36)
+    for dims, rank in (((3, 4, 5), (5, 5, 5)), ((2, 2, 8), (2, 2, 5)), ((3, 4, 5), (2, 2))):
+        y = rng.standard_normal(dims)
+        cfg = SolverConfig(rank=rank, max_iters=0)
+        for run in (lambda: spectral_init(y, cfg, 1.0), lambda: make_schedule(cfg, y),
+                    lambda: solve(y, cfg)):
+            with pytest.raises(ValueError, match="rank"):
+                run()
 
 
 def test_spectral_init_error_level_regression():
@@ -623,7 +654,7 @@ def test_solve_support_containment_along_run():
     star_supp = truth.s_star != 0
     held = 0
     for t in range(60):
-        zeta = sched.value(t + 1)
+        zeta = sched.zeta1 * sched.rho ** t
         x_t = reconstruct(factors)
         s_next = update_sparse(factors, truth.y, zeta)
         if inf_norm(x_t - truth.x_star) <= zeta:
@@ -1117,46 +1148,63 @@ def test_solve_scaling_is_exact_at_the_top_of_the_float_range():
         assert (q.zeta, q.inf_error, q.rel_fro_error) == want
 
 
+def _solve_with_iterate_2_scaled(y, cfg, m):
+    """``solve(y, cfg)`` with iterate 2's core scaled by ``2**m``, and iterate 2."""
+    step, iterates = trpca.rpca.scaled_step, []
+
+    def scaled_step(f, head, tail, cfg):
+        new, x_sq = step(f, head, tail, cfg)
+        if len(iterates) == 1:  # step 2 gives iterate 2
+            new = TuckerFactors(new.factors, np.ldexp(new.core, m))
+        iterates.append(new)
+        return new, x_sq
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trpca.rpca, "scaled_step", scaled_step)
+        return solve(y, cfg), iterates[1]
+
+
 @pytest.mark.parametrize("k", [600, 900])
 @pytest.mark.parametrize("max_iters", [2, 3])
-def test_solve_refuses_an_iterate_at_the_edge_of_its_norm_bound(monkeypatch, k, max_iters):
+def test_solve_refuses_an_iterate_at_the_edge_of_its_norm_bound(k, max_iters):
     # The Grams give ||x_n||**2 in the units of y_n = y / 2**e, and the loop
     # expands iterates 2**el times larger (el = e below 2**960).  An iterate
     # whose norm there reaches 2**1022 could overflow when expanded, so it is
     # refused like a non-finite one; one just below the bound passes.
     # Iterate 2 is checked on its own as the last iterate of a blind solve of
     # 2 iterations, which never expands it, and by the step from it in a
-    # solve of 3.  Scaling its core by 2**m scales its squared norm by
-    # exactly 4**m.
+    # solve of 3, after its expansion.  Scaling its core by 2**m scales its
+    # squared norm by exactly 4**m.
     truth = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=26)
     y = np.ldexp(truth.y, k)
     el = int(np.frexp(inf_norm(y))[1])
     cfg = SolverConfig(rank=(2, 2, 2), max_iters=max_iters, stop_tol=0.0)
-    step = trpca.rpca.scaled_step
-
-    def run(m):
-        iterates = []
-
-        def scaled_step(f, head, tail, cfg):
-            new, x_sq = step(f, head, tail, cfg)
-            if len(iterates) == 1:  # step 2 gives iterate 2
-                new = TuckerFactors(new.factors, np.ldexp(new.core, m))
-            iterates.append(new)
-            return new, x_sq
-
-        monkeypatch.setattr(trpca.rpca, "scaled_step", scaled_step)
-        return solve(y, cfg), iterates[1]
-
-    _, second = run(0)
+    _, second = _solve_with_iterate_2_scaled(y, cfg, 0)
     ex = math.frexp(trpca.rpca._grams(second)[2])[1]
     bound = 2 * (1022 - el)  # log2 of 4**(1022 - el)
     m = (bound + 2 - ex) // 2  # the least m with ||x_n||**2 * 4**m >= 2**bound
     with pytest.raises(DivergenceError, match="iteration 2"):
-        run(m)
-    result, second = run(m - 1)
+        _solve_with_iterate_2_scaled(y, cfg, m)
+    result, second = _solve_with_iterate_2_scaled(y, cfg, m - 1)
     assert 2.0 ** (bound - 2) <= trpca.rpca._grams(second)[2] < 2.0 ** bound
     assert result.trace.final.iteration == max_iters
     assert np.all(np.isfinite(result.factors.core)) and np.all(np.isfinite(result.sparse))
+
+
+@pytest.mark.parametrize("m", [520, 1000])
+@pytest.mark.parametrize("max_iters", [2, 3, 10])
+@pytest.mark.parametrize("stop_tol", [0.0, 1e-12])
+def test_solve_refuses_an_iterate_whose_squared_norm_overflows(m, max_iters, stop_tol):
+    # At unit scale the norm bound is inf, so the rule left is that the
+    # Grams' ||x_n||**2 is finite.  Iterate 2's core times 2**m is finite,
+    # and so is its expansion, but its square is not: the Gram products and
+    # the stop rule's change read inf instead of warning of an overflow
+    # (an error under the RuntimeWarning filter), and the iterate is refused
+    # by the step from it, or as the last iterate
+    y = gen_truth((8, 8, 8), 2, kappa=2.0, alpha=0.125, seed=26).y
+    cfg = SolverConfig(rank=(2, 2, 2), max_iters=max_iters, stop_tol=stop_tol)
+    with pytest.raises(DivergenceError, match="iteration 2"):
+        _solve_with_iterate_2_scaled(y, cfg, m)
 
 
 def test_solve_order4_zero_corruption():
