@@ -58,19 +58,42 @@ class GroundTruth:
     exactly ``min_k floor(alpha * n_k) / n_k``: the requested alpha when
     every ``alpha * n_k`` is an integer, below it when a cap rounds down
     (see the module docstring).
+
+    The one dense tensor a truth holds is ``x_star``.  The corruption is
+    kept sparse: ``support`` holds the ascending flat C-order indices of the
+    corrupted entries and ``values`` their values, ~0.2 tensors at alpha
+    0.1.  ``s_star`` and ``y`` are formed from them on each access, a new
+    dense tensor each time, so a caller that needs one keeps it in a
+    variable rather than reading the property again.
     """
 
     x_star: np.ndarray
-    s_star: np.ndarray
+    support: np.ndarray
+    values: np.ndarray
     factors: TuckerFactors
     diagnostics: Diagnostics
     seed: object
     entry_fraction: float
 
     @property
+    def s_star(self) -> np.ndarray:
+        """The dense corruption, zero off the support."""
+        s = np.zeros(self.x_star.shape)
+        s.reshape(-1)[self.support] = self.values
+        return s
+
+    @property
     def y(self) -> np.ndarray:
-        """The observation: low-rank truth plus corruption."""
-        return self.x_star + self.s_star
+        """The observation: low-rank truth plus corruption.
+
+        The same bits as ``x_star + s_star``: off the support each entry is
+        ``x + 0.0`` (so a ``-0.0`` becomes ``+0.0``), on it the one addition
+        ``x + v``.
+        """
+        # C order, so that the flat reshape is a view of y, never a copy
+        y = np.add(self.x_star, 0.0, order="C")
+        y.reshape(-1)[self.support] += self.values
+        return y
 
 
 def _as_rng(seed) -> tuple[np.random.Generator, object]:
@@ -193,15 +216,14 @@ def gen_truth(
     x_star = reconstruct(f_star)
 
     mask = sample_support(dims, alpha, rng)
-    count = int(mask.sum())
-    if count and corruption_scale == "mean-abs":
-        # taken before s_star exists, so that the |x_star| buffer and s_star
-        # are never held together
-        corruption_scale = float(np.abs(x_star).mean())
-    s_star = np.zeros(dims)
+    support = np.flatnonzero(mask)
+    count = support.size
+    values = np.zeros(0)
     if count:
+        if corruption_scale == "mean-abs":
+            corruption_scale = float(np.abs(x_star).mean())
         m = float(corruption_scale)
-        s_star[mask] = rng.uniform(-m, m, size=count)
+        values = rng.uniform(-m, m, size=count)
 
     # every unfolding's spectrum is the core diagonal, padded with zeros to
     # the unfolding's rank bound
@@ -216,7 +238,8 @@ def gen_truth(
     )
     return GroundTruth(
         x_star=x_star,
-        s_star=s_star,
+        support=support,
+        values=values,
         factors=f_star,
         diagnostics=diagnostics,
         seed=seed_record,
@@ -315,6 +338,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepCell]:
         rels, iters, failures = [], [], 0
         for trial in range(spec.trials):
             cell_seed = np.random.SeedSequence((spec.seed, *index, trial))
+            # the previous trial's instance and result go before the next
+            # instance is made, so trials do not add to each other's peak
+            truth = result = None
             try:
                 truth = gen_truth((n,) * 3, r, kappa, alpha, seed=cell_seed)
                 result = solve(truth.y, spec._config(r), reference=truth)

@@ -172,7 +172,7 @@ def test_solve_with_make_schedule_s_config_is_solve_with_cfg(dims):
         x_star = np.ldexp(truth.x_star, k)
         d = dataclasses.replace(truth.diagnostics,
                                 sigma_min=math.ldexp(truth.diagnostics.sigma_min, k))
-        oracle = dataclasses.replace(truth, x_star=x_star, s_star=np.ldexp(truth.s_star, k),
+        oracle = dataclasses.replace(truth, x_star=x_star, values=np.ldexp(truth.values, k),
                                      diagnostics=d)
         y = oracle.y
         for ref in (None, x_star, oracle):

@@ -88,18 +88,37 @@ def test_determinism_and_seed_sensitivity():
     assert np.array_equal(a.y, d.y)
 
 
-def test_gen_truth_holds_two_tensors_and_the_support():
-    # the mean-abs scale's |x_star| buffer is released before s_star is
-    # allocated: beside the two outputs the peak holds the support mask, the
-    # drawn values and the indices they are written through, not a third
-    # tensor (3.57 tensors when the buffer was held beside s_star)
+def test_gen_truth_holds_x_star_and_a_sparse_corruption():
+    # a truth holds one dense tensor, x_star, and its corruption as the flat
+    # support and the values (~0.2 tensors at alpha 0.1); s_star and y are
+    # formed on access.  The mean-abs scale's |x_star| buffer is released
+    # before the values are drawn, so the peak holds no third tensor (3.57
+    # tensors when the buffer was held beside a dense s_star)
+    dims = (60, 60, 60)
     tracemalloc.start()
     try:
-        truth = gen_truth((60, 60, 60), 3, kappa=5.0, alpha=0.1, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        gen_truth(dims, 3, kappa=5.0, alpha=0.1, seed=1)  # warm-up
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        truth = gen_truth(dims, 3, kappa=5.0, alpha=0.1, seed=0)
+        held, peak = (v - base for v in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        y = truth.y
+        y_peak = tracemalloc.get_traced_memory()[1] - base - held
     finally:
         tracemalloc.stop()
-    assert peak <= 2.75 * truth.x_star.nbytes
+    nbytes = truth.x_star.nbytes
+    assert peak <= 2.75 * nbytes
+    assert held <= 1.3 * nbytes  # 2.01 with a dense s_star
+    assert y_peak <= 1.15 * nbytes  # y and the gather of its corrupted entries
+
+    support = truth.support
+    assert support.size == truth.values.size == round(truth.entry_fraction * y.size)
+    assert np.all(np.diff(support) > 0)
+    dense = np.zeros(dims)
+    dense[np.unravel_index(support, dims)] = truth.values
+    assert truth.s_star.tobytes() == dense.tobytes()
+    assert y.tobytes() == (truth.x_star + dense).tobytes()
 
 
 def test_corruption_scale_variants():
@@ -267,6 +286,25 @@ def test_sweep_deterministic():
     for ca, cb in zip(a, b):
         assert (ca.median_rel_error, ca.median_iterations, ca.failures) == (
             cb.median_rel_error, cb.median_iterations, cb.failures)
+
+
+def test_sweep_trials_do_not_add_to_the_peak():
+    # each trial's instance and result are released before the next instance
+    # is made: at 50^3, 3 trials read 7.07 tensors against 6.06 for 1 trial
+    # while the previous trial's were still held
+    def peak(trials):
+        spec = SweepSpec(n_grid=(50,), rank_grid=(3,), alpha_grid=(0.1,),
+                         kappa_grid=(5.0,), trials=trials, max_iters=20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run_sweep(spec)[0].failures == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up
+    assert peak(3) <= peak(1) + 0.1 * 8 * 50**3
 
 
 def test_sweep_counts_infeasible_cells_as_failures():
